@@ -25,6 +25,7 @@ from .core import (
     TopicFilter,
     Topology,
     TriggerPolicy,
+    UPDATE_TOPIC_ROOT,
     as_ratio,
     match_filter,
     split_model,
@@ -42,6 +43,7 @@ from .errors import (
 )
 from .operators import ModelUpdate, aggregate_updates, apply_mapping
 from .placement import (
+    ExecStage,
     ExecutionGraph,
     Objective,
     Placement,
@@ -54,7 +56,6 @@ from .placement import (
 
 BUFFER_CAPACITY = 128
 
-UPDATE_TOPIC_ROOT = "_updates"
 MODEL_TOPIC_ROOT = "_models"
 
 Stream = tuple[str, str]  # (source id, topic string)
@@ -188,6 +189,7 @@ class Broker:
         self.funnel_seqs: dict[str, int] = {}
         self.pending_updates: dict[tuple[str, int], dict[str, ModelUpdate]] = {}
         self.exec_graph: ExecutionGraph = ExecutionGraph({}, ())
+        self._exec_index: dict[tuple[str, str], ExecStage] = {}
         self._next_instance = 0
 
     # -- registry ----------------------------------------------------------
@@ -708,7 +710,7 @@ class Broker:
     # -- helpers -----------------------------------------------------------
 
     def _rebuild_exec(self) -> None:
-        old_index = getattr(self, "_exec_index", {})
+        old_index = self._exec_index
         live = [i for i in self.instances.values() if i.status == "active"]
         self.exec_graph = merge_shared_prefix(live)
         self._exec_index = {}
@@ -730,7 +732,7 @@ class Broker:
 
     def exec_for(self, instance_id: str, stage_id: str):
         """Execution stage currently running stage_id for the instance."""
-        return getattr(self, "_exec_index", {}).get((instance_id, stage_id))
+        return self._exec_index.get((instance_id, stage_id))
 
     def active_instances(self) -> list[PipelineInstance]:
         return [

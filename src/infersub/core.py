@@ -16,6 +16,9 @@ TIERS = ("device", "edge", "cloud")
 TASK_TAGS = ("text", "aural", "visual", "telemetry")
 TAGS = ("raw", "derived")
 
+# first topic segment of model-update submissions ("_updates/<model_id>")
+UPDATE_TOPIC_ROOT = "_updates"
+
 
 def as_ratio(x: Ratio) -> Fraction:
     """Exact rational from a number. Floats go through their shortest decimal
@@ -591,6 +594,10 @@ class Topology:
         for nid, node in self.nodes.items():
             if nid != node.node_id:
                 raise ValueError(f"topology: node keyed {nid!r} vs {node.node_id!r}")
+        # routing index, built on first use; a snapshot never changes, so
+        # neither needs invalidating
+        object.__setattr__(self, "_adjacency", None)
+        object.__setattr__(self, "_trees", {})
 
     @classmethod
     def of(cls, nodes: Iterable[NodeDescriptor],
@@ -622,19 +629,69 @@ class Topology:
         )
 
     def up_neighbors(self, node_id: str) -> list[tuple[str, LinkDescriptor]]:
-        out = []
-        for link in self.links.values():
-            if link.state != "up":
-                continue
-            if node_id == link.a:
-                other = link.b
-            elif node_id == link.b:
-                other = link.a
-            else:
-                continue
-            if self.is_node_up(other):
-                out.append((other, link))
-        return sorted(out, key=lambda pair: pair[0])
+        return list(self._up_adjacency().get(node_id, ()))
+
+    def _up_adjacency(self) -> dict[str, tuple[tuple[str, LinkDescriptor], ...]]:
+        """node -> (neighbour, link) over up links to up neighbours, by id."""
+        if self._adjacency is None:
+            adj: dict[str, list[tuple[str, LinkDescriptor]]] = {
+                n: [] for n in self.nodes
+            }
+            for link in self.links.values():
+                if link.state != "up":
+                    continue
+                if self.is_node_up(link.b):
+                    adj[link.a].append((link.b, link))
+                if self.is_node_up(link.a):
+                    adj[link.b].append((link.a, link))
+            object.__setattr__(self, "_adjacency", {
+                n: tuple(sorted(pairs, key=lambda pair: pair[0]))
+                for n, pairs in adj.items()
+            })
+        return self._adjacency
+
+    def shortest_paths(
+        self, source: str
+    ) -> dict[str, tuple[Fraction, int, tuple[str, ...]]]:
+        """Shortest-path tree of source over up links, cached per snapshot:
+        every reachable node -> (latency, hops, path).
+
+        Heap keys (latency, hops, path) are unique, so each node's first pop
+        is its minimum under that order, the tie-break route documents.
+        """
+        tree = self._trees.get(source)
+        if tree is None:
+            adj = self._up_adjacency()
+            tree = {}
+            heap: list[tuple[Fraction, int, tuple[str, ...]]] = [
+                (Fraction(0), 0, (source,))
+            ]
+            while heap:
+                lat, hops, path = heapq.heappop(heap)
+                here = path[-1]
+                if here in tree:
+                    continue
+                tree[here] = (lat, hops, path)
+                for nxt, link in adj[here]:
+                    if nxt not in tree:
+                        heapq.heappush(
+                            heap, (lat + link.latency_ms, hops + 1, path + (nxt,))
+                        )
+            self._trees[source] = tree
+        return tree
+
+    def shortest(self, a: str, b: str) -> tuple[Fraction, int, tuple[str, ...]]:
+        """(latency, hops, path) of route(self, a, b); raises NoRouteError."""
+        if a not in self.nodes or b not in self.nodes:
+            raise NoRouteError(a, b)
+        if a == b:
+            return (Fraction(0), 0, (a,))
+        if not self.is_node_up(a) or not self.is_node_up(b):
+            raise NoRouteError(a, b)
+        got = self.shortest_paths(a).get(b)
+        if got is None:
+            raise NoRouteError(a, b)
+        return got
 
     def with_node_state(self, node_id: str, up: bool) -> Topology:
         if node_id not in self.nodes:
@@ -659,44 +716,20 @@ class Topology:
 
 
 def route(t: Topology, a: str, b: str) -> list[str]:
-    """Minimum-latency up path from a to b.
+    """Minimum-latency up path from a to b, as a fresh list.
 
     Ties go to fewer hops, then the lexicographically smallest node sequence.
-    route(t, a, a) == [a].
+    route(t, a, a) == [a]. Results come from the snapshot's shortest-path
+    tree of a (Topology.shortest_paths): one Dijkstra per (snapshot, source),
+    then O(path length) per query.
     """
-    if a not in t.nodes or b not in t.nodes:
-        raise NoRouteError(a, b)
-    if a == b:
-        return [a]
-    if not t.is_node_up(a) or not t.is_node_up(b):
-        raise NoRouteError(a, b)
-    heap: list[tuple[Fraction, int, tuple[str, ...]]] = [(Fraction(0), 0, (a,))]
-    done: set[str] = set()
-    while heap:
-        lat, hops, path = heapq.heappop(heap)
-        here = path[-1]
-        if here == b:
-            return list(path)
-        if here in done:
-            continue
-        done.add(here)
-        for nxt, link in t.up_neighbors(here):
-            if nxt not in done:
-                heapq.heappush(
-                    heap, (lat + link.latency_ms, hops + 1, path + (nxt,))
-                )
-    raise NoRouteError(a, b)
+    return list(t.shortest(a, b)[2])
 
 
 def route_latency(t: Topology, a: str, b: str) -> tuple[Fraction, int]:
     """(total latency, hop count) of route(t, a, b)."""
-    path = route(t, a, b)
-    total = Fraction(0)
-    for x, y in zip(path, path[1:]):
-        link = t.link_between(x, y)
-        assert link is not None
-        total += link.latency_ms
-    return total, len(path) - 1
+    lat, hops, _ = t.shortest(a, b)
+    return lat, hops
 
 
 # ---------------------------------------------------------------------------

@@ -142,11 +142,6 @@ def _propagate_sizes(p: PipelineSpec, entry_sizes: dict[str, int]) -> dict[str, 
     return out
 
 
-def stage_sizes(p: PipelineSpec, input_size: int) -> dict[str, int]:
-    """Output size per stage for a uniform input_size at every entry."""
-    return _propagate_sizes(p, {sid: input_size for sid in p.entry_ids()})
-
-
 def _propagate_rates(
     p: PipelineSpec, entry_rates: dict[str, Fraction]
 ) -> dict[str, Fraction]:
@@ -223,54 +218,32 @@ def _anchor_publisher(p: PipelineSpec, sid: str, pubs: dict[str, str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Route cache
+# Routes, read from the topology snapshot's shortest-path trees
 
 
-class _Routes:
-    """Memoized routing over one topology snapshot."""
+def _reach(t: Topology, a: str, b: str) -> tuple[Fraction, int, tuple[str, ...]] | None:
+    """(latency, hops, path) of route(t, a, b); None when there is none."""
+    try:
+        return t.shortest(a, b)
+    except NoRouteError:
+        return None
 
-    def __init__(self, t: Topology) -> None:
-        self.t = t
-        self._paths: dict[tuple[str, str], list[str] | None] = {}
 
-    def path(self, a: str, b: str) -> list[str] | None:
-        key = (a, b)
-        if key not in self._paths:
-            try:
-                self._paths[key] = route(self.t, a, b)
-            except NoRouteError:
-                self._paths[key] = None
-        return self._paths[key]
-
-    def latency_hops(self, a: str, b: str) -> tuple[Fraction, int] | None:
-        path = self.path(a, b)
-        if path is None:
-            return None
-        total = Fraction(0)
-        for x, y in zip(path, path[1:]):
-            link = self.t.link_between(x, y)
-            assert link is not None
-            total += link.latency_ms
-        return total, len(path) - 1
-
-    def transfer_ms(self, a: str, b: str, size_bytes: int) -> Fraction | None:
-        """Per-hop latency plus size/bandwidth along the route."""
-        path = self.path(a, b)
-        if path is None:
-            return None
-        total = Fraction(0)
-        kb = Fraction(size_bytes, 1024)
-        for x, y in zip(path, path[1:]):
-            link = self.t.link_between(x, y)
-            assert link is not None
-            total += link.latency_ms + kb / link.bandwidth_kb_per_ms
-        return total
-
-    def hop_kb(self, a: str, b: str, size_bytes: int) -> Fraction | None:
-        got = self.latency_hops(a, b)
-        if got is None:
-            return None
-        return Fraction(size_bytes, 1024) * got[1]
+def _transfer(
+    t: Topology, a: str, b: str, size_bytes: int
+) -> tuple[Fraction, Fraction] | None:
+    """(ms, KB counted per hop) to move size_bytes along route(t, a, b): each
+    hop takes its latency plus size over bandwidth."""
+    got = _reach(t, a, b)
+    if got is None:
+        return None
+    lat, hops, path = got
+    kb = Fraction(size_bytes, 1024)
+    for x, y in zip(path, path[1:]):
+        link = t.link_between(x, y)
+        assert link is not None
+        lat += kb / link.bandwidth_kb_per_ms
+    return lat, kb * hops
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +319,6 @@ def feasible(
                 Violation("CpuExceeded", node_id, f"{load} > {node.cpu_capacity}")
             )
 
-    routes = _Routes(t)
     hops: list[tuple[str, str]] = []
     for a, b in p.edges:
         hops.append((assigned[a], assigned[b]))
@@ -355,72 +327,14 @@ def feasible(
             hops.append((pubs[sid], assigned[sid]))
     if subscriber is not None:
         hops.append((assigned[p.sink], subscriber))
-    for a, b in hops:
-        if a != b and routes.path(a, b) is None:
+    for a, b in dict.fromkeys(hops):
+        if a == b:
+            continue
+        try:
+            route(t, a, b)
+        except NoRouteError:
             out.append(Violation("RouteMissing", f"{a}->{b}"))
     return sorted(set(out))
-
-
-def _cost_cached(
-    pl: Placement,
-    p: PipelineSpec,
-    t: Topology,
-    w: WorkloadSpec,
-    o: Objective,
-    publisher: Publishers,
-    subscriber: str,
-    routes: _Routes,
-) -> CostReport:
-    violations = tuple(feasible(pl, p, t, w, publisher, subscriber))
-    pubs = _publishers_by_entry(p, publisher)
-    assigned = pl.assignment
-    if any(v.rule in ("Unassigned", "NodeMissing", "RouteMissing") for v in violations):
-        return CostReport(None, None, None, False, violations)
-
-    entry_sizes, _, _ = entry_workload(p, w)
-    sizes = _propagate_sizes(p, entry_sizes)
-
-    bytes_kb = Fraction(0)
-    finish: dict[str, Fraction] = {}
-    for sid in p.topo_order():
-        stage = p.stage(sid)
-        node_id = assigned[sid]
-        preds = p.preds(sid)
-        arrival = Fraction(0)
-        if not preds:
-            tm = routes.transfer_ms(pubs[sid], node_id, entry_sizes[sid])
-            if tm is None:
-                return CostReport(None, None, None, False, violations)
-            arrival = tm
-            kb = routes.hop_kb(pubs[sid], node_id, entry_sizes[sid])
-            bytes_kb += kb if kb is not None else Fraction(0)
-        else:
-            for q in preds:
-                tm = routes.transfer_ms(assigned[q], node_id, sizes[q])
-                if tm is None:
-                    return CostReport(None, None, None, False, violations)
-                arrival = max(arrival, finish[q] + tm)
-        finish[sid] = arrival + stage.compute_cost / t.node(node_id).cpu_capacity
-
-    for a, b in p.edges:
-        kb = routes.hop_kb(assigned[a], assigned[b], sizes[a])
-        bytes_kb += kb if kb is not None else Fraction(0)
-
-    sink_node = assigned[p.sink]
-    tail = routes.transfer_ms(sink_node, subscriber, sizes[p.sink])
-    if tail is None:
-        return CostReport(None, None, None, False, violations)
-    latency = finish[p.sink] + tail
-    kb = routes.hop_kb(sink_node, subscriber, sizes[p.sink])
-    bytes_kb += kb if kb is not None else Fraction(0)
-
-    return CostReport(
-        latency_ms=latency,
-        bytes_kb=bytes_kb,
-        objective_value=o.value(latency, bytes_kb),
-        feasible=not violations,
-        violations=violations,
-    )
 
 
 def cost(
@@ -438,7 +352,48 @@ def cost(
     inter-stage transfers, and the final transfer to the subscriber, along the
     longest path of the DAG.
     """
-    return _cost_cached(pl, p, t, w, o, publisher, subscriber, _Routes(t))
+    violations = tuple(feasible(pl, p, t, w, publisher, subscriber))
+    pubs = _publishers_by_entry(p, publisher)
+    assigned = pl.assignment
+    missing = CostReport(None, None, None, False, violations)
+    if any(v.rule in ("Unassigned", "NodeMissing", "RouteMissing") for v in violations):
+        return missing
+
+    entry_sizes, _, _ = entry_workload(p, w)
+    sizes = _propagate_sizes(p, entry_sizes)
+
+    bytes_kb = Fraction(0)
+    finish: dict[str, Fraction] = {}
+    for sid in p.topo_order():
+        node_id = assigned[sid]
+        preds = p.preds(sid)
+        arrival = Fraction(0)
+        if not preds:
+            got = _transfer(t, pubs[sid], node_id, entry_sizes[sid])
+            if got is None:
+                return missing
+            arrival, kb = got
+            bytes_kb += kb
+        for q in preds:
+            got = _transfer(t, assigned[q], node_id, sizes[q])
+            if got is None:
+                return missing
+            arrival = max(arrival, finish[q] + got[0])
+            bytes_kb += got[1]
+        finish[sid] = arrival + p.stage(sid).compute_cost / t.node(node_id).cpu_capacity
+
+    got = _transfer(t, assigned[p.sink], subscriber, sizes[p.sink])
+    if got is None:
+        return missing
+    latency = finish[p.sink] + got[0]
+    bytes_kb += got[1]
+    return CostReport(
+        latency_ms=latency,
+        bytes_kb=bytes_kb,
+        objective_value=o.value(latency, bytes_kb),
+        feasible=not violations,
+        violations=violations,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -460,32 +415,30 @@ def _resolve_pins(
     return fixed
 
 
-def _upstream_rank(routes: _Routes, subscriber: str, node_id: str) -> tuple:
+def _upstream_rank(t: Topology, subscriber: str, node_id: str) -> tuple:
     """Sort key placing more-upstream nodes (farther from the subscriber)
     first; unroutable nodes last."""
-    got = routes.latency_hops(node_id, subscriber)
+    got = _reach(t, node_id, subscriber)
     if got is None:
         return (0, Fraction(0), 0, node_id)
-    lat, hops = got
-    return (-1, -lat, -hops, node_id)
+    return (-1, -got[0], -got[1], node_id)
 
 
-def _downstreamness(routes: _Routes, subscriber: str, node_id: str) -> tuple:
+def _downstreamness(t: Topology, subscriber: str, node_id: str) -> tuple:
     """Totally ordered proxy for position along the flow toward the
     subscriber; smaller means closer to the subscriber."""
-    got = routes.latency_hops(node_id, subscriber)
+    got = _reach(t, node_id, subscriber)
     if got is None:
         return (1, Fraction(0), 0)
-    lat, hops = got
-    return (0, lat, hops)
+    return (0, got[0], got[1])
 
 
 def _not_upstream_of(
-    routes: _Routes, subscriber: str, candidate: str, reference: str
+    t: Topology, subscriber: str, candidate: str, reference: str
 ) -> bool:
     """candidate is at or downstream of reference (toward the subscriber)."""
-    return _downstreamness(routes, subscriber, candidate) <= _downstreamness(
-        routes, subscriber, reference
+    return _downstreamness(t, subscriber, candidate) <= _downstreamness(
+        t, subscriber, reference
     )
 
 
@@ -510,14 +463,12 @@ def place_oracle(
     if space > ORACLE_BOUND:
         raise SearchSpaceTooLargeError(space, ORACLE_BOUND)
 
-    routes = _Routes(t)
-
     def upstream_key(assignment: dict[str, str]) -> tuple:
         key = []
         for s in p.stages:
             node_id = assignment[s.stage_id]
             anchor = _anchor_publisher(p, s.stage_id, pubs)
-            got = routes.latency_hops(anchor, node_id)
+            got = _reach(t, anchor, node_id)
             if got is None:
                 key.append((1, Fraction(0), 0, node_id))
             else:
@@ -530,7 +481,7 @@ def place_oracle(
         assignment = dict(fixed)
         assignment.update(zip(unpinned, combo))
         pl = Placement(assignment)
-        report = _cost_cached(pl, p, t, w, o, publisher, subscriber, routes)
+        report = cost(pl, p, t, w, o, publisher, subscriber)
         if not report.feasible:
             continue
         assert report.objective_value is not None
@@ -544,16 +495,16 @@ def place_oracle(
 
 
 def _route_candidates(
-    routes: _Routes, pubs: dict[str, str], subscriber: str
+    t: Topology, pubs: dict[str, str], subscriber: str
 ) -> list[str]:
     """Union of publisher->subscriber route nodes, most upstream first."""
     seen: set[str] = set()
     for pub in sorted(set(pubs.values())):
-        path = routes.path(pub, subscriber)
-        if path is None:
-            raise NoFeasiblePlacementError(f"no route {pub}->{subscriber}")
-        seen.update(path)
-    return sorted(seen, key=lambda n: _upstream_rank(routes, subscriber, n))
+        try:
+            seen.update(route(t, pub, subscriber))
+        except NoRouteError:
+            raise NoFeasiblePlacementError(f"no route {pub}->{subscriber}") from None
+    return sorted(seen, key=lambda n: _upstream_rank(t, subscriber, n))
 
 
 def _upstream_with_fixed(
@@ -571,8 +522,7 @@ def _upstream_with_fixed(
     Movable stages may only sit at or downstream of their predecessors along
     the route ordering; fixed assignments are never touched.
     """
-    routes = _Routes(t)
-    candidates = _route_candidates(routes, pubs, subscriber)
+    candidates = _route_candidates(t, pubs, subscriber)
     movable_set = set(movable)
     assignment = dict(fixed)
 
@@ -605,7 +555,7 @@ def _upstream_with_fixed(
             if not t.is_node_up(cand):
                 continue
             ok = all(
-                _not_upstream_of(routes, subscriber, cand, assignment[q])
+                _not_upstream_of(t, subscriber, cand, assignment[q])
                 for q in p.preds(sid)
                 if q in assignment
             )
@@ -623,7 +573,7 @@ def _upstream_with_fixed(
         assignment[sid] = chosen
 
     full = Placement(assignment)
-    report = _cost_cached(full, p, t, w, o, pubs, subscriber, routes)
+    report = cost(full, p, t, w, o, pubs, subscriber)
     if not report.feasible:
         raise NoFeasiblePlacementError(
             f"{p.pipeline_id}: {[v.rule for v in report.violations]}"
@@ -646,11 +596,11 @@ def _upstream_with_fixed(
                 if cand == here or not t.is_node_up(cand):
                     continue
                 ok = all(
-                    _not_upstream_of(routes, subscriber, cand, assignment[q])
+                    _not_upstream_of(t, subscriber, cand, assignment[q])
                     for q in p.preds(sid)
                     if q in assignment
                 ) and all(
-                    _not_upstream_of(routes, subscriber, assignment[q], cand)
+                    _not_upstream_of(t, subscriber, assignment[q], cand)
                     for q in p.succs(sid)
                     if q in assignment
                 )
@@ -658,9 +608,7 @@ def _upstream_with_fixed(
                     continue
                 trial = dict(assignment)
                 trial[sid] = cand
-                trial_report = _cost_cached(
-                    Placement(trial), p, t, w, o, pubs, subscriber, routes
-                )
+                trial_report = cost(Placement(trial), p, t, w, o, pubs, subscriber)
                 if not trial_report.feasible:
                     continue
                 assert trial_report.objective_value is not None
@@ -668,7 +616,7 @@ def _upstream_with_fixed(
                     continue
                 key = (
                     trial_report.objective_value,
-                    _upstream_rank(routes, subscriber, cand),
+                    _upstream_rank(t, subscriber, cand),
                 )
                 if best_key is None or key < best_key:
                     best_key = key

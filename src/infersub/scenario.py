@@ -24,6 +24,7 @@ from .core import (
     TopicFilter,
     Topology,
     TriggerPolicy,
+    UPDATE_TOPIC_ROOT,
     fn_args,
     match_filter,
 )
@@ -37,8 +38,6 @@ TOP_KEYS = (
 )
 
 FAULT_KINDS = ("node_down", "node_up", "link_down", "link_up")
-
-UPDATE_TOPIC_ROOT = "_updates"
 
 
 @dataclass(frozen=True)

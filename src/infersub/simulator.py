@@ -21,7 +21,6 @@ from .broker import (
     ModelFetch,
     PeerLink,
     StageTask,
-    UPDATE_TOPIC_ROOT,
 )
 from .core import (
     Filter,
@@ -30,7 +29,9 @@ from .core import (
     Publication,
     Topic,
     Topology,
+    UPDATE_TOPIC_ROOT,
     route,
+    route_latency,
 )
 from .errors import NoRouteError
 from .metrics import (
@@ -615,11 +616,7 @@ class _World:
             path = tuple(route(self.topo, subscriber, broker.broker_node))
         except NoRouteError:
             return
-        delay = Fraction(0)
-        for a, b in zip(path, path[1:]):
-            link = self.topo.link_between(a, b)
-            assert link is not None
-            delay += link.latency_ms
+        delay, _ = route_latency(self.topo, subscriber, broker.broker_node)
         self._push(
             self.now_us + _ceil_us(delay), PRIO_ACK,
             _AckDue(domain, sub_id, stream, pub.seq, path),

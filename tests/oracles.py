@@ -3,7 +3,10 @@
 Everything in this module is written from scratch against the documented
 behavior and shares no code with the implementation under test: a hop-by-hop
 cost evaluator for chain pipelines on path topologies, a plain-dict funnel
-interpreter, and the seeded instance generators the audits run over.
+interpreter, and the seeded instance generators the audits run over. The one
+exception is routing: ref_route is the per-call Dijkstra over a full link
+scan that the package used before it cached shortest-path trees on each
+topology snapshot, kept unchanged so the tie-break has a fixed reference.
 
 Keep it boring. These references exist so the real implementations have
 something to disagree with; cleverness here would defeat the point.
@@ -11,12 +14,75 @@ something to disagree with; cleverness here would defeat the point.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from infersub.core import Topic, Publication
+from infersub.core import LinkDescriptor, Publication, Topic, Topology
+from infersub.errors import NoRouteError
+
+
+# ---------------------------------------------------------------------------
+# Routing reference: one Dijkstra per call, each expansion scans every link
+
+
+def ref_up_neighbors(t: Topology, node_id: str) -> list[tuple[str, LinkDescriptor]]:
+    out = []
+    for link in t.links.values():
+        if link.state != "up":
+            continue
+        if node_id == link.a:
+            other = link.b
+        elif node_id == link.b:
+            other = link.a
+        else:
+            continue
+        if t.is_node_up(other):
+            out.append((other, link))
+    return sorted(out, key=lambda pair: pair[0])
+
+
+def ref_route(t: Topology, a: str, b: str) -> list[str]:
+    """Minimum-latency up path from a to b.
+
+    Ties go to fewer hops, then the lexicographically smallest node sequence.
+    ref_route(t, a, a) == [a].
+    """
+    if a not in t.nodes or b not in t.nodes:
+        raise NoRouteError(a, b)
+    if a == b:
+        return [a]
+    if not t.is_node_up(a) or not t.is_node_up(b):
+        raise NoRouteError(a, b)
+    heap: list[tuple[Fraction, int, tuple[str, ...]]] = [(Fraction(0), 0, (a,))]
+    done: set[str] = set()
+    while heap:
+        lat, hops, path = heapq.heappop(heap)
+        here = path[-1]
+        if here == b:
+            return list(path)
+        if here in done:
+            continue
+        done.add(here)
+        for nxt, link in ref_up_neighbors(t, here):
+            if nxt not in done:
+                heapq.heappush(
+                    heap, (lat + link.latency_ms, hops + 1, path + (nxt,))
+                )
+    raise NoRouteError(a, b)
+
+
+def ref_route_latency(t: Topology, a: str, b: str) -> tuple[Fraction, int]:
+    """(total latency, hop count) of ref_route(t, a, b)."""
+    path = ref_route(t, a, b)
+    total = Fraction(0)
+    for x, y in zip(path, path[1:]):
+        link = t.link_between(x, y)
+        assert link is not None
+        total += link.latency_ms
+    return total, len(path) - 1
 
 
 # ---------------------------------------------------------------------------

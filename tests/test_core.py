@@ -31,6 +31,8 @@ from infersub.core import (
 )
 from infersub.errors import NoRouteError, SplitArityError
 
+from oracles import ref_route, ref_route_latency
+
 SEG = st.text(alphabet="abcdefgh0123", min_size=1, max_size=5)
 
 
@@ -305,11 +307,119 @@ def test_route_errors_when_endpoint_down_or_disconnected():
         ],
         [LinkDescriptor("a", "b", 1, 100)],
     )
-    with pytest.raises(NoRouteError):
-        route(topo, "a", "c")
     downed = topo.with_node_state("b", up=False)
+    for t, a, b in [
+        (topo, "a", "c"), (topo, "a", "zz"), (topo, "zz", "a"),
+        (downed, "a", "b"), (downed, "b", "a"),
+    ]:
+        with pytest.raises(NoRouteError):
+            route(t, a, b)
+        with pytest.raises(NoRouteError):
+            route_latency(t, a, b)
+
+
+@st.composite
+def flaky_topology_chains(draw):
+    """A random topology and a chain of node/link state flips on it.
+
+    Latencies come from {0, 1, 2}, so equal-latency routes are common and the
+    hop and path tie-breaks decide; links may start down, and the graph need
+    not be connected.
+    """
+    n = draw(st.integers(2, 7))
+    ids = [f"n{i}" for i in range(n)]
+    nodes = [NodeDescriptor(i, "edge", Fraction(4), Fraction(256)) for i in ids]
+    pairs = draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda ij: ij[0] < ij[1]),
+        max_size=n * (n - 1) // 2,
+    ))
+    links = [
+        LinkDescriptor(
+            ids[i], ids[j], latency_ms=draw(st.integers(0, 2)),
+            bandwidth_kb_per_ms=100,
+            state=draw(st.sampled_from(("up", "up", "down"))),
+        )
+        for i, j in sorted(pairs)
+    ]
+    chain = [Topology.of(nodes, links)]
+    ends = sorted(chain[0].links)
+    for _ in range(draw(st.integers(0, 6))):
+        t, up = chain[-1], draw(st.booleans())
+        if ends and draw(st.booleans()):
+            a, b = draw(st.sampled_from(ends))
+            chain.append(t.with_link_state(a, b, up))
+        else:
+            chain.append(t.with_node_state(draw(st.sampled_from(ids)), up))
+    return chain
+
+
+def _outcome(fn, t, a, b):
+    try:
+        return fn(t, a, b)
+    except NoRouteError:
+        return NoRouteError
+
+
+@given(flaky_topology_chains())
+def test_route_matches_the_per_call_dijkstra_reference(chain):
+    ends = sorted(chain[0].nodes) + ["ghost"]  # "ghost" is not a node
+    # every snapshot is queried in turn, so a later one starts from the
+    # cached trees of the earlier ones still alive
+    for t in chain:
+        for a in ends:
+            for b in ends:
+                assert _outcome(route, t, a, b) == _outcome(ref_route, t, a, b)
+                assert _outcome(route_latency, t, a, b) == _outcome(
+                    ref_route_latency, t, a, b
+                )
+
+
+def _diamond() -> Topology:
+    """a-m-b is the short way (2 ms), a-n-b the long one (4 ms)."""
+    return Topology.of(
+        [NodeDescriptor(i, "edge", 4, 64) for i in "abmn"],
+        [
+            LinkDescriptor("a", "m", 1, 100), LinkDescriptor("m", "b", 1, 100),
+            LinkDescriptor("a", "n", 2, 100), LinkDescriptor("n", "b", 2, 100),
+        ],
+    )
+
+
+def test_link_fault_snapshot_ignores_the_cached_tree_of_its_parent():
+    t = _diamond()
+    assert route(t, "a", "b") == ["a", "m", "b"]  # caches a's tree on t
+    t2 = t.with_link_state("a", "m", up=False)
+    assert route(t2, "a", "b") == ["a", "n", "b"]
+    assert route_latency(t2, "a", "b") == (Fraction(4), 2)
+    assert route(t, "a", "b") == ["a", "m", "b"]
+    assert route(t2.with_link_state("a", "m", up=True), "a", "b") == ["a", "m", "b"]
+
+
+def test_node_fault_snapshot_ignores_the_cached_tree_of_its_parent():
+    t = _diamond()
+    assert route(t, "a", "b") == ["a", "m", "b"]
+    t2 = t.with_node_state("m", up=False)
+    assert route(t2, "a", "b") == ["a", "n", "b"]
+    assert route(t, "a", "b") == ["a", "m", "b"]
     with pytest.raises(NoRouteError):
-        route(downed, "a", "b")
+        route(t2, "a", "m")
+    assert route(t2.with_node_state("m", up=True), "a", "b") == ["a", "m", "b"]
+
+
+def test_mutating_a_returned_route_leaves_later_results_alone():
+    t = _diamond()
+    path = route(t, "a", "b")
+    path.append("n")
+    path[0] = "zz"
+    assert route(t, "a", "b") == ["a", "m", "b"]
+    assert route_latency(t, "a", "b") == (Fraction(2), 2)
+    same = route(t, "a", "a")
+    same.clear()
+    assert route(t, "a", "a") == ["a"]
+    nbrs = t.up_neighbors("a")
+    nbrs.clear()
+    assert [n for n, _ in t.up_neighbors("a")] == ["m", "n"]
 
 
 def test_topology_construction_rules():
