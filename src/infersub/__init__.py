@@ -57,7 +57,7 @@ from .placement import (
 from .broker import Broker, PeerLink, PipelineInstance, RepairPlan
 from .metrics import MetricsReport, emit, report_from_json
 from .scenario import Scenario, load_scenario, loads_scenario
-from .simulator import compare, run, simulate
+from .simulator import compare, compile_scenario, run, simulate
 
 __all__ = [
     "__version__",
@@ -75,5 +75,5 @@ __all__ = [
     "Broker", "PeerLink", "PipelineInstance", "RepairPlan",
     "MetricsReport", "emit", "report_from_json",
     "Scenario", "load_scenario", "loads_scenario",
-    "compare", "run", "simulate",
+    "compare", "compile_scenario", "run", "simulate",
 ]

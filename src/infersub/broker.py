@@ -147,7 +147,6 @@ class RepairPlan:
     """Outcome of one node-failure handling pass."""
 
     affected: tuple[str, ...]
-    new_placements: dict[str, Placement]
     replays: dict[str, tuple[BufferEntry, ...]]
     suspended: tuple[str, ...]
 
@@ -557,16 +556,13 @@ class Broker:
             model = remote.models.get(kind.model_id)
             if model is None:
                 continue
-            inst = self._instantiate_with_model(
+            inst = self._instantiate(
                 sub, model, t, w, o, f"cross:{peer.peer_domain}"
             )
             inst.status = "pending"
             kb = remote.artifact_kb.get(kind.model_id, 64 * len(model.layers))
             return inst, ModelFetch(inst.instance_id, peer.peer_domain, kb, ends)
         raise UnknownModelError(kind.model_id)
-
-    def _instantiate_with_model(self, sub, model, t, w, o, span) -> PipelineInstance:
-        return self._instantiate(sub, model, t, w, o, span)
 
     def activate_instance(self, instance_id: str) -> None:
         inst = self.instances[instance_id]
@@ -659,7 +655,6 @@ class Broker:
         """
         affected: list[str] = []
         suspended: list[str] = []
-        new_placements: dict[str, Placement] = {}
         for iid in sorted(self.instances):
             inst = self.instances[iid]
             if inst.status != "active":
@@ -687,7 +682,6 @@ class Broker:
             inst.repairs += 1
             inst.buffer_cuts = self._compute_cuts(inst)
             affected.append(iid)
-            new_placements[iid] = pl
         if affected or suspended:
             self._rebuild_exec()
 
@@ -705,7 +699,7 @@ class Broker:
             self.buffers[sub_id] = keep
             if keep:
                 replays[sub_id] = tuple(keep)
-        return RepairPlan(tuple(affected), new_placements, replays, tuple(suspended))
+        return RepairPlan(tuple(affected), replays, tuple(suspended))
 
     # -- helpers -----------------------------------------------------------
 

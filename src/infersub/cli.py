@@ -12,7 +12,7 @@ from .errors import InferSubError, ParseError, ValidationError
 from .metrics import emit
 from .placement import cost, place_oracle
 from .scenario import load_scenario
-from .simulator import _World, run, compare
+from .simulator import compare, compile_scenario, run
 
 
 def _load(path: str):
@@ -55,15 +55,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_place(args: argparse.Namespace) -> int:
     sc = _load(args.scenario)
     placer = "baseline" if args.algorithm == "baseline" else "upstream"
-    world = _World(sc, sc.sim.seed, placer)
-    for sub in sorted(sc.subscriptions, key=lambda s: s.sub_id):
-        domain = sc.topology.node(sub.subscriber).domain_id
-        world.brokers[domain].subscribe(
-            sub, sc.topology, sc.workload, sc.objective
-        )
+    brokers, _ = compile_scenario(sc, placer)
     rows = []
-    for domain in sorted(world.brokers):
-        broker = world.brokers[domain]
+    for domain in sorted(brokers):
+        broker = brokers[domain]
         for iid in sorted(broker.instances):
             inst = broker.instances[iid]
             pl = inst.placement

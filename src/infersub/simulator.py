@@ -11,6 +11,7 @@ import hashlib
 import heapq
 import random
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -96,67 +97,13 @@ def _exp_gap_ms(rng: random.Random, rate_per_ms: Fraction) -> Fraction:
     return -Fraction(ln_u) / rate_per_ms
 
 
-@dataclass(frozen=True)
-class _Fault:
-    kind: str
-    node: str | None = None
-    link: tuple[str, str] | None = None
-
-
-@dataclass(frozen=True)
-class _Heartbeat:
-    tick: int
-
-
-@dataclass(frozen=True)
-class _FetchDone:
-    domain: str
-    instance_id: str
-
-
-@dataclass(frozen=True)
-class _Hop:
-    transfer_id: int
-
-
-@dataclass(frozen=True)
-class _JobDone:
-    node: str
-    job_id: int
-
-
-@dataclass(frozen=True)
-class _FunnelFire:
-    domain: str
-    exec_id: str
-    open_us: int
-
-
-@dataclass(frozen=True)
-class _AckDue:
-    domain: str
-    sub_id: str
-    stream: tuple[str, str]
-    seq: int
-    path: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class _PubDue:
-    topic: str
-
-
 @dataclass
 class _Transfer:
     pub: Publication
     path: tuple[str, ...]
     pos: int  # index of the node the pending hop arrives at
-    purpose: str  # "stage" | "delivery" | "submit"
-    domain: str
-    exec_id: str | None = None
-    via: str | None = None
-    sub_id: str | None = None
-    stream: tuple[str, str] | None = None
+    arrive: Callable[..., None]  # called as arrive(*args, pub) at the last hop
+    args: tuple
 
 
 @dataclass
@@ -164,7 +111,7 @@ class _NodeQ:
     running: int | None = None
     started_us: int = 0
     duration_us: int = 0
-    effect: tuple | None = None
+    effect: tuple | None = None  # (handler, args) of the running job
     waiting: deque = field(default_factory=deque)
 
 
@@ -176,6 +123,51 @@ class _TopicState:
     next_us: int = 0
 
 
+def compile_scenario(
+    sc: Scenario, placer: str
+) -> tuple[dict[str, Broker], list[tuple[str, list]]]:
+    """Build one broker per domain and subscribe every subscription.
+
+    Returns the brokers by domain and, in sub-id order, the (domain, actions)
+    that each subscribe produced, for the caller to carry out or ignore.
+    """
+    topo = sc.topology
+    brokers: dict[str, Broker] = {}
+    for domain in sorted(sc.brokers):
+        bindings = {
+            t: n for t, n in sc.bindings.items()
+            if topo.node(n).domain_id == domain
+        }
+        trainers = {
+            sm.model.model_id: sm.trainers
+            for sm in sc.models
+            if sm.domain_id == domain and sm.trainers
+        }
+        artifacts = {
+            sm.model.model_id: sm.artifact_kb
+            for sm in sc.models
+            if sm.domain_id == domain and sm.artifact_kb is not None
+        }
+        brokers[domain] = Broker(
+            domain, sc.brokers[domain], bindings,
+            trainers=trainers, artifact_kb=artifacts, placer=placer,
+        )
+    for sm in sorted(sc.models, key=lambda m: (m.domain_id, m.model.model_id)):
+        brokers[sm.domain_id].register_model(sm.model)
+    for peer in sc.peers:
+        d0, d1 = peer.domains
+        link = topo.link_between(*peer.link)
+        assert link is not None
+        brokers[d0].link_peer(PeerLink(d1, link), brokers[d1])
+        brokers[d1].link_peer(PeerLink(d0, link), brokers[d0])
+    actions = []
+    for sub in sorted(sc.subscriptions, key=lambda s: s.sub_id):
+        domain = topo.node(sub.subscriber).domain_id
+        _, acts = brokers[domain].subscribe(sub, topo, sc.workload, sc.objective)
+        actions.append((domain, acts))
+    return brokers, actions
+
+
 class _World:
     def __init__(self, sc: Scenario, seed: int, placer: str) -> None:
         self.sc = sc
@@ -184,10 +176,8 @@ class _World:
         self.topo: Topology = sc.topology
         self.end_us = sc.sim.duration_ms * US_PER_MS
         self.now_us = 0
-        self.heap: list[tuple[int, int, int, object]] = []
+        self.heap: list[tuple] = []  # (t_us, prio, seq, handler, args)
         self._ev_seq = 0
-        self.transfers: dict[int, _Transfer] = {}
-        self._transfer_seq = 0
         self.nodeq: dict[str, _NodeQ] = {n: _NodeQ() for n in sc.topology.nodes}
         self._job_seq = 0
         self.funnels: dict[tuple[str, str], FunnelState] = {}
@@ -216,48 +206,11 @@ class _World:
         self.pending_repairs: dict[str, list[tuple[str, int]]] = {}
         self.recovery_us: dict[str, list[int]] = {}
 
-        self.brokers: dict[str, Broker] = {}
-        self._build_brokers()
-
-    # -- construction ------------------------------------------------------
-
-    def _build_brokers(self) -> None:
-        sc = self.sc
-        for domain in sorted(sc.brokers):
-            bindings = {
-                t: n for t, n in sc.bindings.items()
-                if self.topo.node(n).domain_id == domain
-            }
-            trainers = {
-                sm.model.model_id: sm.trainers
-                for sm in sc.models
-                if sm.domain_id == domain and sm.trainers
-            }
-            artifacts = {
-                sm.model.model_id: sm.artifact_kb
-                for sm in sc.models
-                if sm.domain_id == domain and sm.artifact_kb is not None
-            }
-            self.brokers[domain] = Broker(
-                domain, sc.brokers[domain], bindings,
-                trainers=trainers, artifact_kb=artifacts, placer=self.placer,
-            )
-        for sm in sorted(sc.models, key=lambda m: (m.domain_id, m.model.model_id)):
-            self.brokers[sm.domain_id].register_model(sm.model)
-        for peer in sc.peers:
-            d0, d1 = peer.domains
-            link = self.topo.link_between(*peer.link)
-            assert link is not None
-            self.brokers[d0].link_peer(PeerLink(d1, link), self.brokers[d1])
-            self.brokers[d1].link_peer(PeerLink(d0, link), self.brokers[d0])
+        self.brokers, self._subscribe_actions = compile_scenario(sc, placer)
 
     def start(self) -> None:
         sc = self.sc
-        for sub in sorted(sc.subscriptions, key=lambda s: s.sub_id):
-            domain = self.topo.node(sub.subscriber).domain_id
-            _, actions = self.brokers[domain].subscribe(
-                sub, self.topo, sc.workload, sc.objective, Fraction(0)
-            )
+        for domain, actions in self._subscribe_actions:
             self._do_actions(domain, actions)
         for topic in sorted(sc.workload.topics):
             entry = sc.workload.topics[topic]
@@ -270,48 +223,37 @@ class _World:
                 st = _TopicState(entry, rng, 0, start_us + max(1, _ceil_us(gap)))
             self.topic_state[topic] = st
             if st.next_us <= self.end_us:
-                self._push(st.next_us, PRIO_PUB, _PubDue(topic))
+                self._push(st.next_us, PRIO_PUB, self._on_pub_due, topic)
         hb_us = sc.sim.heartbeat_ms * US_PER_MS
-        tick = 1
-        while tick * hb_us <= self.end_us:
-            self._push(tick * hb_us, PRIO_HEARTBEAT, _Heartbeat(tick))
-            tick += 1
+        if hb_us <= self.end_us:
+            self._push(hb_us, PRIO_HEARTBEAT, self._on_heartbeat)
         for fault in sc.faults:
             at = _ceil_us(fault.at_ms)
-            prio = PRIO_FAULT_DOWN if fault.kind.endswith("_down") else PRIO_FAULT_UP
-            if at <= self.end_us:
-                self._push(at, prio, _Fault(fault.kind, fault.node, fault.link))
+            if at > self.end_us:
+                continue
+            down = fault.kind.endswith("_down")
+            prio = PRIO_FAULT_DOWN if down else PRIO_FAULT_UP
+            if fault.link is not None:
+                self._push(at, prio, self._on_link, fault.link, not down)
+            elif down:
+                self._push(at, prio, self._on_node_down, fault.node)
+            else:
+                self._push(at, prio, self._on_node_up, fault.node)
 
     # -- event plumbing ----------------------------------------------------
 
-    def _push(self, t_us: int, prio: int, ev: object) -> None:
+    def _push(self, t_us: int, prio: int, handler, *args) -> None:
+        # (t_us, prio, seq) is unique, so the handler is never compared
         self._ev_seq += 1
-        heapq.heappush(self.heap, (t_us, prio, self._ev_seq, ev))
+        heapq.heappush(self.heap, (t_us, prio, self._ev_seq, handler, args))
 
     def run_loop(self) -> None:
         while self.heap:
-            t, _, _, ev = heapq.heappop(self.heap)
+            t, _, _, handler, args = heapq.heappop(self.heap)
             if t > self.end_us:
                 break
             self.now_us = t
-            if isinstance(ev, _Fault):
-                self._on_fault(ev)
-            elif isinstance(ev, _Heartbeat):
-                self._on_heartbeat()
-            elif isinstance(ev, _FetchDone):
-                self.brokers[ev.domain].activate_instance(ev.instance_id)
-            elif isinstance(ev, _Hop):
-                self._on_hop(ev.transfer_id)
-            elif isinstance(ev, _JobDone):
-                self._on_job_done(ev.node, ev.job_id)
-            elif isinstance(ev, _FunnelFire):
-                self._on_funnel_fire(ev)
-            elif isinstance(ev, _AckDue):
-                self._on_ack_due(ev)
-            elif isinstance(ev, _PubDue):
-                self._on_pub_due(ev.topic)
-            else:  # pragma: no cover
-                raise AssertionError(f"unknown event {ev!r}")
+            handler(*args)
 
     # -- actions and transfers ---------------------------------------------
 
@@ -319,13 +261,13 @@ class _World:
         for act in actions:
             if isinstance(act, Delivery):
                 self._send(
-                    domain, "delivery", act.origin, act.subscriber, act.pub,
-                    sub_id=act.sub_id, stream=act.stream,
+                    act.origin, act.subscriber, act.pub,
+                    self._deliver_local, domain, act.sub_id, act.stream,
                 )
             elif isinstance(act, StageTask):
                 self._send(
-                    domain, "stage", act.origin, act.node, act.pub,
-                    exec_id=act.exec_id, via=act.via_stage,
+                    act.origin, act.node, act.pub,
+                    self._arrive_stage, domain, act.exec_id, act.via_stage,
                 )
             elif isinstance(act, ModelFetch):
                 ends = act.bridge
@@ -335,40 +277,28 @@ class _World:
                 self.link_kb[link.ends] = self.link_kb.get(link.ends, Fraction(0)) + kb
                 dur = _ceil_us(link.latency_ms + kb / link.bandwidth_kb_per_ms)
                 self._push(self.now_us + dur, PRIO_FETCH,
-                           _FetchDone(domain, act.instance_id))
+                           self.brokers[domain].activate_instance, act.instance_id)
             else:  # pragma: no cover
                 raise AssertionError(f"unknown action {act!r}")
 
     def _send(
-        self,
-        domain: str,
-        purpose: str,
-        origin: str,
-        dest: str,
-        pub: Publication,
-        exec_id: str | None = None,
-        via: str | None = None,
-        sub_id: str | None = None,
-        stream: tuple[str, str] | None = None,
+        self, origin: str, dest: str, pub: Publication, arrive, *args
     ) -> None:
+        """Carry pub from origin to dest hop by hop, then call arrive(*args, pub)."""
         try:
             path = tuple(route(self.topo, origin, dest))
         except NoRouteError:
             self.lost_transfers += 1
             return
-        self._transfer_seq += 1
-        tid = self._transfer_seq
-        tr = _Transfer(pub, path, 0, purpose, domain, exec_id, via, sub_id, stream)
-        self.transfers[tid] = tr
+        tr = _Transfer(pub, path, 0, arrive, args)
         if len(path) == 1:
-            self._push(self.now_us, PRIO_HOP, _Hop(tid))
+            self._push(self.now_us, PRIO_HOP, self._on_hop, tr)
         else:
-            self._start_leg(tid, tr)
+            self._start_leg(tr)
 
-    def _start_leg(self, tid: int, tr: _Transfer) -> None:
+    def _start_leg(self, tr: _Transfer) -> None:
         a, b = tr.path[tr.pos], tr.path[tr.pos + 1]
         if not self.topo.is_link_up(a, b):
-            del self.transfers[tid]
             self.lost_transfers += 1
             return
         link = self.topo.link_between(a, b)
@@ -383,44 +313,32 @@ class _World:
         ))
         dur = _ceil_us(link.latency_ms + kb / link.bandwidth_kb_per_ms)
         tr.pos += 1
-        self._push(self.now_us + dur, PRIO_HOP, _Hop(tid))
+        self._push(self.now_us + dur, PRIO_HOP, self._on_hop, tr)
 
-    def _on_hop(self, tid: int) -> None:
-        tr = self.transfers.get(tid)
-        if tr is None:
-            return
+    def _on_hop(self, tr: _Transfer) -> None:
         node = tr.path[tr.pos]
         if not self.topo.is_node_up(node):
-            del self.transfers[tid]
             self.lost_transfers += 1
             return
         if tr.pos < len(tr.path) - 1:
-            self._start_leg(tid, tr)
+            self._start_leg(tr)
             return
-        del self.transfers[tid]
-        self._arrive(tr)
+        tr.arrive(*tr.args, tr.pub)
 
-    def _arrive(self, tr: _Transfer) -> None:
-        if tr.purpose == "delivery":
-            assert tr.sub_id is not None and tr.stream is not None
-            self._deliver_local(tr.domain, tr.sub_id, tr.stream, tr.pub)
-        elif tr.purpose == "stage":
-            broker = self.brokers[tr.domain]
-            assert tr.exec_id is not None
-            ex = broker.exec_graph.stages.get(tr.exec_id)
-            if ex is None:
-                self.lost_transfers += 1
-                return
-            if isinstance(ex.stage.kind, Funnel):
-                self._offer(tr.domain, ex, tr.pub, tr.via)
-            else:
-                self._enqueue_stage(tr.domain, ex, tr.pub)
-        elif tr.purpose == "submit":
-            broker = self.brokers[tr.domain]
-            actions = broker.on_publish(tr.pub, _ms(self.now_us))
-            self._do_actions(tr.domain, actions)
-        else:  # pragma: no cover
-            raise AssertionError(tr.purpose)
+    def _arrive_stage(
+        self, domain: str, exec_id: str, via: str | None, pub: Publication
+    ) -> None:
+        ex = self.brokers[domain].exec_graph.stages.get(exec_id)
+        if ex is None:
+            self.lost_transfers += 1
+        elif isinstance(ex.stage.kind, Funnel):
+            self._offer(domain, ex, pub, via)
+        else:
+            self._enqueue(self._on_stage_done, domain, ex, pub)
+
+    def _arrive_submit(self, domain: str, pub: Publication) -> None:
+        actions = self.brokers[domain].on_publish(pub, _ms(self.now_us))
+        self._do_actions(domain, actions)
 
     # -- compute queues ----------------------------------------------------
 
@@ -428,22 +346,23 @@ class _World:
         cap = self.topo.node(ex.node).cpu_capacity
         return _ceil_us(Fraction(ex.stage.compute_cost) / Fraction(cap))
 
-    def _enqueue_stage(self, domain: str, ex, pub: Publication) -> None:
-        effect = ("mapfilter", domain, ex.exec_id, ex.stage.stage_id, ex.node, pub)
-        self._enqueue(ex.node, self._duration_us(ex), effect)
-
-    def _enqueue(self, node: str, dur_us: int, effect: tuple) -> None:
-        q = self.nodeq[node]
+    def _enqueue(self, done, domain: str, ex, pub: Publication) -> None:
+        """Queue one run of ex on its node; done(domain, ex, pub) follows it."""
+        q = self.nodeq[ex.node]
         self._job_seq += 1
-        jid = self._job_seq
+        job = (self._job_seq, self._duration_us(ex), (done, (domain, ex, pub)))
         if q.running is None:
-            q.running = jid
-            q.started_us = self.now_us
-            q.duration_us = dur_us
-            q.effect = effect
-            self._push(self.now_us + dur_us, PRIO_JOB, _JobDone(node, jid))
+            self._start_job(ex.node, *job)
         else:
-            q.waiting.append((jid, dur_us, effect))
+            q.waiting.append(job)
+
+    def _start_job(self, node: str, jid: int, dur_us: int, effect: tuple) -> None:
+        q = self.nodeq[node]
+        q.running = jid
+        q.started_us = self.now_us
+        q.duration_us = dur_us
+        q.effect = effect
+        self._push(self.now_us + dur_us, PRIO_JOB, self._on_job_done, node, jid)
 
     def _on_job_done(self, node: str, job_id: int) -> None:
         q = self.nodeq[node]
@@ -454,25 +373,21 @@ class _World:
         q.running = None
         q.effect = None
         if q.waiting:
-            jid, dur, eff = q.waiting.popleft()
-            q.running = jid
-            q.started_us = self.now_us
-            q.duration_us = dur
-            q.effect = eff
-            self._push(self.now_us + dur, PRIO_JOB, _JobDone(node, jid))
+            self._start_job(node, *q.waiting.popleft())
         assert effect is not None
-        self._apply_effect(effect)
+        handler, args = effect
+        handler(*args)
 
-    def _apply_effect(self, effect: tuple) -> None:
-        kind, domain, exec_id, stage_id, node, pub = effect
-        self.exec_counts[exec_id] = self.exec_counts.get(exec_id, 0) + 1
-        self.exec_meta[exec_id] = (stage_id, node)
-        broker = self.brokers[domain]
-        ex = broker.exec_graph.stages.get(exec_id)
+    def _count_execution(self, domain: str, ex):
+        """Count one finished run of ex; the exec stage now in the graph, or
+        None when repair removed it mid-compute (replay covers the stream)."""
+        self.exec_counts[ex.exec_id] = self.exec_counts.get(ex.exec_id, 0) + 1
+        self.exec_meta[ex.exec_id] = (ex.stage.stage_id, ex.node)
+        return self.brokers[domain].exec_graph.stages.get(ex.exec_id)
+
+    def _on_stage_done(self, domain: str, ex, pub: Publication) -> None:
+        ex = self._count_execution(domain, ex)
         if ex is None:
-            return  # repaired away mid-compute; replay covers the stream
-        if kind == "emit":
-            self._fan_out(domain, ex, pub)
             return
         stage = ex.stage
         if isinstance(stage.kind, Mapping):
@@ -481,6 +396,7 @@ class _World:
         assert isinstance(stage.kind, Filter)
         out = inference_filter(stage, pub)
         if out is None:
+            broker = self.brokers[domain]
             stream = (pub.source, str(pub.topic))
             subs = self._live_subs(broker, ex)
             for sub_id in subs:
@@ -488,6 +404,11 @@ class _World:
             broker.consume_buffered(subs, stream, pub.seq)
             return
         self._fan_out(domain, ex, out)
+
+    def _on_emit_done(self, domain: str, ex, emission: Publication) -> None:
+        ex = self._count_execution(domain, ex)
+        if ex is not None:
+            self._fan_out(domain, ex, emission)
 
     def _live_subs(self, broker: Broker, ex) -> list[str]:
         return sorted(
@@ -500,8 +421,8 @@ class _World:
         broker = self.brokers[domain]
         for succ in broker.exec_graph.succs(ex.exec_id):
             self._send(
-                domain, "stage", ex.node, succ.node, pub,
-                exec_id=succ.exec_id, via=ex.stage.stage_id,
+                ex.node, succ.node, pub,
+                self._arrive_stage, domain, succ.exec_id, ex.stage.stage_id,
             )
         for de in broker.exec_graph.deliveries:
             if de.exec_id != ex.exec_id:
@@ -509,8 +430,8 @@ class _World:
             if broker.instances[de.instance_id].status != "active":
                 continue
             self._send(
-                domain, "delivery", ex.node, de.subscriber, pub,
-                sub_id=de.sub_id, stream=(pub.source, str(pub.topic)),
+                ex.node, de.subscriber, pub,
+                self._deliver_local, domain, de.sub_id, (pub.source, str(pub.topic)),
             )
 
     # -- funnels -----------------------------------------------------------
@@ -546,9 +467,8 @@ class _World:
             and st2.window_open_ts is not None
         ):
             self._push(
-                self.now_us + st.policy.delta_ms * US_PER_MS,
-                PRIO_FUNNEL,
-                _FunnelFire(domain, ex.exec_id, self.now_us),
+                self.now_us + st.policy.delta_ms * US_PER_MS, PRIO_FUNNEL,
+                self._on_funnel_fire, domain, ex.exec_id, self.now_us,
             )
         self.funnels[key] = st2
         subs = self._live_subs(broker, ex)
@@ -564,14 +484,14 @@ class _World:
                 broker.consume_buffered(subs, (c.source, str(c.topic)), c.seq)
             self._emit(domain, ex, emission)
 
-    def _on_funnel_fire(self, ev: _FunnelFire) -> None:
-        broker = self.brokers[ev.domain]
-        ex = broker.exec_graph.stages.get(ev.exec_id)
+    def _on_funnel_fire(self, domain: str, exec_id: str, open_us: int) -> None:
+        broker = self.brokers[domain]
+        ex = broker.exec_graph.stages.get(exec_id)
         if ex is None or not self.topo.is_node_up(ex.node):
             return
-        key = (ev.domain, ev.exec_id)
+        key = (domain, exec_id)
         st = self.funnels.get(key)
-        if st is None or st.window_open_ts != _ms(ev.open_us):
+        if st is None or st.window_open_ts != _ms(open_us):
             return  # stale timer from a window that already closed
         st2, emission = funnel_tick(st, _ms(self.now_us))
         self.funnels[key] = st2
@@ -579,7 +499,7 @@ class _World:
             subs = self._live_subs(broker, ex)
             for _, c in st.pending:
                 broker.consume_buffered(subs, (c.source, str(c.topic)), c.seq)
-            self._emit(ev.domain, ex, emission)
+            self._emit(domain, ex, emission)
 
     def _emit(self, domain: str, ex, emission: Publication) -> None:
         broker = self.brokers[domain]
@@ -588,8 +508,7 @@ class _World:
         broker.buffer_emission(
             ex.exec_id, ex.instance_ids, emission, reentry, ex.stage.stage_id
         )
-        effect = ("emit", domain, ex.exec_id, ex.stage.stage_id, ex.node, emission)
-        self._enqueue(ex.node, self._duration_us(ex), effect)
+        self._enqueue(self._on_emit_done, domain, ex, emission)
 
     # -- subscriber side ---------------------------------------------------
 
@@ -619,21 +538,24 @@ class _World:
         delay, _ = route_latency(self.topo, subscriber, broker.broker_node)
         self._push(
             self.now_us + _ceil_us(delay), PRIO_ACK,
-            _AckDue(domain, sub_id, stream, pub.seq, path),
+            self._on_ack_due, domain, sub_id, stream, pub.seq, path,
         )
 
-    def _on_ack_due(self, ev: _AckDue) -> None:
-        if len(ev.path) == 1:
-            if not self.topo.is_node_up(ev.path[0]):
+    def _on_ack_due(
+        self, domain: str, sub_id: str, stream: tuple[str, str], seq: int,
+        path: tuple[str, ...],
+    ) -> None:
+        if len(path) == 1:
+            if not self.topo.is_node_up(path[0]):
                 return
         else:
-            for a, b in zip(ev.path, ev.path[1:]):
+            for a, b in zip(path, path[1:]):
                 if not self.topo.is_link_up(a, b):
                     return
-        broker = self.brokers[ev.domain]
-        if ev.sub_id not in broker.subs:
+        broker = self.brokers[domain]
+        if sub_id not in broker.subs:
             return
-        broker.on_ack(ev.sub_id, ev.seq, ev.stream)
+        broker.on_ack(sub_id, seq, stream)
 
     # -- workload ----------------------------------------------------------
 
@@ -660,7 +582,7 @@ class _World:
             if topic.split("/")[0] == UPDATE_TOPIC_ROOT:
                 broker = self.brokers[domain]
                 self._send(
-                    domain, "submit", publisher, broker.broker_node, pub
+                    publisher, broker.broker_node, pub, self._arrive_submit, domain
                 )
             else:
                 actions = self.brokers[domain].on_publish(pub, pub.ts)
@@ -677,49 +599,42 @@ class _World:
             nxt = st.next_us + max(1, _ceil_us(gap))
         st.next_us = nxt
         if nxt <= self.end_us:
-            self._push(nxt, PRIO_PUB, _PubDue(topic))
+            self._push(nxt, PRIO_PUB, self._on_pub_due, topic)
 
     # -- faults and repair -------------------------------------------------
 
-    def _on_fault(self, ev: _Fault) -> None:
-        if ev.kind == "node_down":
-            assert ev.node is not None
-            if not self.topo.is_node_up(ev.node):
-                return
-            self.topo = self.topo.with_node_state(ev.node, False)
-            self.failure_us[ev.node] = self.now_us
-            q = self.nodeq[ev.node]
-            if q.running is not None:
-                self.busy_us[ev.node] += self.now_us - q.started_us
-            q.running = None
-            q.effect = None
-            q.waiting.clear()
-            for key in sorted(self.funnels):
-                domain, exec_id = key
-                ex = self.brokers[domain].exec_graph.stages.get(exec_id)
-                if ex is not None and ex.node == ev.node:
-                    del self.funnels[key]
-        elif ev.kind == "node_up":
-            assert ev.node is not None
-            if self.topo.is_node_up(ev.node):
-                return
-            self.topo = self.topo.with_node_state(ev.node, True)
-            self.miss_count.pop(ev.node, None)
-            self.handled.discard(ev.node)
-            self.failure_us.pop(ev.node, None)
-            for domain in sorted(self.brokers):
-                if self.brokers[domain].broker_node != ev.node:
-                    continue
-                for failed, fail_us in self.pending_repairs.pop(domain, []):
-                    self._run_repair(domain, failed, fail_us)
-        elif ev.kind == "link_down":
-            assert ev.link is not None
-            self.topo = self.topo.with_link_state(*ev.link, False)
-        elif ev.kind == "link_up":
-            assert ev.link is not None
-            self.topo = self.topo.with_link_state(*ev.link, True)
-        else:  # pragma: no cover
-            raise AssertionError(ev.kind)
+    def _on_node_down(self, node: str) -> None:
+        if not self.topo.is_node_up(node):
+            return
+        self.topo = self.topo.with_node_state(node, False)
+        self.failure_us[node] = self.now_us
+        q = self.nodeq[node]
+        if q.running is not None:
+            self.busy_us[node] += self.now_us - q.started_us
+        q.running = None
+        q.effect = None
+        q.waiting.clear()
+        for key in sorted(self.funnels):
+            domain, exec_id = key
+            ex = self.brokers[domain].exec_graph.stages.get(exec_id)
+            if ex is not None and ex.node == node:
+                del self.funnels[key]
+
+    def _on_node_up(self, node: str) -> None:
+        if self.topo.is_node_up(node):
+            return
+        self.topo = self.topo.with_node_state(node, True)
+        self.miss_count.pop(node, None)
+        self.handled.discard(node)
+        self.failure_us.pop(node, None)
+        for domain in sorted(self.brokers):
+            if self.brokers[domain].broker_node != node:
+                continue
+            for failed, fail_us in self.pending_repairs.pop(domain, []):
+                self._run_repair(domain, failed, fail_us)
+
+    def _on_link(self, ends: tuple[str, str], up: bool) -> None:
+        self.topo = self.topo.with_link_state(*ends, up)
 
     def _on_heartbeat(self) -> None:
         misses = self.sc.sim.heartbeat_misses
@@ -735,6 +650,9 @@ class _World:
                     self.pending_repairs.setdefault(domain, []).append((node, fail_us))
                 else:
                     self._run_repair(domain, node, fail_us)
+        nxt = self.now_us + self.sc.sim.heartbeat_ms * US_PER_MS
+        if nxt <= self.end_us:
+            self._push(nxt, PRIO_HEARTBEAT, self._on_heartbeat)
 
     def _run_repair(self, domain: str, failed: str, fail_us: int) -> None:
         if self.topo.is_node_up(failed):
@@ -751,8 +669,8 @@ class _World:
             for e in plan.replays[sub_id]:
                 if e.reentry_stage is None:
                     self._send(
-                        domain, "delivery", broker.broker_node, sub.subscriber,
-                        e.pub, sub_id=sub_id, stream=e.stream,
+                        broker.broker_node, sub.subscriber, e.pub,
+                        self._deliver_local, domain, sub_id, e.stream,
                     )
                     continue
                 assert e.instance_id is not None
@@ -764,8 +682,8 @@ class _World:
                     continue  # prefix shared: one physical replay feeds all
                 dispatched.add(dkey)
                 self._send(
-                    domain, "stage", broker.broker_node, ex.node, e.pub,
-                    exec_id=ex.exec_id, via=e.via_stage,
+                    broker.broker_node, ex.node, e.pub,
+                    self._arrive_stage, domain, ex.exec_id, e.via_stage,
                 )
 
     # -- report ------------------------------------------------------------

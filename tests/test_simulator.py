@@ -3,15 +3,17 @@ checking conservation laws and frozen metric values."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import infersub
 from infersub.metrics import emit, report_from_json
-from infersub.scenario import load_scenario
-from infersub.simulator import run
+from infersub.scenario import FaultEvent, load_scenario
+from infersub.simulator import run, simulate
 
 from helpers import (
     barrier_scenario,
@@ -113,6 +115,38 @@ def test_trainer_rounds_without_faults():
     s = by_sub(rep)["upd-s"]
     assert s.applied_versions == (1, 2, 3, 4)
     assert s.delivered == 4  # registration snapshot + three aggregated rounds
+
+
+def test_link_fault_blocks_hops_until_link_up():
+    sc = two_publisher_scenario(extra_topic=False)
+    ends = ("c", "s1")  # the subscriber's access link
+    down_ms, up_ms = 400, 900
+    sc = dataclasses.replace(sc, faults=(
+        FaultEvent(at_ms=Fraction(down_ms), kind="link_down", link=ends),
+        FaultEvent(at_ms=Fraction(up_ms), kind="link_up", link=ends),
+    ))
+    w = simulate(sc)
+    crossings = [t for t, a, b, *_ in w.trace if tuple(sorted((a, b))) == ends]
+    assert not [t for t in crossings if down_ms * 1000 <= t < up_ms * 1000]
+    assert [t for t in crossings if t >= up_ms * 1000]
+    assert w.lost_transfers > 0
+
+
+def test_last_heartbeat_tick_falls_at_duration():
+    sc = bundled("oran")
+    hb_ms, misses = sc.sim.heartbeat_ms, sc.sim.heartbeat_misses
+    duration_ms = 2000
+    # du1 hosts a stage of an active instance; a fault at a tick counts a miss
+    # on that same tick, so the last miss lands (misses - 1) ticks later
+    at_ms = duration_ms - (misses - 1) * hb_ms
+
+    def repairs(fault_ms):
+        fault = FaultEvent(at_ms=Fraction(fault_ms), kind="node_down", node="du1")
+        sim = dataclasses.replace(sc.sim, duration_ms=duration_ms)
+        return run(dataclasses.replace(sc, faults=(fault,), sim=sim)).totals.repairs
+
+    assert repairs(at_ms) == 1
+    assert repairs(at_ms + hb_ms) == 0
 
 
 # ---------------------------------------------------------------------------
