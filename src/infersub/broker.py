@@ -43,7 +43,6 @@ from .errors import (
 )
 from .operators import ModelUpdate, aggregate_updates, apply_mapping
 from .placement import (
-    ExecStage,
     ExecutionGraph,
     Objective,
     Placement,
@@ -187,8 +186,9 @@ class Broker:
         self.versions_seen: dict[str, int] = {}
         self.funnel_seqs: dict[str, int] = {}
         self.pending_updates: dict[tuple[str, int], dict[str, ModelUpdate]] = {}
-        self.exec_graph: ExecutionGraph = ExecutionGraph({}, ())
-        self._exec_index: dict[tuple[str, str], ExecStage] = {}
+        self.exec_graph = ExecutionGraph()
+        # topic string -> ids of the data subs matching it, in id order
+        self._data_matches: dict[str, tuple[str, ...]] = {}
         self._next_instance = 0
 
     # -- registry ----------------------------------------------------------
@@ -232,6 +232,7 @@ class Broker:
         actions: list[Action] = []
         if isinstance(kind, DataSub):
             self.subs[sub.sub_id] = sub
+            self._data_matches.clear()
         elif isinstance(kind, ModelUpdateSub):
             self.subs[sub.sub_id] = sub
             m = self.models.get(kind.model_id)
@@ -250,7 +251,8 @@ class Broker:
                 del self.subs[sub.sub_id]
                 raise
             self.instances[inst.instance_id] = inst
-            self._rebuild_exec()
+            if inst.status == "active":
+                merge_shared_prefix(self.exec_graph, added=[inst])
         else:
             raise TypeError(f"unknown subscription kind {kind!r}")
         return sub.sub_id, actions
@@ -403,27 +405,16 @@ class Broker:
         # update submissions sit at the broker once processed, so their
         # matched data deliveries originate here, not at the trainer
         mediated = p.topic.segments[0] == UPDATE_TOPIC_ROOT
-        for sub_id in sorted(self.subs):
+        for sub_id in self._data_subs_matching(p.topic):
             sub = self.subs[sub_id]
-            if isinstance(sub.kind, DataSub) and match_filter(sub.kind.filter, p.topic):
-                self._buffer(BufferEntry(sub_id, stream, p.seq, p))
-                origin = self.broker_node if mediated else p.source
-                actions.append(Delivery(sub_id, sub.subscriber, p, stream, origin))
+            self._buffer(BufferEntry(sub_id, stream, p.seq, p))
+            origin = self.broker_node if mediated else p.source
+            actions.append(Delivery(sub_id, sub.subscriber, p, stream, origin))
 
-        for ex in self.exec_graph.entries():
-            if ex.entry_binding is None:
-                continue
-            topic, publisher = ex.entry_binding
-            if topic != str(p.topic) or publisher != p.source:
-                continue
-            live = [
-                iid for iid in ex.instance_ids
-                if self.instances[iid].status == "active"
-            ]
-            if not live:
-                continue
+        # the graph holds active instances only
+        for ex in self.exec_graph.entries(stream[1], p.source):
             entry_stage = ex.stage.stage_id
-            for iid in live:
+            for iid in ex.instance_ids:
                 inst = self.instances[iid]
                 cut = inst.buffer_cuts.get(entry_stage, ())
                 buffered, reentry, via = self._apply_cut(inst, entry_stage, cut, p)
@@ -431,8 +422,20 @@ class Broker:
                     inst.sub_id, stream, p.seq, buffered,
                     instance_id=iid, reentry_stage=reentry, via_stage=via,
                 ))
-            actions.append(StageTask(ex.exec_id, ex.node, p, publisher))
+            actions.append(StageTask(ex.exec_id, ex.node, p, p.source))
         return actions
+
+    def _data_subs_matching(self, topic: Topic) -> tuple[str, ...]:
+        key = str(topic)
+        got = self._data_matches.get(key)
+        if got is None:
+            got = tuple(
+                sub_id for sub_id in sorted(self.subs)
+                if isinstance(self.subs[sub_id].kind, DataSub)
+                and match_filter(self.subs[sub_id].kind.filter, topic)
+            )
+            self._data_matches[key] = got
+        return got
 
     def _apply_cut(
         self,
@@ -568,7 +571,7 @@ class Broker:
         inst = self.instances[instance_id]
         if inst.status == "pending":
             inst.status = "active"
-            self._rebuild_exec()
+            merge_shared_prefix(self.exec_graph, added=[inst])
 
     # -- model updates -----------------------------------------------------
 
@@ -683,7 +686,7 @@ class Broker:
             inst.buffer_cuts = self._compute_cuts(inst)
             affected.append(iid)
         if affected or suspended:
-            self._rebuild_exec()
+            self._recompile(suspended + affected, affected)
 
         replays: dict[str, tuple[BufferEntry, ...]] = {}
         for sub_id in sorted(self.buffers):
@@ -703,30 +706,22 @@ class Broker:
 
     # -- helpers -----------------------------------------------------------
 
-    def _rebuild_exec(self) -> None:
-        old_index = self._exec_index
-        live = [i for i in self.instances.values() if i.status == "active"]
-        self.exec_graph = merge_shared_prefix(live)
-        self._exec_index = {}
-        for ex in self.exec_graph.stages.values():
-            for iid in ex.instance_ids:
-                self._exec_index[(iid, ex.stage.stage_id)] = ex
+    def _recompile(self, removed: list[str], repaired: list[str]) -> None:
+        """Take removed out of the exec graph and merge repaired back in."""
+        graph = self.exec_graph
+        old = {
+            (iid, sid): graph.exec_for(iid, sid).exec_id
+            for iid in repaired
+            for sid in self.instances[iid].pipeline.stage_ids()
+        }
+        merge_shared_prefix(graph, removed, [self.instances[i] for i in repaired])
         # a repaired funnel gets a fresh exec id; its emission counter
         # must carry over so replayed streams stay dedupable
-        for key, old_ex in old_index.items():
-            seed = self.funnel_seqs.get(old_ex.exec_id)
-            if seed is None:
-                continue
-            new_ex = self._exec_index.get(key)
-            if new_ex is None or new_ex.exec_id == old_ex.exec_id:
-                continue
-            self.funnel_seqs[new_ex.exec_id] = max(
-                self.funnel_seqs.get(new_ex.exec_id, 1), seed
-            )
-
-    def exec_for(self, instance_id: str, stage_id: str):
-        """Execution stage currently running stage_id for the instance."""
-        return self._exec_index.get((instance_id, stage_id))
+        for (iid, sid), old_id in old.items():
+            seed = self.funnel_seqs.get(old_id)
+            new_id = graph.exec_for(iid, sid).exec_id
+            if seed is not None and new_id != old_id:
+                self.funnel_seqs[new_id] = max(self.funnel_seqs.get(new_id, 1), seed)
 
     def active_instances(self) -> list[PipelineInstance]:
         return [

@@ -341,21 +341,30 @@ class PipelineSpec:
         object.__setattr__(self, "stages", tuple(self.stages))
         object.__setattr__(self, "edges", tuple((a, b) for a, b in self.edges))
         object.__setattr__(self, "source_bindings", dict(self.source_bindings))
+        # lookups built once; private attributes, so repr and eq ignore them
+        by_id: dict[str, StageSpec] = {}
+        for s in self.stages:
+            by_id.setdefault(s.stage_id, s)
+        preds: dict[str, list[str]] = {}
+        succs: dict[str, list[str]] = {}
+        for a, b in self.edges:
+            preds.setdefault(b, []).append(a)
+            succs.setdefault(a, []).append(b)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_preds", preds)
+        object.__setattr__(self, "_succs", succs)
 
     def stage(self, stage_id: str) -> StageSpec:
-        for s in self.stages:
-            if s.stage_id == stage_id:
-                return s
-        raise KeyError(stage_id)
+        return self._by_id[stage_id]
 
     def stage_ids(self) -> list[str]:
         return [s.stage_id for s in self.stages]
 
     def preds(self, stage_id: str) -> list[str]:
-        return [a for a, b in self.edges if b == stage_id]
+        return list(self._preds.get(stage_id, ()))
 
     def succs(self, stage_id: str) -> list[str]:
-        return [b for a, b in self.edges if a == stage_id]
+        return list(self._succs.get(stage_id, ()))
 
     def entry_ids(self) -> list[str]:
         with_in = {b for _, b in self.edges}
@@ -382,7 +391,7 @@ class PipelineSpec:
         while ready:
             sid = ready.pop(0)
             order.append(sid)
-            for nxt in self.succs(sid):
+            for nxt in self._succs.get(sid, ()):
                 if nxt in indeg:
                     indeg[nxt] -= 1
                     if indeg[nxt] == 0:

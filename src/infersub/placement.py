@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from bisect import insort
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Sequence, Union
@@ -732,24 +733,52 @@ class DeliveryEdge:
     subscriber: str
 
 
-@dataclass(frozen=True, eq=False)
 class ExecutionGraph:
-    """Instance pipelines merged so each shared prefix stage runs once."""
+    """Active instance pipelines merged so each shared prefix stage runs once.
 
-    stages: dict[str, ExecStage]
-    deliveries: tuple[DeliveryEdge, ...]
+    merge_shared_prefix keeps it up to date. Beside the stages it keeps the
+    indexes dispatch reads instead of rescanning: each instance's exec per
+    stage, the successors of each exec, the entry execs per (topic,
+    publisher) and the delivery edges per sink exec. Each index lists what a
+    full scan would, in the same order.
+    """
+
+    def __init__(self) -> None:
+        self.stages: dict[str, ExecStage] = {}
+        self._chains: dict[str, dict[str, str]] = {}  # instance -> stage -> exec
+        self._edges: dict[str, DeliveryEdge] = {}  # instance -> its delivery
+        self._succs: dict[str, list[str]] = {}  # sorted exec ids
+        self._entries: dict[tuple[str, str], list[str]] = {}  # sorted exec ids
+        self._deliveries: dict[str, list[DeliveryEdge]] = {}  # by instance id
+
+    @property
+    def deliveries(self) -> tuple[DeliveryEdge, ...]:
+        """Every delivery edge, in instance-id order."""
+        return tuple(self._edges[iid] for iid in sorted(self._edges))
 
     def succs(self, exec_id: str) -> list[ExecStage]:
-        return sorted(
-            (s for s in self.stages.values() if exec_id in s.pred_ids),
-            key=lambda s: s.exec_id,
-        )
+        return [self.stages[x] for x in self._succs.get(exec_id, ())]
 
-    def entries(self) -> list[ExecStage]:
-        return sorted(
-            (s for s in self.stages.values() if not s.pred_ids),
-            key=lambda s: s.exec_id,
-        )
+    def entries(self, topic: str, publisher: str) -> list[ExecStage]:
+        """Entry execs bound to topic as published by publisher."""
+        return [self.stages[x] for x in self._entries.get((topic, publisher), ())]
+
+    def deliveries_from(self, exec_id: str) -> list[DeliveryEdge]:
+        return list(self._deliveries.get(exec_id, ()))
+
+    def exec_for(self, instance_id: str, stage_id: str) -> ExecStage | None:
+        """Exec running stage_id for the instance; None when it is not in
+        the graph."""
+        exec_id = self._chains.get(instance_id, {}).get(stage_id)
+        return None if exec_id is None else self.stages[exec_id]
+
+
+def _discard(index: dict, key, item) -> None:
+    """Remove item from index[key], dropping the key once its list empties."""
+    items = index[key]
+    items.remove(item)
+    if not items:
+        del index[key]
 
 
 def _exec_key_id(
@@ -762,44 +791,63 @@ def _exec_key_id(
     return "x" + hashlib.sha1(text.encode()).hexdigest()[:12]
 
 
-def merge_shared_prefix(instances: Sequence["PipelineInstance"]) -> ExecutionGraph:
-    """Build the merged execution graph over compatible instances.
+def merge_shared_prefix(
+    g: ExecutionGraph,
+    removed: Sequence[str] = (),
+    added: Sequence["PipelineInstance"] = (),
+) -> None:
+    """Apply one change to the merged graph: take the removed instance ids
+    out, then merge the added instances in.
 
     Two instances share an execution exactly when the stage spec, assigned
     node, upstream executions, and (for entries) the topic binding coincide;
-    anything downstream of a divergence fans out.
+    anything downstream of a divergence fans out. An exec id hashes just
+    those, so a change costs the length of the pipelines it touches, and an
+    exec leaves the graph with the last instance running it.
     """
-    stages: dict[str, ExecStage] = {}
-    deliveries: list[DeliveryEdge] = []
-    for inst in sorted(instances, key=lambda i: i.instance_id):
+    for iid in removed:
+        edge = g._edges.pop(iid)
+        _discard(g._deliveries, edge.exec_id, edge)
+        for exec_id in set(g._chains.pop(iid).values()):
+            ex = g.stages[exec_id]
+            ids = tuple(i for i in ex.instance_ids if i != iid)
+            if ids:
+                g.stages[exec_id] = replace(ex, instance_ids=ids)
+                continue
+            del g.stages[exec_id]
+            for q in set(ex.pred_ids):
+                _discard(g._succs, q, exec_id)
+            if not ex.pred_ids and ex.entry_binding is not None:
+                _discard(g._entries, ex.entry_binding, exec_id)
+
+    for inst in added:
+        iid = inst.instance_id
+        p = inst.pipeline
         local: dict[str, str] = {}
-        for sid in inst.pipeline.topo_order():
-            spec = inst.pipeline.stage(sid)
+        for sid in p.topo_order():
+            spec = p.stage(sid)
             node = inst.placement.node_of(sid)
-            preds = tuple(sorted(local[q] for q in inst.pipeline.preds(sid)))
+            preds = tuple(sorted(local[q] for q in p.preds(sid)))
             binding = inst.entry_bindings.get(sid)
             exec_id = _exec_key_id(spec, node, preds, binding)
             local[sid] = exec_id
-            prior = stages.get(exec_id)
+            prior = g.stages.get(exec_id)
             if prior is None:
-                stages[exec_id] = ExecStage(
-                    exec_id, spec, node, preds, binding, (inst.instance_id,)
+                g.stages[exec_id] = ExecStage(
+                    exec_id, spec, node, preds, binding, (iid,)
                 )
-            elif inst.instance_id not in prior.instance_ids:
-                stages[exec_id] = ExecStage(
-                    exec_id,
-                    spec,
-                    node,
-                    preds,
-                    binding,
-                    tuple(sorted(prior.instance_ids + (inst.instance_id,))),
-                )
-        deliveries.append(
-            DeliveryEdge(
-                local[inst.pipeline.sink],
-                inst.instance_id,
-                inst.sub_id,
-                inst.subscriber,
-            )
+                for q in set(preds):
+                    insort(g._succs.setdefault(q, []), exec_id)
+                if not preds and binding is not None:
+                    insort(g._entries.setdefault(binding, []), exec_id)
+            elif iid not in prior.instance_ids:
+                ids = list(prior.instance_ids)
+                insort(ids, iid)
+                g.stages[exec_id] = replace(prior, instance_ids=tuple(ids))
+        g._chains[iid] = local
+        edge = DeliveryEdge(local[p.sink], iid, inst.sub_id, inst.subscriber)
+        g._edges[iid] = edge
+        insort(
+            g._deliveries.setdefault(edge.exec_id, []), edge,
+            key=lambda e: e.instance_id,
         )
-    return ExecutionGraph(stages, tuple(deliveries))

@@ -418,17 +418,13 @@ class _World:
         )
 
     def _fan_out(self, domain: str, ex, pub: Publication) -> None:
-        broker = self.brokers[domain]
-        for succ in broker.exec_graph.succs(ex.exec_id):
+        graph = self.brokers[domain].exec_graph
+        for succ in graph.succs(ex.exec_id):
             self._send(
                 ex.node, succ.node, pub,
                 self._arrive_stage, domain, succ.exec_id, ex.stage.stage_id,
             )
-        for de in broker.exec_graph.deliveries:
-            if de.exec_id != ex.exec_id:
-                continue
-            if broker.instances[de.instance_id].status != "active":
-                continue
+        for de in graph.deliveries_from(ex.exec_id):
             self._send(
                 ex.node, de.subscriber, pub,
                 self._deliver_local, domain, de.sub_id, (pub.source, str(pub.topic)),
@@ -674,7 +670,7 @@ class _World:
                     )
                     continue
                 assert e.instance_id is not None
-                ex = broker.exec_for(e.instance_id, e.reentry_stage)
+                ex = broker.exec_graph.exec_for(e.instance_id, e.reentry_stage)
                 if ex is None:
                     continue
                 dkey = (ex.exec_id, e.stream, e.seq)

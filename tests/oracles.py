@@ -3,10 +3,12 @@
 Everything in this module is written from scratch against the documented
 behavior and shares no code with the implementation under test: a hop-by-hop
 cost evaluator for chain pipelines on path topologies, a plain-dict funnel
-interpreter, and the seeded instance generators the audits run over. The one
-exception is routing: ref_route is the per-call Dijkstra over a full link
-scan that the package used before it cached shortest-path trees on each
-topology snapshot, kept unchanged so the tie-break has a fixed reference.
+interpreter, and the seeded instance generators the audits run over. Two
+exceptions are earlier versions of the package kept unchanged as fixed
+references: ref_route is the per-call Dijkstra over a full link scan that the
+package used before it cached shortest-path trees on each topology snapshot,
+and ref_merge_shared_prefix is the from-scratch exec-graph build the package
+used before it kept the graph incrementally.
 
 Keep it boring. These references exist so the real implementations have
 something to disagree with; cleverness here would defeat the point.
@@ -14,14 +16,18 @@ something to disagree with; cleverness here would defeat the point.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
-from infersub.core import LinkDescriptor, Publication, Topic, Topology
+from infersub.broker import PipelineInstance
+from infersub.core import LinkDescriptor, Publication, StageSpec, Topic, Topology
 from infersub.errors import NoRouteError
+from infersub.placement import DeliveryEdge, ExecStage
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +89,84 @@ def ref_route_latency(t: Topology, a: str, b: str) -> tuple[Fraction, int]:
         assert link is not None
         total += link.latency_ms
     return total, len(path) - 1
+
+
+# ---------------------------------------------------------------------------
+# Exec-graph reference: the whole merged graph rebuilt from scratch, with
+# successors and entries found by scanning every stage
+
+
+@dataclass(frozen=True, eq=False)
+class RefExecutionGraph:
+    """Instance pipelines merged so each shared prefix stage runs once."""
+
+    stages: dict[str, ExecStage]
+    deliveries: tuple[DeliveryEdge, ...]
+
+    def succs(self, exec_id: str) -> list[ExecStage]:
+        return sorted(
+            (s for s in self.stages.values() if exec_id in s.pred_ids),
+            key=lambda s: s.exec_id,
+        )
+
+    def entries(self) -> list[ExecStage]:
+        return sorted(
+            (s for s in self.stages.values() if not s.pred_ids),
+            key=lambda s: s.exec_id,
+        )
+
+
+def ref_exec_key_id(
+    stage: StageSpec,
+    node: str,
+    pred_ids: tuple[str, ...],
+    entry_binding: tuple[str, str] | None,
+) -> str:
+    text = repr((stage, node, pred_ids, entry_binding))
+    return "x" + hashlib.sha1(text.encode()).hexdigest()[:12]
+
+
+def ref_merge_shared_prefix(instances: Sequence[PipelineInstance]) -> RefExecutionGraph:
+    """Build the merged execution graph over compatible instances.
+
+    Two instances share an execution exactly when the stage spec, assigned
+    node, upstream executions, and (for entries) the topic binding coincide;
+    anything downstream of a divergence fans out.
+    """
+    stages: dict[str, ExecStage] = {}
+    deliveries: list[DeliveryEdge] = []
+    for inst in sorted(instances, key=lambda i: i.instance_id):
+        local: dict[str, str] = {}
+        for sid in inst.pipeline.topo_order():
+            spec = inst.pipeline.stage(sid)
+            node = inst.placement.node_of(sid)
+            preds = tuple(sorted(local[q] for q in inst.pipeline.preds(sid)))
+            binding = inst.entry_bindings.get(sid)
+            exec_id = ref_exec_key_id(spec, node, preds, binding)
+            local[sid] = exec_id
+            prior = stages.get(exec_id)
+            if prior is None:
+                stages[exec_id] = ExecStage(
+                    exec_id, spec, node, preds, binding, (inst.instance_id,)
+                )
+            elif inst.instance_id not in prior.instance_ids:
+                stages[exec_id] = ExecStage(
+                    exec_id,
+                    spec,
+                    node,
+                    preds,
+                    binding,
+                    tuple(sorted(prior.instance_ids + (inst.instance_id,))),
+                )
+        deliveries.append(
+            DeliveryEdge(
+                local[inst.pipeline.sink],
+                inst.instance_id,
+                inst.sub_id,
+                inst.subscriber,
+            )
+        )
+    return RefExecutionGraph(stages, tuple(deliveries))
 
 
 # ---------------------------------------------------------------------------

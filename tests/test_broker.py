@@ -222,6 +222,16 @@ def test_publish_buffers_and_emits_deliveries():
     assert len(b.buffers["tap"]) == 1
 
 
+def test_data_sub_added_later_matches_the_next_publication():
+    b = fresh(bindings={"d/pub/x": "pub", "d/pub2/x": "pub2"})
+    b.subscribe(data_sub("tap2", flt="d/+/x"), topo_line(), workload(), Objective())
+    assert [a.sub_id for a in b.on_publish(raw_pub(seq=1), Fraction(0))] == ["tap2"]
+    b.subscribe(data_sub("tap1"), topo_line(), workload(), Objective())
+    b.subscribe(data_sub("tap3", flt="d/pub2/x"), topo_line(), workload(), Objective())
+    actions = b.on_publish(raw_pub(seq=2), Fraction(1))
+    assert [a.sub_id for a in actions] == ["tap1", "tap2"]  # sub id order
+
+
 def test_publish_watermark_swallows_replayed_seqs():
     b = fresh()
     b.subscribe(data_sub(), topo_line(), workload(), Objective())
