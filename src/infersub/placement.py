@@ -6,6 +6,7 @@ import hashlib
 from bisect import insort
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import TYPE_CHECKING, Sequence, Union
 
@@ -113,7 +114,8 @@ class CostReport:
     """Per-publication latency and traffic of a placement.
 
     bytes_kb counts each link hop separately (a 2-hop transfer of 10 KB costs
-    20 KB); 1 KB = 1024 bytes. All three numbers are None when some required
+    20 KB); 1 KB = 1024 bytes. All three numbers are None when a stage is
+    unassigned, a stage's node is missing from the topology, or some required
     route is missing.
     """
 
@@ -125,47 +127,7 @@ class CostReport:
 
 
 # ---------------------------------------------------------------------------
-# Size and rate propagation
-
-
-def _propagate_sizes(p: PipelineSpec, entry_sizes: dict[str, int]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for sid in p.topo_order():
-        stage = p.stage(sid)
-        preds = p.preds(sid)
-        if not preds:
-            incoming = entry_sizes[sid]
-        elif isinstance(stage.kind, Funnel):
-            incoming = sum(out[q] for q in preds)
-        else:
-            incoming = max(out[q] for q in preds)
-        out[sid] = scaled_size(incoming, stage.selectivity)
-    return out
-
-
-def _propagate_rates(
-    p: PipelineSpec, entry_rates: dict[str, Fraction]
-) -> dict[str, Fraction]:
-    """Publications per 1000 ms emitted by each stage (filters counted as
-    pass-through, the conservative bound for cpu budgeting)."""
-    out: dict[str, Fraction] = {}
-    for sid in p.topo_order():
-        stage = p.stage(sid)
-        preds = p.preds(sid)
-        if not preds:
-            out[sid] = entry_rates[sid]
-        elif isinstance(stage.kind, Funnel):
-            trigger = stage.kind.trigger
-            if isinstance(trigger, Barrier):
-                out[sid] = min(out[q] for q in preds)
-            elif isinstance(trigger, CountWindow):
-                out[sid] = sum((out[q] for q in preds), Fraction(0)) / trigger.n
-            else:
-                assert isinstance(trigger, TimeWindow)
-                out[sid] = Fraction(1000, trigger.delta_ms)
-        else:
-            out[sid] = sum((out[q] for q in preds), Fraction(0))
-    return out
+# Workload and publisher context
 
 
 def entry_workload(
@@ -232,13 +194,10 @@ def _reach(t: Topology, a: str, b: str) -> tuple[Fraction, int, tuple[str, ...]]
 
 def _transfer(
     t: Topology, a: str, b: str, size_bytes: int
-) -> tuple[Fraction, Fraction] | None:
+) -> tuple[Fraction, Fraction]:
     """(ms, KB counted per hop) to move size_bytes along route(t, a, b): each
-    hop takes its latency plus size over bandwidth."""
-    got = _reach(t, a, b)
-    if got is None:
-        return None
-    lat, hops, path = got
+    hop takes its latency plus size over bandwidth. Raises NoRouteError."""
+    lat, hops, path = t.shortest(a, b)
     kb = Fraction(size_bytes, 1024)
     for x, y in zip(path, path[1:]):
         link = t.link_between(x, y)
@@ -249,6 +208,192 @@ def _transfer(
 
 # ---------------------------------------------------------------------------
 # Feasibility and cost
+
+
+class _Evaluator:
+    """Feasibility and cost of assignments of one pipeline on one topology,
+    workload, publisher context and subscriber.
+
+    What no assignment changes (each stage's anchor publisher, the pin
+    targets, the entry workload and every stage's size and cpu load) is derived
+    on first use and shared by every assignment a search tries. Publisher and
+    subscriber pins are only checkable when that context is given.
+    """
+
+    def __init__(
+        self,
+        p: PipelineSpec,
+        t: Topology,
+        w: WorkloadSpec,
+        publisher: Publishers | None = None,
+        subscriber: str | None = None,
+    ) -> None:
+        self.p = p
+        self.t = t
+        self.w = w
+        self.pubs = None if publisher is None else _publishers_by_entry(p, publisher)
+        self.subscriber = subscriber
+        self._anchors: dict[str, str] = {}
+
+    def anchor(self, sid: str) -> str:
+        """_anchor_publisher of sid; needs the publisher context."""
+        assert self.pubs is not None
+        if sid not in self._anchors:
+            self._anchors[sid] = _anchor_publisher(self.p, sid, self.pubs)
+        return self._anchors[sid]
+
+    @cached_property
+    def pins(self) -> dict[str, str]:
+        """Stage -> the node its pin holds it to, for every checkable pin."""
+        out: dict[str, str] = {}
+        for s in self.p.stages:
+            if s.pin.kind == "node":
+                assert s.pin.node_id is not None
+                out[s.stage_id] = s.pin.node_id
+            elif s.pin.kind == "publisher" and self.pubs is not None:
+                out[s.stage_id] = self.anchor(s.stage_id)
+            elif s.pin.kind == "subscriber" and self.subscriber is not None:
+                out[s.stage_id] = self.subscriber
+        return out
+
+    @cached_property
+    def workload(
+        self,
+    ) -> tuple[dict[str, int], dict[str, int], dict[str, Fraction], list[Violation]]:
+        """(entry sizes, output size per stage, cpu load per stage, workload
+        violations).
+
+        A stage's load is its compute cost times the publications per 1000 ms
+        it emits, over 1000. Filters count as pass-through in the rates, the
+        conservative bound for cpu budgeting.
+        """
+        p = self.p
+        entry_sizes, entry_rates, violations = entry_workload(p, self.w)
+        sizes: dict[str, int] = {}
+        rates: dict[str, Fraction] = {}
+        loads: dict[str, Fraction] = {}
+        for sid in p.topo_order():
+            stage = p.stage(sid)
+            preds = p.preds(sid)
+            if not preds:
+                incoming = entry_sizes[sid]
+                rates[sid] = entry_rates[sid]
+            elif isinstance(stage.kind, Funnel):
+                incoming = sum(sizes[q] for q in preds)
+                trigger = stage.kind.trigger
+                if isinstance(trigger, Barrier):
+                    rates[sid] = min(rates[q] for q in preds)
+                elif isinstance(trigger, CountWindow):
+                    rates[sid] = sum((rates[q] for q in preds), Fraction(0)) / trigger.n
+                else:
+                    assert isinstance(trigger, TimeWindow)
+                    rates[sid] = Fraction(1000, trigger.delta_ms)
+            else:
+                incoming = max(sizes[q] for q in preds)
+                rates[sid] = sum((rates[q] for q in preds), Fraction(0))
+            sizes[sid] = scaled_size(incoming, stage.selectivity)
+            loads[sid] = stage.compute_cost * rates[sid] / 1000
+        return entry_sizes, sizes, loads, violations
+
+    def budget_violations(self, assigned: dict[str, str]) -> list[Violation]:
+        """Memory and cpu budgets of each node over the stages assigned."""
+        loads = self.workload[2]
+        per_node: dict[str, list[StageSpec]] = {}
+        for s in self.p.stages:
+            if s.stage_id in assigned:
+                per_node.setdefault(assigned[s.stage_id], []).append(s)
+        out: list[Violation] = []
+        for node_id in sorted(per_node):
+            node = self.t.node(node_id)
+            stages = per_node[node_id]
+            mem = sum((s.mem_mb for s in stages), Fraction(0))
+            if mem > node.mem_mb:
+                out.append(
+                    Violation("MemoryExceeded", node_id, f"{mem} > {node.mem_mb}")
+                )
+            load = sum((loads[s.stage_id] for s in stages), Fraction(0))
+            if load > node.cpu_capacity:
+                out.append(
+                    Violation("CpuExceeded", node_id, f"{load} > {node.cpu_capacity}")
+                )
+        return out
+
+    def violations(self, assigned: dict[str, str]) -> list[Violation]:
+        """Resource, pin and route violations; empty means feasible."""
+        p, t = self.p, self.t
+        out = [
+            Violation("Unassigned", s.stage_id)
+            for s in p.stages
+            if s.stage_id not in assigned
+        ]
+        if out:
+            return sorted(out)
+
+        for s in p.stages:
+            node_id = assigned[s.stage_id]
+            if node_id not in t.nodes:
+                out.append(Violation("NodeMissing", s.stage_id, node_id))
+                continue
+            if not t.is_node_up(node_id):
+                out.append(Violation("NodeDown", s.stage_id, node_id))
+            if s.needs_accelerator and not t.node(node_id).has_accelerator:
+                out.append(Violation("AcceleratorMissing", s.stage_id, node_id))
+            want = self.pins.get(s.stage_id)
+            if want is not None and node_id != want:
+                out.append(Violation("PinViolation", s.stage_id, f"pinned {want}"))
+        if any(v.rule == "NodeMissing" for v in out):
+            return sorted(out)
+
+        out.extend(self.workload[3])
+        out.extend(self.budget_violations(assigned))
+
+        hops = [(assigned[a], assigned[b]) for a, b in p.edges]
+        if self.pubs is not None:
+            hops.extend((self.pubs[sid], assigned[sid]) for sid in p.entry_ids())
+        if self.subscriber is not None:
+            hops.append((assigned[p.sink], self.subscriber))
+        for a, b in dict.fromkeys(hops):
+            if a != b and _reach(t, a, b) is None:
+                out.append(Violation("RouteMissing", f"{a}->{b}"))
+        return sorted(set(out))
+
+    def cost(self, assigned: dict[str, str], o: Objective) -> CostReport:
+        """The CostReport of an assignment; needs the publisher and subscriber
+        context."""
+        assert self.pubs is not None and self.subscriber is not None
+        violations = tuple(self.violations(assigned))
+        missing = ("Unassigned", "NodeMissing", "RouteMissing")
+        if any(v.rule in missing for v in violations):
+            return CostReport(None, None, None, False, violations)
+
+        p, t = self.p, self.t
+        entry_sizes, sizes, _, _ = self.workload
+        bytes_kb = Fraction(0)
+        finish: dict[str, Fraction] = {}
+        for sid in p.topo_order():
+            node_id = assigned[sid]
+            preds = p.preds(sid)
+            arrival = Fraction(0)
+            if not preds:
+                arrival, kb = _transfer(t, self.pubs[sid], node_id, entry_sizes[sid])
+                bytes_kb += kb
+            for q in preds:
+                ms, kb = _transfer(t, assigned[q], node_id, sizes[q])
+                arrival = max(arrival, finish[q] + ms)
+                bytes_kb += kb
+            compute = p.stage(sid).compute_cost / t.node(node_id).cpu_capacity
+            finish[sid] = arrival + compute
+
+        ms, kb = _transfer(t, assigned[p.sink], self.subscriber, sizes[p.sink])
+        latency = finish[p.sink] + ms
+        bytes_kb += kb
+        return CostReport(
+            latency_ms=latency,
+            bytes_kb=bytes_kb,
+            objective_value=o.value(latency, bytes_kb),
+            feasible=not violations,
+            violations=violations,
+        )
 
 
 def feasible(
@@ -263,79 +408,7 @@ def feasible(
 
     Publisher/subscriber pins are only checkable when that context is given.
     """
-    out: list[Violation] = []
-    pubs = _publishers_by_entry(p, publisher) if publisher is not None else None
-    assigned = pl.assignment
-
-    for s in p.stages:
-        if s.stage_id not in assigned:
-            out.append(Violation("Unassigned", s.stage_id))
-    if out:
-        return sorted(out)
-
-    for s in p.stages:
-        node_id = assigned[s.stage_id]
-        if node_id not in t.nodes:
-            out.append(Violation("NodeMissing", s.stage_id, node_id))
-            continue
-        if not t.is_node_up(node_id):
-            out.append(Violation("NodeDown", s.stage_id, node_id))
-        if s.needs_accelerator and not t.node(node_id).has_accelerator:
-            out.append(Violation("AcceleratorMissing", s.stage_id, node_id))
-        pin = s.pin
-        if pin.kind == "node" and node_id != pin.node_id:
-            out.append(Violation("PinViolation", s.stage_id, f"pinned {pin.node_id}"))
-        elif pin.kind == "publisher" and pubs is not None:
-            want = _anchor_publisher(p, s.stage_id, pubs)
-            if node_id != want:
-                out.append(Violation("PinViolation", s.stage_id, f"pinned {want}"))
-        elif pin.kind == "subscriber" and subscriber is not None:
-            if node_id != subscriber:
-                out.append(
-                    Violation("PinViolation", s.stage_id, f"pinned {subscriber}")
-                )
-    if any(v.rule == "NodeMissing" for v in out):
-        return sorted(out)
-
-    entry_sizes, entry_rates, wl_violations = entry_workload(p, w)
-    out.extend(wl_violations)
-    rates = _propagate_rates(p, entry_rates)
-
-    per_node: dict[str, list[StageSpec]] = {}
-    for s in p.stages:
-        per_node.setdefault(assigned[s.stage_id], []).append(s)
-    for node_id in sorted(per_node):
-        node = t.node(node_id)
-        stages = per_node[node_id]
-        mem = sum((s.mem_mb for s in stages), Fraction(0))
-        if mem > node.mem_mb:
-            out.append(
-                Violation("MemoryExceeded", node_id, f"{mem} > {node.mem_mb}")
-            )
-        load = sum(
-            (s.compute_cost * rates[s.stage_id] / 1000 for s in stages), Fraction(0)
-        )
-        if load > node.cpu_capacity:
-            out.append(
-                Violation("CpuExceeded", node_id, f"{load} > {node.cpu_capacity}")
-            )
-
-    hops: list[tuple[str, str]] = []
-    for a, b in p.edges:
-        hops.append((assigned[a], assigned[b]))
-    if pubs is not None:
-        for sid in p.entry_ids():
-            hops.append((pubs[sid], assigned[sid]))
-    if subscriber is not None:
-        hops.append((assigned[p.sink], subscriber))
-    for a, b in dict.fromkeys(hops):
-        if a == b:
-            continue
-        try:
-            route(t, a, b)
-        except NoRouteError:
-            out.append(Violation("RouteMissing", f"{a}->{b}"))
-    return sorted(set(out))
+    return _Evaluator(p, t, w, publisher, subscriber).violations(pl.assignment)
 
 
 def cost(
@@ -353,67 +426,11 @@ def cost(
     inter-stage transfers, and the final transfer to the subscriber, along the
     longest path of the DAG.
     """
-    violations = tuple(feasible(pl, p, t, w, publisher, subscriber))
-    pubs = _publishers_by_entry(p, publisher)
-    assigned = pl.assignment
-    missing = CostReport(None, None, None, False, violations)
-    if any(v.rule in ("Unassigned", "NodeMissing", "RouteMissing") for v in violations):
-        return missing
-
-    entry_sizes, _, _ = entry_workload(p, w)
-    sizes = _propagate_sizes(p, entry_sizes)
-
-    bytes_kb = Fraction(0)
-    finish: dict[str, Fraction] = {}
-    for sid in p.topo_order():
-        node_id = assigned[sid]
-        preds = p.preds(sid)
-        arrival = Fraction(0)
-        if not preds:
-            got = _transfer(t, pubs[sid], node_id, entry_sizes[sid])
-            if got is None:
-                return missing
-            arrival, kb = got
-            bytes_kb += kb
-        for q in preds:
-            got = _transfer(t, assigned[q], node_id, sizes[q])
-            if got is None:
-                return missing
-            arrival = max(arrival, finish[q] + got[0])
-            bytes_kb += got[1]
-        finish[sid] = arrival + p.stage(sid).compute_cost / t.node(node_id).cpu_capacity
-
-    got = _transfer(t, assigned[p.sink], subscriber, sizes[p.sink])
-    if got is None:
-        return missing
-    latency = finish[p.sink] + got[0]
-    bytes_kb += got[1]
-    return CostReport(
-        latency_ms=latency,
-        bytes_kb=bytes_kb,
-        objective_value=o.value(latency, bytes_kb),
-        feasible=not violations,
-        violations=violations,
-    )
+    return _Evaluator(p, t, w, publisher, subscriber).cost(pl.assignment, o)
 
 
 # ---------------------------------------------------------------------------
 # Placement algorithms
-
-
-def _resolve_pins(
-    p: PipelineSpec, pubs: dict[str, str], subscriber: str
-) -> dict[str, str]:
-    fixed: dict[str, str] = {}
-    for s in p.stages:
-        if s.pin.kind == "node":
-            assert s.pin.node_id is not None
-            fixed[s.stage_id] = s.pin.node_id
-        elif s.pin.kind == "publisher":
-            fixed[s.stage_id] = _anchor_publisher(p, s.stage_id, pubs)
-        elif s.pin.kind == "subscriber":
-            fixed[s.stage_id] = subscriber
-    return fixed
 
 
 def _upstream_rank(t: Topology, subscriber: str, node_id: str) -> tuple:
@@ -434,15 +451,6 @@ def _downstreamness(t: Topology, subscriber: str, node_id: str) -> tuple:
     return (0, got[0], got[1])
 
 
-def _not_upstream_of(
-    t: Topology, subscriber: str, candidate: str, reference: str
-) -> bool:
-    """candidate is at or downstream of reference (toward the subscriber)."""
-    return _downstreamness(t, subscriber, candidate) <= _downstreamness(
-        t, subscriber, reference
-    )
-
-
 def place_oracle(
     p: PipelineSpec,
     t: Topology,
@@ -456,9 +464,8 @@ def place_oracle(
     Ties prefer more upstream assignments: lexicographically by stage order on
     (distance from the stage's publisher, node id).
     """
-    pubs = _publishers_by_entry(p, publisher)
-    fixed = _resolve_pins(p, pubs, subscriber)
-    unpinned = [s.stage_id for s in p.stages if s.stage_id not in fixed]
+    ev = _Evaluator(p, t, w, publisher, subscriber)
+    unpinned = [s.stage_id for s in p.stages if s.stage_id not in ev.pins]
     candidates = sorted(n for n in t.nodes if t.is_node_up(n))
     space = len(candidates) ** len(unpinned) if unpinned else 1
     if space > ORACLE_BOUND:
@@ -468,8 +475,7 @@ def place_oracle(
         key = []
         for s in p.stages:
             node_id = assignment[s.stage_id]
-            anchor = _anchor_publisher(p, s.stage_id, pubs)
-            got = _reach(t, anchor, node_id)
+            got = _reach(t, ev.anchor(s.stage_id), node_id)
             if got is None:
                 key.append((1, Fraction(0), 0, node_id))
             else:
@@ -479,10 +485,9 @@ def place_oracle(
     best: tuple | None = None
     best_assignment: dict[str, str] | None = None
     for combo in product(candidates, repeat=len(unpinned)):
-        assignment = dict(fixed)
+        assignment = dict(ev.pins)
         assignment.update(zip(unpinned, combo))
-        pl = Placement(assignment)
-        report = cost(pl, p, t, w, o, publisher, subscriber)
+        report = ev.cost(assignment, o)
         if not report.feasible:
             continue
         assert report.objective_value is not None
@@ -509,43 +514,23 @@ def _route_candidates(
 
 
 def _upstream_with_fixed(
-    p: PipelineSpec,
-    t: Topology,
-    w: WorkloadSpec,
-    o: Objective,
-    pubs: dict[str, str],
-    subscriber: str,
-    fixed: dict[str, str],
-    movable: list[str],
+    ev: _Evaluator, o: Objective, fixed: dict[str, str], movable: list[str]
 ) -> Placement:
     """Greedy most-upstream assignment of movable stages plus local search.
 
     Movable stages may only sit at or downstream of their predecessors along
-    the route ordering; fixed assignments are never touched.
+    the route ordering; fixed assignments are never touched. fixed and
+    movable together cover every stage. The placement returned is feasible
+    under ev; NoFeasiblePlacementError otherwise.
     """
-    candidates = _route_candidates(t, pubs, subscriber)
+    p, t, subscriber = ev.p, ev.t, ev.subscriber
+    assert ev.pubs is not None and subscriber is not None
+    candidates = _route_candidates(t, ev.pubs, subscriber)
     movable_set = set(movable)
     assignment = dict(fixed)
 
-    _, entry_rates, _ = entry_workload(p, w)
-    rates = _propagate_rates(p, entry_rates)
-
-    def mem_cpu_ok(assigned: dict[str, str]) -> bool:
-        """Memory and cpu budgets over the stages assigned so far."""
-        per_node: dict[str, list[StageSpec]] = {}
-        for sid2, node2 in assigned.items():
-            per_node.setdefault(node2, []).append(p.stage(sid2))
-        for node2, stages2 in per_node.items():
-            node = t.node(node2)
-            if sum((s.mem_mb for s in stages2), Fraction(0)) > node.mem_mb:
-                return False
-            load = sum(
-                (s.compute_cost * rates[s.stage_id] / 1000 for s in stages2),
-                Fraction(0),
-            )
-            if load > node.cpu_capacity:
-                return False
-        return True
+    def down(node_id: str) -> tuple:
+        return _downstreamness(t, subscriber, node_id)
 
     for sid in p.topo_order():
         if sid not in movable_set:
@@ -555,26 +540,20 @@ def _upstream_with_fixed(
         for cand in candidates:
             if not t.is_node_up(cand):
                 continue
-            ok = all(
-                _not_upstream_of(t, subscriber, cand, assignment[q])
-                for q in p.preds(sid)
-                if q in assignment
-            )
-            if not ok:
+            if any(down(cand) > down(assignment[q]) for q in p.preds(sid)):
                 continue
             if stage.needs_accelerator and not t.node(cand).has_accelerator:
                 continue
             trial = dict(assignment)
             trial[sid] = cand
-            if mem_cpu_ok(trial):
+            if not ev.budget_violations(trial):
                 chosen = cand
                 break
         if chosen is None:
             raise NoFeasiblePlacementError(f"{p.pipeline_id}: stage {sid}")
         assignment[sid] = chosen
 
-    full = Placement(assignment)
-    report = cost(full, p, t, w, o, pubs, subscriber)
+    report = ev.cost(assignment, o)
     if not report.feasible:
         raise NoFeasiblePlacementError(
             f"{p.pipeline_id}: {[v.rule for v in report.violations]}"
@@ -596,20 +575,13 @@ def _upstream_with_fixed(
             for cand in candidates:
                 if cand == here or not t.is_node_up(cand):
                     continue
-                ok = all(
-                    _not_upstream_of(t, subscriber, cand, assignment[q])
-                    for q in p.preds(sid)
-                    if q in assignment
-                ) and all(
-                    _not_upstream_of(t, subscriber, assignment[q], cand)
-                    for q in p.succs(sid)
-                    if q in assignment
-                )
-                if not ok:
+                if any(down(cand) > down(assignment[q]) for q in p.preds(sid)):
+                    continue
+                if any(down(assignment[q]) > down(cand) for q in p.succs(sid)):
                     continue
                 trial = dict(assignment)
                 trial[sid] = cand
-                trial_report = cost(Placement(trial), p, t, w, o, pubs, subscriber)
+                trial_report = ev.cost(trial, o)
                 if not trial_report.feasible:
                     continue
                 assert trial_report.objective_value is not None
@@ -639,14 +611,9 @@ def place_upstream(
     subscriber: str,
 ) -> Placement:
     """Balanced-upstream heuristic over the publisher->subscriber route."""
-    pubs = _publishers_by_entry(p, publisher)
-    fixed = _resolve_pins(p, pubs, subscriber)
-    movable = [s.stage_id for s in p.stages if s.stage_id not in fixed]
-    pl = _upstream_with_fixed(p, t, w, o, pubs, subscriber, fixed, movable)
-    bad = feasible(pl, p, t, w, pubs, subscriber)
-    if bad:
-        raise NoFeasiblePlacementError(f"{p.pipeline_id}: {[v.rule for v in bad]}")
-    return pl
+    ev = _Evaluator(p, t, w, publisher, subscriber)
+    movable = [s.stage_id for s in p.stages if s.stage_id not in ev.pins]
+    return _upstream_with_fixed(ev, o, ev.pins, movable)
 
 
 def place_baseline_subscriber(
@@ -657,12 +624,8 @@ def place_baseline_subscriber(
     subscriber: str,
 ) -> Placement:
     """Everything unpinned at the subscriber; feasibility not required."""
-    pubs = _publishers_by_entry(p, publisher)
-    fixed = _resolve_pins(p, pubs, subscriber)
-    assignment = {
-        s.stage_id: fixed.get(s.stage_id, subscriber) for s in p.stages
-    }
-    return Placement(assignment)
+    pins = _Evaluator(p, t, w, publisher, subscriber).pins
+    return Placement({s.stage_id: pins.get(s.stage_id, subscriber) for s in p.stages})
 
 
 def replan(
@@ -676,35 +639,24 @@ def replan(
     subscriber: str,
 ) -> Placement:
     """Re-place only the stages that sat on failed nodes; survivors stay."""
-    pubs = _publishers_by_entry(p, publisher)
-    if subscriber in failed or any(pub in failed for pub in pubs.values()):
+    ev = _Evaluator(p, t, w, publisher, subscriber)
+    assert ev.pubs is not None
+    if subscriber in failed or any(pub in failed for pub in ev.pubs.values()):
         raise InstanceTerminatedError(p.pipeline_id)
-    pinned = _resolve_pins(p, pubs, subscriber)
-    for sid, node_id in pinned.items():
+    for node_id in ev.pins.values():
         if node_id in failed:
             raise NoFeasiblePlacementError(f"{p.pipeline_id}: pin on failed {node_id}")
     movable = [
         s.stage_id
         for s in p.stages
-        if pl.assignment[s.stage_id] in failed and s.stage_id not in pinned
+        if pl.assignment[s.stage_id] in failed and s.stage_id not in ev.pins
     ]
-    if not movable:
-        bad = feasible(pl, p, t, w, pubs, subscriber)
-        if bad:
-            raise NoFeasiblePlacementError(
-                f"{p.pipeline_id}: {[v.rule for v in bad]}"
-            )
-        return pl
     fixed = {
         sid: node
         for sid, node in pl.assignment.items()
         if sid not in movable
     }
-    out = _upstream_with_fixed(p, t, w, o, pubs, subscriber, fixed, movable)
-    bad = feasible(out, p, t, w, pubs, subscriber)
-    if bad:
-        raise NoFeasiblePlacementError(f"{p.pipeline_id}: {[v.rule for v in bad]}")
-    return out
+    return _upstream_with_fixed(ev, o, fixed, movable)
 
 
 # ---------------------------------------------------------------------------

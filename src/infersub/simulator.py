@@ -32,7 +32,6 @@ from .core import (
     Topology,
     UPDATE_TOPIC_ROOT,
     route,
-    route_latency,
 )
 from .errors import NoRouteError
 from .metrics import (
@@ -528,10 +527,9 @@ class _World:
                     versions.append(pub.seq)
         subscriber = broker.subs[sub_id].subscriber
         try:
-            path = tuple(route(self.topo, subscriber, broker.broker_node))
+            delay, _, path = self.topo.shortest(subscriber, broker.broker_node)
         except NoRouteError:
             return
-        delay, _ = route_latency(self.topo, subscriber, broker.broker_node)
         self._push(
             self.now_us + _ceil_us(delay), PRIO_ACK,
             self._on_ack_due, domain, sub_id, stream, pub.seq, path,

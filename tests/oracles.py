@@ -3,12 +3,15 @@
 Everything in this module is written from scratch against the documented
 behavior and shares no code with the implementation under test: a hop-by-hop
 cost evaluator for chain pipelines on path topologies, a plain-dict funnel
-interpreter, and the seeded instance generators the audits run over. Two
+interpreter, and the seeded instance generators the audits run over. The
 exceptions are earlier versions of the package kept unchanged as fixed
 references: ref_route is the per-call Dijkstra over a full link scan that the
-package used before it cached shortest-path trees on each topology snapshot,
-and ref_merge_shared_prefix is the from-scratch exec-graph build the package
-used before it kept the graph incrementally.
+package used before it cached shortest-path trees on each topology snapshot;
+ref_merge_shared_prefix is the from-scratch exec-graph build the package used
+before it kept the graph incrementally; and ref_feasible, ref_cost,
+ref_place_upstream, ref_place_baseline_subscriber, ref_place_oracle and
+ref_replan are the placement functions as they were before one evaluator per
+search derived the pins, the entry workload and the stage sizes and rates once.
 
 Keep it boring. These references exist so the real implementations have
 something to disagree with; cleverness here would defeat the point.
@@ -22,12 +25,41 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from infersub.broker import PipelineInstance
-from infersub.core import LinkDescriptor, Publication, StageSpec, Topic, Topology
-from infersub.errors import NoRouteError
-from infersub.placement import DeliveryEdge, ExecStage
+from infersub.core import (
+    Barrier,
+    CountWindow,
+    Funnel,
+    LinkDescriptor,
+    PipelineSpec,
+    Publication,
+    StageSpec,
+    TimeWindow,
+    Topic,
+    Topology,
+    Violation,
+    route,
+    scaled_size,
+)
+from infersub.errors import (
+    InstanceTerminatedError,
+    NoFeasiblePlacementError,
+    NoRouteError,
+    SearchSpaceTooLargeError,
+)
+from infersub.placement import (
+    ORACLE_BOUND,
+    CostReport,
+    DeliveryEdge,
+    ExecStage,
+    Objective,
+    Placement,
+    Publishers,
+    WorkloadSpec,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +199,579 @@ def ref_merge_shared_prefix(instances: Sequence[PipelineInstance]) -> RefExecuti
             )
         )
     return RefExecutionGraph(stages, tuple(deliveries))
+
+
+# ---------------------------------------------------------------------------
+# Placement reference: feasibility, cost and the searches as the package had
+# them before one evaluator per search; every call re-derives the pins, the
+# entry workload and the stage sizes and rates
+
+
+def _ref_propagate_sizes(p: PipelineSpec, entry_sizes: dict[str, int]) -> dict[str, int]:
+    out: dict[str, int] = {}
+    for sid in p.topo_order():
+        stage = p.stage(sid)
+        preds = p.preds(sid)
+        if not preds:
+            incoming = entry_sizes[sid]
+        elif isinstance(stage.kind, Funnel):
+            incoming = sum(out[q] for q in preds)
+        else:
+            incoming = max(out[q] for q in preds)
+        out[sid] = scaled_size(incoming, stage.selectivity)
+    return out
+
+
+def _ref_propagate_rates(
+    p: PipelineSpec, entry_rates: dict[str, Fraction]
+) -> dict[str, Fraction]:
+    """Publications per 1000 ms emitted by each stage (filters counted as
+    pass-through, the conservative bound for cpu budgeting)."""
+    out: dict[str, Fraction] = {}
+    for sid in p.topo_order():
+        stage = p.stage(sid)
+        preds = p.preds(sid)
+        if not preds:
+            out[sid] = entry_rates[sid]
+        elif isinstance(stage.kind, Funnel):
+            trigger = stage.kind.trigger
+            if isinstance(trigger, Barrier):
+                out[sid] = min(out[q] for q in preds)
+            elif isinstance(trigger, CountWindow):
+                out[sid] = sum((out[q] for q in preds), Fraction(0)) / trigger.n
+            else:
+                assert isinstance(trigger, TimeWindow)
+                out[sid] = Fraction(1000, trigger.delta_ms)
+        else:
+            out[sid] = sum((out[q] for q in preds), Fraction(0))
+    return out
+
+
+def _ref_entry_workload(
+    p: PipelineSpec, w: WorkloadSpec
+) -> tuple[dict[str, int], dict[str, Fraction], list[Violation]]:
+    """(entry sizes, entry rates, violations) from each entry's topic binding.
+
+    Several matching topics combine as max size and summed rate.
+    """
+    sizes: dict[str, int] = {}
+    rates: dict[str, Fraction] = {}
+    violations: list[Violation] = []
+    for sid in sorted(p.entry_ids()):
+        names = w.matching(p.source_bindings[sid]) if sid in p.source_bindings else []
+        if not names:
+            violations.append(Violation("WorkloadMissing", sid))
+            sizes[sid] = 1
+            rates[sid] = Fraction(0)
+            continue
+        sizes[sid] = max(w.topics[n].size_bytes for n in names)
+        rates[sid] = sum((w.topics[n].rate_per_s for n in names), Fraction(0))
+    return sizes, rates, violations
+
+
+def _ref_publishers_by_entry(p: PipelineSpec, publisher: Publishers) -> dict[str, str]:
+    if isinstance(publisher, str):
+        return {sid: publisher for sid in p.entry_ids()}
+    return dict(publisher)
+
+
+def _ref_anchor_publisher(p: PipelineSpec, sid: str, pubs: dict[str, str]) -> str:
+    """The publisher feeding a stage: its own for entries, otherwise the
+    lexicographically smallest over its entry ancestry."""
+    if sid in pubs:
+        return pubs[sid]
+    seen: set[str] = set()
+    frontier = [sid]
+    found: set[str] = set()
+    while frontier:
+        cur = frontier.pop()
+        if cur in seen:
+            continue
+        seen.add(cur)
+        preds = p.preds(cur)
+        if not preds and cur in pubs:
+            found.add(pubs[cur])
+        frontier.extend(preds)
+    if not found:
+        raise KeyError(f"no publisher reaches stage {sid}")
+    return min(found)
+
+
+def _ref_reach(t: Topology, a: str, b: str) -> tuple[Fraction, int, tuple[str, ...]] | None:
+    """(latency, hops, path) of route(t, a, b); None when there is none."""
+    try:
+        return t.shortest(a, b)
+    except NoRouteError:
+        return None
+
+
+def _ref_transfer(
+    t: Topology, a: str, b: str, size_bytes: int
+) -> tuple[Fraction, Fraction] | None:
+    """(ms, KB counted per hop) to move size_bytes along route(t, a, b): each
+    hop takes its latency plus size over bandwidth."""
+    got = _ref_reach(t, a, b)
+    if got is None:
+        return None
+    lat, hops, path = got
+    kb = Fraction(size_bytes, 1024)
+    for x, y in zip(path, path[1:]):
+        link = t.link_between(x, y)
+        assert link is not None
+        lat += kb / link.bandwidth_kb_per_ms
+    return lat, kb * hops
+
+
+def ref_feasible(
+    pl: Placement,
+    p: PipelineSpec,
+    t: Topology,
+    w: WorkloadSpec,
+    publisher: Publishers | None = None,
+    subscriber: str | None = None,
+) -> list[Violation]:
+    """Resource, pin and route violations of a placement; empty means feasible.
+
+    Publisher/subscriber pins are only checkable when that context is given.
+    """
+    out: list[Violation] = []
+    pubs = _ref_publishers_by_entry(p, publisher) if publisher is not None else None
+    assigned = pl.assignment
+
+    for s in p.stages:
+        if s.stage_id not in assigned:
+            out.append(Violation("Unassigned", s.stage_id))
+    if out:
+        return sorted(out)
+
+    for s in p.stages:
+        node_id = assigned[s.stage_id]
+        if node_id not in t.nodes:
+            out.append(Violation("NodeMissing", s.stage_id, node_id))
+            continue
+        if not t.is_node_up(node_id):
+            out.append(Violation("NodeDown", s.stage_id, node_id))
+        if s.needs_accelerator and not t.node(node_id).has_accelerator:
+            out.append(Violation("AcceleratorMissing", s.stage_id, node_id))
+        pin = s.pin
+        if pin.kind == "node" and node_id != pin.node_id:
+            out.append(Violation("PinViolation", s.stage_id, f"pinned {pin.node_id}"))
+        elif pin.kind == "publisher" and pubs is not None:
+            want = _ref_anchor_publisher(p, s.stage_id, pubs)
+            if node_id != want:
+                out.append(Violation("PinViolation", s.stage_id, f"pinned {want}"))
+        elif pin.kind == "subscriber" and subscriber is not None:
+            if node_id != subscriber:
+                out.append(
+                    Violation("PinViolation", s.stage_id, f"pinned {subscriber}")
+                )
+    if any(v.rule == "NodeMissing" for v in out):
+        return sorted(out)
+
+    entry_sizes, entry_rates, wl_violations = _ref_entry_workload(p, w)
+    out.extend(wl_violations)
+    rates = _ref_propagate_rates(p, entry_rates)
+
+    per_node: dict[str, list[StageSpec]] = {}
+    for s in p.stages:
+        per_node.setdefault(assigned[s.stage_id], []).append(s)
+    for node_id in sorted(per_node):
+        node = t.node(node_id)
+        stages = per_node[node_id]
+        mem = sum((s.mem_mb for s in stages), Fraction(0))
+        if mem > node.mem_mb:
+            out.append(
+                Violation("MemoryExceeded", node_id, f"{mem} > {node.mem_mb}")
+            )
+        load = sum(
+            (s.compute_cost * rates[s.stage_id] / 1000 for s in stages), Fraction(0)
+        )
+        if load > node.cpu_capacity:
+            out.append(
+                Violation("CpuExceeded", node_id, f"{load} > {node.cpu_capacity}")
+            )
+
+    hops: list[tuple[str, str]] = []
+    for a, b in p.edges:
+        hops.append((assigned[a], assigned[b]))
+    if pubs is not None:
+        for sid in p.entry_ids():
+            hops.append((pubs[sid], assigned[sid]))
+    if subscriber is not None:
+        hops.append((assigned[p.sink], subscriber))
+    for a, b in dict.fromkeys(hops):
+        if a == b:
+            continue
+        try:
+            route(t, a, b)
+        except NoRouteError:
+            out.append(Violation("RouteMissing", f"{a}->{b}"))
+    return sorted(set(out))
+
+
+def ref_cost(
+    pl: Placement,
+    p: PipelineSpec,
+    t: Topology,
+    w: WorkloadSpec,
+    o: Objective,
+    publisher: Publishers,
+    subscriber: str,
+) -> CostReport:
+    """Critical-path latency and per-hop KB for one publication through pl.
+
+    Latency sums entry transfer, per-stage compute (cost / cpu_capacity),
+    inter-stage transfers, and the final transfer to the subscriber, along the
+    longest path of the DAG.
+    """
+    violations = tuple(ref_feasible(pl, p, t, w, publisher, subscriber))
+    pubs = _ref_publishers_by_entry(p, publisher)
+    assigned = pl.assignment
+    missing = CostReport(None, None, None, False, violations)
+    if any(v.rule in ("Unassigned", "NodeMissing", "RouteMissing") for v in violations):
+        return missing
+
+    entry_sizes, _, _ = _ref_entry_workload(p, w)
+    sizes = _ref_propagate_sizes(p, entry_sizes)
+
+    bytes_kb = Fraction(0)
+    finish: dict[str, Fraction] = {}
+    for sid in p.topo_order():
+        node_id = assigned[sid]
+        preds = p.preds(sid)
+        arrival = Fraction(0)
+        if not preds:
+            got = _ref_transfer(t, pubs[sid], node_id, entry_sizes[sid])
+            if got is None:
+                return missing
+            arrival, kb = got
+            bytes_kb += kb
+        for q in preds:
+            got = _ref_transfer(t, assigned[q], node_id, sizes[q])
+            if got is None:
+                return missing
+            arrival = max(arrival, finish[q] + got[0])
+            bytes_kb += got[1]
+        finish[sid] = arrival + p.stage(sid).compute_cost / t.node(node_id).cpu_capacity
+
+    got = _ref_transfer(t, assigned[p.sink], subscriber, sizes[p.sink])
+    if got is None:
+        return missing
+    latency = finish[p.sink] + got[0]
+    bytes_kb += got[1]
+    return CostReport(
+        latency_ms=latency,
+        bytes_kb=bytes_kb,
+        objective_value=o.value(latency, bytes_kb),
+        feasible=not violations,
+        violations=violations,
+    )
+
+
+def _ref_resolve_pins(
+    p: PipelineSpec, pubs: dict[str, str], subscriber: str
+) -> dict[str, str]:
+    fixed: dict[str, str] = {}
+    for s in p.stages:
+        if s.pin.kind == "node":
+            assert s.pin.node_id is not None
+            fixed[s.stage_id] = s.pin.node_id
+        elif s.pin.kind == "publisher":
+            fixed[s.stage_id] = _ref_anchor_publisher(p, s.stage_id, pubs)
+        elif s.pin.kind == "subscriber":
+            fixed[s.stage_id] = subscriber
+    return fixed
+
+
+def _ref_upstream_rank(t: Topology, subscriber: str, node_id: str) -> tuple:
+    """Sort key placing more-upstream nodes (farther from the subscriber)
+    first; unroutable nodes last."""
+    got = _ref_reach(t, node_id, subscriber)
+    if got is None:
+        return (0, Fraction(0), 0, node_id)
+    return (-1, -got[0], -got[1], node_id)
+
+
+def _ref_downstreamness(t: Topology, subscriber: str, node_id: str) -> tuple:
+    """Totally ordered proxy for position along the flow toward the
+    subscriber; smaller means closer to the subscriber."""
+    got = _ref_reach(t, node_id, subscriber)
+    if got is None:
+        return (1, Fraction(0), 0)
+    return (0, got[0], got[1])
+
+
+def _ref_not_upstream_of(
+    t: Topology, subscriber: str, candidate: str, reference: str
+) -> bool:
+    """candidate is at or downstream of reference (toward the subscriber)."""
+    return _ref_downstreamness(t, subscriber, candidate) <= _ref_downstreamness(
+        t, subscriber, reference
+    )
+
+
+def ref_place_oracle(
+    p: PipelineSpec,
+    t: Topology,
+    w: WorkloadSpec,
+    o: Objective,
+    publisher: Publishers,
+    subscriber: str,
+) -> Placement:
+    """Exhaustive minimum-objective placement of all unpinned stages.
+
+    Ties prefer more upstream assignments: lexicographically by stage order on
+    (distance from the stage's publisher, node id).
+    """
+    pubs = _ref_publishers_by_entry(p, publisher)
+    fixed = _ref_resolve_pins(p, pubs, subscriber)
+    unpinned = [s.stage_id for s in p.stages if s.stage_id not in fixed]
+    candidates = sorted(n for n in t.nodes if t.is_node_up(n))
+    space = len(candidates) ** len(unpinned) if unpinned else 1
+    if space > ORACLE_BOUND:
+        raise SearchSpaceTooLargeError(space, ORACLE_BOUND)
+
+    def upstream_key(assignment: dict[str, str]) -> tuple:
+        key = []
+        for s in p.stages:
+            node_id = assignment[s.stage_id]
+            anchor = _ref_anchor_publisher(p, s.stage_id, pubs)
+            got = _ref_reach(t, anchor, node_id)
+            if got is None:
+                key.append((1, Fraction(0), 0, node_id))
+            else:
+                key.append((0, got[0], got[1], node_id))
+        return tuple(key)
+
+    best: tuple | None = None
+    best_assignment: dict[str, str] | None = None
+    for combo in product(candidates, repeat=len(unpinned)):
+        assignment = dict(fixed)
+        assignment.update(zip(unpinned, combo))
+        pl = Placement(assignment)
+        report = ref_cost(pl, p, t, w, o, publisher, subscriber)
+        if not report.feasible:
+            continue
+        assert report.objective_value is not None
+        key = (report.objective_value, upstream_key(assignment))
+        if best is None or key < best:
+            best = key
+            best_assignment = assignment
+    if best_assignment is None:
+        raise NoFeasiblePlacementError(p.pipeline_id)
+    return Placement(best_assignment)
+
+
+def _ref_route_candidates(
+    t: Topology, pubs: dict[str, str], subscriber: str
+) -> list[str]:
+    """Union of publisher->subscriber route nodes, most upstream first."""
+    seen: set[str] = set()
+    for pub in sorted(set(pubs.values())):
+        try:
+            seen.update(route(t, pub, subscriber))
+        except NoRouteError:
+            raise NoFeasiblePlacementError(f"no route {pub}->{subscriber}") from None
+    return sorted(seen, key=lambda n: _ref_upstream_rank(t, subscriber, n))
+
+
+def _ref_upstream_with_fixed(
+    p: PipelineSpec,
+    t: Topology,
+    w: WorkloadSpec,
+    o: Objective,
+    pubs: dict[str, str],
+    subscriber: str,
+    fixed: dict[str, str],
+    movable: list[str],
+) -> Placement:
+    """Greedy most-upstream assignment of movable stages plus local search.
+
+    Movable stages may only sit at or downstream of their predecessors along
+    the route ordering; fixed assignments are never touched.
+    """
+    candidates = _ref_route_candidates(t, pubs, subscriber)
+    movable_set = set(movable)
+    assignment = dict(fixed)
+
+    _, entry_rates, _ = _ref_entry_workload(p, w)
+    rates = _ref_propagate_rates(p, entry_rates)
+
+    def mem_cpu_ok(assigned: dict[str, str]) -> bool:
+        """Memory and cpu budgets over the stages assigned so far."""
+        per_node: dict[str, list[StageSpec]] = {}
+        for sid2, node2 in assigned.items():
+            per_node.setdefault(node2, []).append(p.stage(sid2))
+        for node2, stages2 in per_node.items():
+            node = t.node(node2)
+            if sum((s.mem_mb for s in stages2), Fraction(0)) > node.mem_mb:
+                return False
+            load = sum(
+                (s.compute_cost * rates[s.stage_id] / 1000 for s in stages2),
+                Fraction(0),
+            )
+            if load > node.cpu_capacity:
+                return False
+        return True
+
+    for sid in p.topo_order():
+        if sid not in movable_set:
+            continue
+        stage = p.stage(sid)
+        chosen = None
+        for cand in candidates:
+            if not t.is_node_up(cand):
+                continue
+            ok = all(
+                _ref_not_upstream_of(t, subscriber, cand, assignment[q])
+                for q in p.preds(sid)
+                if q in assignment
+            )
+            if not ok:
+                continue
+            if stage.needs_accelerator and not t.node(cand).has_accelerator:
+                continue
+            trial = dict(assignment)
+            trial[sid] = cand
+            if mem_cpu_ok(trial):
+                chosen = cand
+                break
+        if chosen is None:
+            raise NoFeasiblePlacementError(f"{p.pipeline_id}: stage {sid}")
+        assignment[sid] = chosen
+
+    full = Placement(assignment)
+    report = ref_cost(full, p, t, w, o, pubs, subscriber)
+    if not report.feasible:
+        raise NoFeasiblePlacementError(
+            f"{p.pipeline_id}: {[v.rule for v in report.violations]}"
+        )
+    assert report.objective_value is not None
+    current = report.objective_value
+
+    max_moves = 100 * len(p.stages)
+    moves = 0
+    improved = True
+    while improved and moves < max_moves:
+        improved = False
+        for sid in p.topo_order():
+            if sid not in movable_set or moves >= max_moves:
+                continue
+            here = assignment[sid]
+            best_key: tuple | None = None
+            best_node: str | None = None
+            for cand in candidates:
+                if cand == here or not t.is_node_up(cand):
+                    continue
+                ok = all(
+                    _ref_not_upstream_of(t, subscriber, cand, assignment[q])
+                    for q in p.preds(sid)
+                    if q in assignment
+                ) and all(
+                    _ref_not_upstream_of(t, subscriber, assignment[q], cand)
+                    for q in p.succs(sid)
+                    if q in assignment
+                )
+                if not ok:
+                    continue
+                trial = dict(assignment)
+                trial[sid] = cand
+                trial_report = ref_cost(Placement(trial), p, t, w, o, pubs, subscriber)
+                if not trial_report.feasible:
+                    continue
+                assert trial_report.objective_value is not None
+                if trial_report.objective_value >= current:
+                    continue
+                key = (
+                    trial_report.objective_value,
+                    _ref_upstream_rank(t, subscriber, cand),
+                )
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_node = cand
+            if best_node is not None and best_key is not None:
+                assignment[sid] = best_node
+                current = best_key[0]
+                moves += 1
+                improved = True
+    return Placement(assignment)
+
+
+def ref_place_upstream(
+    p: PipelineSpec,
+    t: Topology,
+    w: WorkloadSpec,
+    o: Objective,
+    publisher: Publishers,
+    subscriber: str,
+) -> Placement:
+    """Balanced-upstream heuristic over the publisher->subscriber route."""
+    pubs = _ref_publishers_by_entry(p, publisher)
+    fixed = _ref_resolve_pins(p, pubs, subscriber)
+    movable = [s.stage_id for s in p.stages if s.stage_id not in fixed]
+    pl = _ref_upstream_with_fixed(p, t, w, o, pubs, subscriber, fixed, movable)
+    bad = ref_feasible(pl, p, t, w, pubs, subscriber)
+    if bad:
+        raise NoFeasiblePlacementError(f"{p.pipeline_id}: {[v.rule for v in bad]}")
+    return pl
+
+
+def ref_place_baseline_subscriber(
+    p: PipelineSpec,
+    t: Topology,
+    w: WorkloadSpec,
+    publisher: Publishers,
+    subscriber: str,
+) -> Placement:
+    """Everything unpinned at the subscriber; feasibility not required."""
+    pubs = _ref_publishers_by_entry(p, publisher)
+    fixed = _ref_resolve_pins(p, pubs, subscriber)
+    assignment = {
+        s.stage_id: fixed.get(s.stage_id, subscriber) for s in p.stages
+    }
+    return Placement(assignment)
+
+
+def ref_replan(
+    pl: Placement,
+    failed: set[str],
+    p: PipelineSpec,
+    t: Topology,
+    w: WorkloadSpec,
+    o: Objective,
+    publisher: Publishers,
+    subscriber: str,
+) -> Placement:
+    """Re-place only the stages that sat on failed nodes; survivors stay."""
+    pubs = _ref_publishers_by_entry(p, publisher)
+    if subscriber in failed or any(pub in failed for pub in pubs.values()):
+        raise InstanceTerminatedError(p.pipeline_id)
+    pinned = _ref_resolve_pins(p, pubs, subscriber)
+    for sid, node_id in pinned.items():
+        if node_id in failed:
+            raise NoFeasiblePlacementError(f"{p.pipeline_id}: pin on failed {node_id}")
+    movable = [
+        s.stage_id
+        for s in p.stages
+        if pl.assignment[s.stage_id] in failed and s.stage_id not in pinned
+    ]
+    if not movable:
+        bad = ref_feasible(pl, p, t, w, pubs, subscriber)
+        if bad:
+            raise NoFeasiblePlacementError(
+                f"{p.pipeline_id}: {[v.rule for v in bad]}"
+            )
+        return pl
+    fixed = {
+        sid: node
+        for sid, node in pl.assignment.items()
+        if sid not in movable
+    }
+    out = _ref_upstream_with_fixed(p, t, w, o, pubs, subscriber, fixed, movable)
+    bad = ref_feasible(out, p, t, w, pubs, subscriber)
+    if bad:
+        raise NoFeasiblePlacementError(f"{p.pipeline_id}: {[v.rule for v in bad]}")
+    return out
 
 
 # ---------------------------------------------------------------------------
