@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .core import (
     Barrier,
@@ -405,11 +405,8 @@ class Broker:
         # update submissions sit at the broker once processed, so their
         # matched data deliveries originate here, not at the trainer
         mediated = p.topic.segments[0] == UPDATE_TOPIC_ROOT
-        for sub_id in self._data_subs_matching(p.topic):
-            sub = self.subs[sub_id]
-            self._buffer(BufferEntry(sub_id, stream, p.seq, p))
-            origin = self.broker_node if mediated else p.source
-            actions.append(Delivery(sub_id, sub.subscriber, p, stream, origin))
+        origin = self.broker_node if mediated else p.source
+        actions.extend(self._deliver(self._data_subs_matching(p.topic), p, origin))
 
         # the graph holds active instances only
         for ex in self.exec_graph.entries(stream[1], p.source):
@@ -465,7 +462,7 @@ class Broker:
             buf.pop(0)
             self.drop_counts[entry.sub_id] = self.drop_counts.get(entry.sub_id, 0) + 1
 
-    def _deliver(self, sub_ids: list[str], pub: Publication, origin: str) -> list[Delivery]:
+    def _deliver(self, sub_ids: Iterable[str], pub: Publication, origin: str) -> list[Delivery]:
         out = []
         stream = (pub.source, str(pub.topic))
         for sub_id in sub_ids:

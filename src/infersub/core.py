@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 from typing import Iterable, Union
 
 from .errors import NoRouteError, SplitArityError
@@ -604,9 +604,10 @@ class Topology:
             if nid != node.node_id:
                 raise ValueError(f"topology: node keyed {nid!r} vs {node.node_id!r}")
         # routing index, built on first use; a snapshot never changes, so
-        # neither needs invalidating
+        # neither needs invalidating. _root: the snapshot this one derives from
         object.__setattr__(self, "_adjacency", None)
         object.__setattr__(self, "_trees", {})
+        object.__setattr__(self, "_root", None)
 
     @classmethod
     def of(cls, nodes: Iterable[NodeDescriptor],
@@ -638,24 +639,28 @@ class Topology:
         )
 
     def up_neighbors(self, node_id: str) -> list[tuple[str, LinkDescriptor]]:
-        return list(self._up_adjacency().get(node_id, ()))
+        return [(nb, link) for nb, link, _ in self._up_adjacency().get(node_id, ())]
 
-    def _up_adjacency(self) -> dict[str, tuple[tuple[str, LinkDescriptor], ...]]:
-        """node -> (neighbour, link) over up links to up neighbours, by id."""
+    def _up_adjacency(self) -> dict[str, tuple[tuple[str, LinkDescriptor, int], ...]]:
+        """node -> (neighbour, link, latency * _scale) over up links to up
+        neighbours, by id; _scale, the LCM of latency denominators, makes ints."""
         if self._adjacency is None:
-            adj: dict[str, list[tuple[str, LinkDescriptor]]] = {
+            scale = lcm(*(l.latency_ms.denominator for l in self.links.values()))
+            adj: dict[str, list[tuple[str, LinkDescriptor, int]]] = {
                 n: [] for n in self.nodes
             }
             for link in self.links.values():
                 if link.state != "up":
                     continue
+                w = link.latency_ms.numerator * (scale // link.latency_ms.denominator)
                 if self.is_node_up(link.b):
-                    adj[link.a].append((link.b, link))
+                    adj[link.a].append((link.b, link, w))
                 if self.is_node_up(link.a):
-                    adj[link.b].append((link.a, link))
+                    adj[link.b].append((link.a, link, w))
+            object.__setattr__(self, "_scale", scale)
             object.__setattr__(self, "_adjacency", {
-                n: tuple(sorted(pairs, key=lambda pair: pair[0]))
-                for n, pairs in adj.items()
+                n: tuple(sorted(edges, key=lambda edge: edge[0]))
+                for n, edges in adj.items()
             })
         return self._adjacency
 
@@ -665,27 +670,24 @@ class Topology:
         """Shortest-path tree of source over up links, cached per snapshot:
         every reachable node -> (latency, hops, path).
 
-        Heap keys (latency, hops, path) are unique, so each node's first pop
-        is its minimum under that order, the tie-break route documents.
+        Heap keys (latency * _scale, hops, path) are unique ints and tuples,
+        so each node's first pop is its minimum under the (latency, hops,
+        path) order route documents; its latency becomes a Fraction once.
         """
         tree = self._trees.get(source)
         if tree is None:
             adj = self._up_adjacency()
             tree = {}
-            heap: list[tuple[Fraction, int, tuple[str, ...]]] = [
-                (Fraction(0), 0, (source,))
-            ]
+            heap: list[tuple[int, int, tuple[str, ...]]] = [(0, 0, (source,))]
             while heap:
                 lat, hops, path = heapq.heappop(heap)
                 here = path[-1]
                 if here in tree:
                     continue
-                tree[here] = (lat, hops, path)
-                for nxt, link in adj[here]:
+                tree[here] = (Fraction(lat, self._scale), hops, path)
+                for nxt, _, w in adj[here]:
                     if nxt not in tree:
-                        heapq.heappush(
-                            heap, (lat + link.latency_ms, hops + 1, path + (nxt,))
-                        )
+                        heapq.heappush(heap, (lat + w, hops + 1, path + (nxt,)))
             self._trees[source] = tree
         return tree
 
@@ -710,7 +712,7 @@ class Topology:
             down.discard(node_id)
         else:
             down.add(node_id)
-        return Topology(self.nodes, self.links, frozenset(down))
+        return self._derive(self.links, frozenset(down))
 
     def with_link_state(self, a: str, b: str, up: bool) -> Topology:
         link = self.link_between(a, b)
@@ -718,7 +720,18 @@ class Topology:
             raise KeyError((a, b))
         links = dict(self.links)
         links[link.ends] = replace(link, state="up" if up else "down")
-        return Topology(self.nodes, links, self.down_nodes)
+        return self._derive(links, self.down_nodes)
+
+    def _derive(self, links: dict[tuple[str, str], LinkDescriptor],
+                down: frozenset[str]) -> Topology:
+        """The snapshot with these links and down nodes: its root itself, and
+        so the root's trees, when back in the root's state."""
+        root = self._root or self
+        if down == root.down_nodes and links == root.links:
+            return root
+        t = Topology(self.nodes, links, down)
+        object.__setattr__(t, "_root", root)
+        return t
 
     def domains(self) -> list[str]:
         return sorted({n.domain_id for n in self.nodes.values()})

@@ -124,31 +124,14 @@ def report_from_json(text: str) -> MetricsReport:
         seed=obj["seed"],
         placer=obj["placer"],
         subscriptions=tuple(
-            SubscriptionMetrics(
-                sub_id=s["sub_id"],
-                accepted=s["accepted"],
-                delivered=s["delivered"],
-                dup_suppressed=s["dup_suppressed"],
-                dropped=s["dropped"],
-                filtered=s["filtered"],
-                end_buffered=s["end_buffered"],
-                mean_latency_ms=s["mean_latency_ms"],
-                p95_latency_ms=s["p95_latency_ms"],
-                applied_versions=tuple(s["applied_versions"]),
-            )
+            SubscriptionMetrics(**{**s, "applied_versions": tuple(s["applied_versions"])})
             for s in obj["subscriptions"]
         ),
         links=tuple(LinkMetrics(**ln) for ln in obj["links"]),
         nodes=tuple(NodeMetrics(**n) for n in obj["nodes"]),
         stages=tuple(StageMetrics(**s) for s in obj["stages"]),
         instances=tuple(
-            InstanceMetrics(
-                instance_id=i["instance_id"],
-                sub_id=i["sub_id"],
-                repairs=i["repairs"],
-                suspended=i["suspended"],
-                recovery_ms=tuple(i["recovery_ms"]),
-            )
+            InstanceMetrics(**{**i, "recovery_ms": tuple(i["recovery_ms"])})
             for i in obj["instances"]
         ),
         totals=Totals(**obj["totals"]),

@@ -116,6 +116,7 @@ class _NodeQ:
 
 @dataclass
 class _TopicState:
+    topic: Topic  # parsed once; every publication on it shares it
     entry: WorkloadEntry
     rng: random.Random | None
     emitted: int = 0
@@ -191,12 +192,13 @@ class _World:
         self.latencies: dict[str, list[Fraction]] = {}
         self.applied: dict[str, list[int]] = {}
         self.seen: dict[tuple[str, tuple[str, str]], set[int]] = {}
-        self.link_kb: dict[tuple[str, str], Fraction] = {}
+        self.link_bytes: dict[tuple[str, str], int] = {}
+        self.leg_us: dict[tuple[tuple[str, str], int], int] = {}
         self.busy_us: dict[str, int] = {n: 0 for n in sc.topology.nodes}
         self.exec_counts: dict[str, int] = {}
         self.exec_meta: dict[str, tuple[str, str]] = {}
         self.raw_crossings = 0
-        self.trace: list[tuple[int, str, str, str, str, int, str]] = []
+        self.trace: list[tuple[int, str, str, Topic, str, int, str]] = []
         self.lost_transfers = 0
 
         self.failure_us: dict[str, int] = {}
@@ -215,11 +217,13 @@ class _World:
             entry = sc.workload.topics[topic]
             start_us = entry.start_ms * US_PER_MS
             if entry.periodic:
-                st = _TopicState(entry, None, 0, start_us)
+                st = _TopicState(Topic.parse(topic), entry, None, 0, start_us)
             else:
                 rng = _topic_rng(self.seed, topic)
                 gap = _exp_gap_ms(rng, entry.rate_per_s / 1000)
-                st = _TopicState(entry, rng, 0, start_us + max(1, _ceil_us(gap)))
+                st = _TopicState(
+                    Topic.parse(topic), entry, rng, 0, start_us + max(1, _ceil_us(gap))
+                )
             self.topic_state[topic] = st
             if st.next_us <= self.end_us:
                 self._push(st.next_us, PRIO_PUB, self._on_pub_due, topic)
@@ -269,12 +273,9 @@ class _World:
                     self._arrive_stage, domain, act.exec_id, act.via_stage,
                 )
             elif isinstance(act, ModelFetch):
-                ends = act.bridge
-                link = self.topo.link_between(*ends)
+                link = self.topo.link_between(*act.bridge)
                 assert link is not None
-                kb = Fraction(act.artifact_kb)
-                self.link_kb[link.ends] = self.link_kb.get(link.ends, Fraction(0)) + kb
-                dur = _ceil_us(link.latency_ms + kb / link.bandwidth_kb_per_ms)
+                dur = self._carry(link, act.artifact_kb * 1024)
                 self._push(self.now_us + dur, PRIO_FETCH,
                            self.brokers[domain].activate_instance, act.instance_id)
             else:  # pragma: no cover
@@ -302,17 +303,25 @@ class _World:
             return
         link = self.topo.link_between(a, b)
         assert link is not None
-        kb = Fraction(tr.pub.size_bytes, 1024)
-        self.link_kb[link.ends] = self.link_kb.get(link.ends, Fraction(0)) + kb
+        dur = self._carry(link, tr.pub.size_bytes)
         if tr.pub.tag == "raw":
             self.raw_crossings += 1
         self.trace.append((
-            self.now_us, a, b, str(tr.pub.topic), tr.pub.source, tr.pub.seq,
-            tr.pub.tag,
+            self.now_us, a, b, tr.pub.topic, tr.pub.source, tr.pub.seq, tr.pub.tag,
         ))
-        dur = _ceil_us(link.latency_ms + kb / link.bandwidth_kb_per_ms)
         tr.pos += 1
         self._push(self.now_us + dur, PRIO_HOP, self._on_hop, tr)
+
+    def _carry(self, link, nbytes: int) -> int:
+        """Count nbytes on link; the µs they take to cross it, cached per
+        (link, nbytes): only latency and bandwidth set it, never the state."""
+        self.link_bytes[link.ends] = self.link_bytes.get(link.ends, 0) + nbytes
+        key = (link.ends, nbytes)
+        if key not in self.leg_us:
+            self.leg_us[key] = _ceil_us(
+                link.latency_ms + Fraction(nbytes, 1024) / link.bandwidth_kb_per_ms
+            )
+        return self.leg_us[key]
 
     def _on_hop(self, tr: _Transfer) -> None:
         node = tr.path[tr.pos]
@@ -539,13 +548,10 @@ class _World:
         self, domain: str, sub_id: str, stream: tuple[str, str], seq: int,
         path: tuple[str, ...],
     ) -> None:
-        if len(path) == 1:
-            if not self.topo.is_node_up(path[0]):
-                return
-        else:
-            for a, b in zip(path, path[1:]):
-                if not self.topo.is_link_up(a, b):
-                    return
+        if not self.topo.is_node_up(path[0]) or not all(
+            map(self.topo.is_link_up, path, path[1:])
+        ):
+            return
         broker = self.brokers[domain]
         if sub_id not in broker.subs:
             return
@@ -562,7 +568,7 @@ class _World:
             seq = self.pub_seq.get(topic, 0) + 1
             self.pub_seq[topic] = seq
             pub = Publication(
-                topic=Topic.parse(topic),
+                topic=st.topic,
                 source=publisher,
                 seq=seq,
                 ts=_ms(self.now_us),
@@ -717,7 +723,7 @@ class _World:
         for ends in sorted(sc.topology.links):
             links_out.append(LinkMetrics(
                 a=ends[0], b=ends[1],
-                kb=float(self.link_kb.get(ends, Fraction(0))),
+                kb=float(Fraction(self.link_bytes.get(ends, 0), 1024)),
                 bridge=ends in bridge_ends,
             ))
         nodes_out = []
@@ -765,7 +771,7 @@ class _World:
             dup_suppressed=sum(s.dup_suppressed for s in subs_out),
             dropped=sum(s.dropped for s in subs_out),
             filtered=sum(s.filtered for s in subs_out),
-            kb=float(sum(self.link_kb.values(), Fraction(0))),
+            kb=float(Fraction(sum(self.link_bytes.values()), 1024)),
             executions=sum(self.exec_counts.values()),
             repairs=repairs_total,
             suspended=suspended_total,

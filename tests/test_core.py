@@ -322,9 +322,12 @@ def test_route_errors_when_endpoint_down_or_disconnected():
 def flaky_topology_chains(draw):
     """A random topology and a chain of node/link state flips on it.
 
-    Latencies come from {0, 1, 2}, so equal-latency routes are common and the
-    hop and path tie-breaks decide; links may start down, and the graph need
-    not be connected.
+    Latencies mix integers with decimals and thirds (unlike denominators), so
+    equal-latency routes are common and the hop and path tie-breaks decide;
+    links may start down, and the graph need not be connected. A step is
+    either one flip or an excursion: overlapping node and link faults, then
+    their undoing in a random order, which brings the chain back to the state
+    the excursion left (the loaded one when it starts at the first snapshot).
     """
     n = draw(st.integers(2, 7))
     ids = [f"n{i}" for i in range(n)]
@@ -336,21 +339,36 @@ def flaky_topology_chains(draw):
     ))
     links = [
         LinkDescriptor(
-            ids[i], ids[j], latency_ms=draw(st.integers(0, 2)),
+            ids[i], ids[j],
+            latency_ms=draw(st.sampled_from((0, 1, 2, 0.1, 0.25, 0.5, 2.5, "1/3"))),
             bandwidth_kb_per_ms=100,
             state=draw(st.sampled_from(("up", "up", "down"))),
         )
         for i, j in sorted(pairs)
     ]
     chain = [Topology.of(nodes, links)]
-    ends = sorted(chain[0].links)
-    for _ in range(draw(st.integers(0, 6))):
-        t, up = chain[-1], draw(st.booleans())
-        if ends and draw(st.booleans()):
-            a, b = draw(st.sampled_from(ends))
-            chain.append(t.with_link_state(a, b, up))
-        else:
-            chain.append(t.with_node_state(draw(st.sampled_from(ids)), up))
+    targets = [("node", i) for i in ids] + [("link", e) for e in sorted(chain[0].links)]
+
+    def is_up(t, target):
+        kind, what = target
+        return t.links[what].state == "up" if kind == "link" else t.is_node_up(what)
+
+    def set_state(t, target, up):
+        kind, what = target
+        if kind == "link":
+            return t.with_link_state(*what, up)
+        return t.with_node_state(what, up)
+
+    for _ in range(draw(st.integers(0, 4))):
+        faults = draw(st.lists(st.sampled_from(targets), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            chain.append(set_state(chain[-1], faults[0], draw(st.booleans())))
+            continue
+        left = chain[-1]
+        for target in faults:
+            chain.append(set_state(chain[-1], target, not is_up(left, target)))
+        for target in draw(st.permutations(faults)):
+            chain.append(set_state(chain[-1], target, is_up(left, target)))
     return chain
 
 
@@ -405,6 +423,59 @@ def test_node_fault_snapshot_ignores_the_cached_tree_of_its_parent():
     with pytest.raises(NoRouteError):
         route(t2, "a", "m")
     assert route(t2.with_node_state("m", up=True), "a", "b") == ["a", "m", "b"]
+
+
+def test_a_faulted_snapshot_never_answers_from_the_loaded_trees():
+    loaded = _diamond()
+    assert route(loaded, "a", "b") == ["a", "m", "b"]  # caches a's tree
+    link_down = loaded.with_link_state("a", "m", up=False)
+    node_down = loaded.with_node_state("m", up=False)
+    both = link_down.with_node_state("m", up=False)
+    # one fault of two cleared: still not the loaded state
+    for t in (link_down, node_down, both, both.with_link_state("a", "m", up=True),
+              both.with_node_state("m", up=True)):
+        assert route(t, "a", "b") == ["a", "n", "b"]
+        assert route_latency(t, "a", "b") == (Fraction(4), 2)
+    assert route(loaded, "a", "b") == ["a", "m", "b"]
+
+
+def _decimal_diamond(a_m_state: str = "up") -> Topology:
+    """_diamond with decimal latencies: a-n-b (0.3 + 0.05) beats a-m-b
+    (0.25 + 0.25); a-m starts in a_m_state."""
+    return Topology.of(
+        [NodeDescriptor(i, "edge", 4, 64) for i in "abmn"],
+        [
+            LinkDescriptor("a", "m", 0.25, 100, a_m_state),
+            LinkDescriptor("m", "b", 0.25, 100),
+            LinkDescriptor("a", "n", 0.3, 100), LinkDescriptor("n", "b", 0.05, 100),
+        ],
+    )
+
+
+@pytest.mark.parametrize("a_m_state", ["up", "down"])
+def test_a_snapshot_back_in_the_loaded_state_answers_like_a_fresh_topology(a_m_state):
+    loaded = _decimal_diamond(a_m_state)
+    ids = sorted(loaded.nodes)
+    for a in ids:  # fill the loaded snapshot's trees first
+        for b in ids:
+            route(loaded, a, b)
+    back = (
+        loaded.with_node_state("n", up=False)
+        .with_link_state("a", "m", up=a_m_state == "down")
+        .with_node_state("m", up=False)
+        .with_node_state("n", up=True)
+        .with_link_state("a", "m", up=a_m_state == "up")
+        .with_node_state("m", up=True)
+    )
+    fresh = _decimal_diamond(a_m_state)
+    path = route(back, "a", "b")
+    path.append("zz")  # the caller's list; later answers must not see it
+    for a in ids:
+        for b in ids:
+            assert route(back, a, b) == route(fresh, a, b)
+            assert route_latency(back, a, b) == route_latency(fresh, a, b)
+    assert route(loaded, "a", "b") == route(fresh, "a", "b") == ["a", "n", "b"]
+    assert route_latency(back, "a", "b") == (Fraction(7, 20), 2)
 
 
 def test_mutating_a_returned_route_leaves_later_results_alone():

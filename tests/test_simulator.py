@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,10 @@ from infersub.simulator import run, simulate
 
 from helpers import (
     barrier_scenario,
+    build_scenario,
     count_window_scenario,
+    link,
+    node,
     time_window_scenario,
     trainer_scenario,
     two_publisher_scenario,
@@ -130,6 +134,75 @@ def test_link_fault_blocks_hops_until_link_up():
     assert not [t for t in crossings if down_ms * 1000 <= t < up_ms * 1000]
     assert [t for t in crossings if t >= up_ms * 1000]
     assert w.lost_transfers > 0
+
+
+def test_link_traffic_and_leg_times_are_exact():
+    """Two payload sizes and a model fetch cross the bridge a1-b; the data
+    goes on over b-a2. Each leg takes ceil((latency + KB / bandwidth) * 1000)
+    µs, and each link reports the exact KB it carried."""
+    latency = {("a1", "b"): Fraction("0.25"), ("a2", "b"): Fraction("0.5")}
+    bandwidth = {("a1", "b"): Fraction(3), ("a2", "b"): Fraction(8)}
+    sizes = {"da/a1/small": 100, "da/a1/big": 3000}
+    count, artifact_kb = 3, 5
+
+    def leg_us(ends, size):
+        return math.ceil((latency[ends] + Fraction(size, 1024) / bandwidth[ends]) * 1000)
+
+    periodic = {"rate_per_s": 10, "periodic": True, "count": count}
+    sc = build_scenario(
+        nodes=[
+            node("a1", "edge", 8, 1024, "da"),
+            node("a2", "edge", 8, 1024, "da"),
+            node("b", "edge", 8, 1024, "db"),
+        ],
+        # a1-b-a2 (0.75 ms) beats the direct a1-a2 link, which keeps da connected
+        links=[link("a1", "b", 0.25, 3), link("a2", "b", 0.5, 8), link("a1", "a2", 10, 100)],
+        brokers={"da": "a1", "db": "b"},
+        peers=[{"domains": ["da", "db"], "link": ["a1", "b"]}],
+        models=[{
+            "model_id": "far", "version": 1, "task_tag": "telemetry",
+            "domain_id": "da", "artifact_kb": artifact_kb,
+            "layers": [{"compute_cost": 1, "mem_mb": 16, "selectivity": 1}],
+        }],
+        bindings={"da/a1/small": "a1", "da/a1/big": "a1", "db/b/t": "b"},
+        subscriptions=[
+            {"sub_id": "tap", "subscriber": "a2", "kind": "data", "filter": "da/a1/+"},
+            # model known only in da: fetched over the bridge, then run on b
+            {"sub_id": "far", "subscriber": "b", "kind": "inference",
+             "model_id": "far", "filter": "db/b/t", "k": 1},
+        ],
+        workload={
+            **{t: {"size_bytes": size, **periodic} for t, size in sizes.items()},
+            "db/b/t": {"size_bytes": 64, **periodic},
+        },
+        sim={"duration_ms": 2000, "seed": 3},
+    )
+    w = simulate(sc)
+    legs: dict[tuple[str, int], list[tuple[int, str, str]]] = {}
+    for t, a, b, topic, _, seq, _ in w.trace:
+        legs.setdefault((str(topic), seq), []).append((t, a, b))
+    assert sorted(legs) == sorted((t, seq) for t in sizes for seq in range(1, count + 1))
+    want_latencies = []
+    for (topic, _), hops in legs.items():
+        size = sizes[topic]
+        assert [(a, b) for _, a, b in hops] == [("a1", "b"), ("b", "a2")]
+        assert hops[1][0] - hops[0][0] == leg_us(("a1", "b"), size)
+        want_latencies.append(Fraction(
+            leg_us(("a1", "b"), size) + leg_us(("a2", "b"), size), 1000
+        ))
+    assert sorted(w.latencies["tap"]) == sorted(want_latencies)
+
+    data_kb = Fraction(count * sum(sizes.values()), 1024)
+    want_kb = {("a1", "a2"): Fraction(0), ("a1", "b"): data_kb + artifact_kb,
+               ("a2", "b"): data_kb}
+    rep = w.report()
+    assert {(ln.a, ln.b): ln.kb for ln in rep.links} == {
+        ends: float(kb) for ends, kb in want_kb.items()
+    }
+    assert rep.totals.kb == float(sum(want_kb.values()))
+    # the fetched model ran on every publication after the first, which came
+    # at 0 ms, before the fetch's leg_us(("a1", "b"), 5 * 1024) = 1917 µs ended
+    assert by_sub(rep)["far"].delivered == count - 1
 
 
 def test_last_heartbeat_tick_falls_at_duration():
