@@ -353,6 +353,12 @@ class PipelineSpec:
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_preds", preds)
         object.__setattr__(self, "_succs", succs)
+        with_in = {b for _, b in self.edges}
+        object.__setattr__(self, "_entries", tuple(
+            s.stage_id for s in self.stages if s.stage_id not in with_in
+        ))
+        # Kahn order, short of some stages on a cycle; topo_order raises then
+        object.__setattr__(self, "_order", tuple(self._kahn()))
 
     def stage(self, stage_id: str) -> StageSpec:
         return self._by_id[stage_id]
@@ -367,8 +373,7 @@ class PipelineSpec:
         return list(self._succs.get(stage_id, ()))
 
     def entry_ids(self) -> list[str]:
-        with_in = {b for _, b in self.edges}
-        return [s.stage_id for s in self.stages if s.stage_id not in with_in]
+        return list(self._entries)
 
     def sink_ids(self) -> list[str]:
         with_out = {a for a, _ in self.edges}
@@ -376,10 +381,9 @@ class PipelineSpec:
 
     def topo_order(self) -> list[str]:
         """Kahn order; stable by declaration order. Raises on a cycle."""
-        order = self._kahn()
-        if len(order) != len(self.stages):
+        if len(self._order) != len(self.stages):
             raise ValueError(f"pipeline {self.pipeline_id}: cycle")
-        return order
+        return list(self._order)
 
     def _kahn(self) -> list[str]:
         indeg = {s.stage_id: 0 for s in self.stages}
@@ -426,7 +430,7 @@ def validate_pipeline(p: PipelineSpec) -> list[Violation]:
             if end not in known:
                 out.append(Violation("UnknownStage", end, f"edge {a}->{b}"))
 
-    order = p._kahn()
+    order = p._order
     if len(order) != len(known):
         stuck = sorted(known - set(order))
         out.append(Violation("CycleDetected", ",".join(stuck)))

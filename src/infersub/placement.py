@@ -7,7 +7,6 @@ from bisect import insort
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from typing import TYPE_CHECKING, Sequence, Union
 
 from .core import (
@@ -91,12 +90,14 @@ class WorkloadEntry:
 class WorkloadSpec:
     topics: dict[str, WorkloadEntry]
 
+    @cached_property
+    def _parsed(self) -> list[tuple[str, Topic]]:
+        """(name, parsed topic) of every workload topic, sorted by name."""
+        return [(name, Topic.parse(name)) for name in sorted(self.topics)]
+
     def matching(self, filter: TopicFilter) -> list[str]:
-        return sorted(
-            name
-            for name in self.topics
-            if match_filter(filter, Topic.parse(name))
-        )
+        """Names of the workload topics filter matches, sorted."""
+        return [name for name, topic in self._parsed if match_filter(filter, topic)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,20 +193,6 @@ def _reach(t: Topology, a: str, b: str) -> tuple[Fraction, int, tuple[str, ...]]
         return None
 
 
-def _transfer(
-    t: Topology, a: str, b: str, size_bytes: int
-) -> tuple[Fraction, Fraction]:
-    """(ms, KB counted per hop) to move size_bytes along route(t, a, b): each
-    hop takes its latency plus size over bandwidth. Raises NoRouteError."""
-    lat, hops, path = t.shortest(a, b)
-    kb = Fraction(size_bytes, 1024)
-    for x, y in zip(path, path[1:]):
-        link = t.link_between(x, y)
-        assert link is not None
-        lat += kb / link.bandwidth_kb_per_ms
-    return lat, kb * hops
-
-
 # ---------------------------------------------------------------------------
 # Feasibility and cost
 
@@ -234,6 +221,7 @@ class _Evaluator:
         self.pubs = None if publisher is None else _publishers_by_entry(p, publisher)
         self.subscriber = subscriber
         self._anchors: dict[str, str] = {}
+        self._terms: dict[tuple[str, str, int], tuple[Fraction, Fraction] | None] = {}
 
     def anchor(self, sid: str) -> str:
         """_anchor_publisher of sid; needs the publisher context."""
@@ -241,6 +229,27 @@ class _Evaluator:
         if sid not in self._anchors:
             self._anchors[sid] = _anchor_publisher(self.p, sid, self.pubs)
         return self._anchors[sid]
+
+    def transfer(
+        self, a: str, b: str, size_bytes: int
+    ) -> tuple[Fraction, Fraction] | None:
+        """(ms, KB counted per hop) to move size_bytes along route(t, a, b),
+        or None when there is no route. Each hop takes its latency plus size
+        over bandwidth. Memoized per (a, b, size_bytes)."""
+        key = (a, b, size_bytes)
+        if key not in self._terms:
+            got = _reach(self.t, a, b)
+            if got is None:
+                self._terms[key] = None
+            else:
+                lat, hops, path = got
+                kb = Fraction(size_bytes, 1024)
+                for x, y in zip(path, path[1:]):
+                    link = self.t.link_between(x, y)
+                    assert link is not None
+                    lat += kb / link.bandwidth_kb_per_ms
+                self._terms[key] = (lat, kb * hops)
+        return self._terms[key]
 
     @cached_property
     def pins(self) -> dict[str, str]:
@@ -375,16 +384,22 @@ class _Evaluator:
             preds = p.preds(sid)
             arrival = Fraction(0)
             if not preds:
-                arrival, kb = _transfer(t, self.pubs[sid], node_id, entry_sizes[sid])
+                term = self.transfer(self.pubs[sid], node_id, entry_sizes[sid])
+                assert term is not None
+                arrival, kb = term
                 bytes_kb += kb
             for q in preds:
-                ms, kb = _transfer(t, assigned[q], node_id, sizes[q])
+                term = self.transfer(assigned[q], node_id, sizes[q])
+                assert term is not None
+                ms, kb = term
                 arrival = max(arrival, finish[q] + ms)
                 bytes_kb += kb
             compute = p.stage(sid).compute_cost / t.node(node_id).cpu_capacity
             finish[sid] = arrival + compute
 
-        ms, kb = _transfer(t, assigned[p.sink], self.subscriber, sizes[p.sink])
+        term = self.transfer(assigned[p.sink], self.subscriber, sizes[p.sink])
+        assert term is not None
+        ms, kb = term
         latency = finish[p.sink] + ms
         bytes_kb += kb
         return CostReport(
@@ -459,17 +474,45 @@ def place_oracle(
     publisher: Publishers,
     subscriber: str,
 ) -> Placement:
-    """Exhaustive minimum-objective placement of all unpinned stages.
+    """Exact minimum-objective placement of all unpinned stages, by
+    branch-and-bound; capped at ORACLE_BOUND candidate assignments.
 
     Ties prefer more upstream assignments: lexicographically by stage order on
-    (distance from the stage's publisher, node id).
+    (distance from the stage's publisher, node id). That key ends in node ids,
+    so the minimum of (objective, key) over the feasible assignments is unique
+    and the search returns what scoring every candidate would.
+
+    The search assigns stages depth first in topological order (Land and Doig
+    1960), carrying each stage's finish time, the KB moved so far and each
+    node's memory and cpu load. A branch is dropped when a stage lands on a
+    node that is down or lacks a needed accelerator, a budget is exceeded
+    (loads only grow), or a route is missing. It is also dropped when
+    alpha * (latest finish among the assigned ancestors of the sink, plus the
+    transfer to the subscriber once the sink is placed) + beta * KB is
+    strictly greater than the best objective found: no term shrinks as
+    stages are added, so the bound never overestimates, and a tie survives
+    to be compared by key. Stages that do not reach the sink add no latency.
+    A full assignment is scored by the evaluator's cost.
     """
     ev = _Evaluator(p, t, w, publisher, subscriber)
-    unpinned = [s.stage_id for s in p.stages if s.stage_id not in ev.pins]
+    pins = ev.pins
+    unpinned = [s.stage_id for s in p.stages if s.stage_id not in pins]
     candidates = sorted(n for n in t.nodes if t.is_node_up(n))
     space = len(candidates) ** len(unpinned) if unpinned else 1
     if space > ORACLE_BOUND:
         raise SearchSpaceTooLargeError(space, ORACLE_BOUND)
+    entry_sizes, sizes, loads, missing = ev.workload
+    if missing:
+        raise NoFeasiblePlacementError(p.pipeline_id)
+
+    order = list(dict.fromkeys(p.topo_order()))  # each stage id once
+    critical: set[str] = set()  # the sink and its ancestors
+    frontier = [p.sink]
+    while frontier:
+        sid = frontier.pop()
+        if sid not in critical:
+            critical.add(sid)
+            frontier.extend(p.preds(sid))
 
     def upstream_key(assignment: dict[str, str]) -> tuple:
         key = []
@@ -482,19 +525,75 @@ def place_oracle(
                 key.append((0, got[0], got[1], node_id))
         return tuple(key)
 
+    assigned: dict[str, str] = {}
+    finish: dict[str, Fraction] = {}
+    mem: dict[str, Fraction] = {}
+    cpu: dict[str, Fraction] = {}
     best: tuple | None = None
     best_assignment: dict[str, str] | None = None
-    for combo in product(candidates, repeat=len(unpinned)):
-        assignment = dict(ev.pins)
-        assignment.update(zip(unpinned, combo))
-        report = ev.cost(assignment, o)
-        if not report.feasible:
-            continue
-        assert report.objective_value is not None
-        key = (report.objective_value, upstream_key(assignment))
-        if best is None or key < best:
-            best = key
-            best_assignment = assignment
+
+    def arrival(sid: str, node_id: str) -> tuple[Fraction, Fraction] | None:
+        """(latest arrival, KB moved) of sid's inputs at node_id; None when
+        one has no route."""
+        preds = p.preds(sid)
+        if not preds:
+            return ev.transfer(ev.pubs[sid], node_id, entry_sizes[sid])
+        at, kb = Fraction(0), Fraction(0)
+        for q in preds:
+            term = ev.transfer(assigned[q], node_id, sizes[q])
+            if term is None:
+                return None
+            at = max(at, finish[q] + term[0])
+            kb += term[1]
+        return at, kb
+
+    def search(i: int, latest: Fraction, moved: Fraction) -> None:
+        nonlocal best, best_assignment
+        if i == len(order):
+            report = ev.cost(assigned, o)
+            if not report.feasible:
+                return
+            assert report.objective_value is not None
+            if best is not None and report.objective_value > best[0]:
+                return
+            key = (report.objective_value, upstream_key(assigned))
+            if best is None or key < best:
+                best, best_assignment = key, dict(assigned)
+            return
+        sid = order[i]
+        stage = p.stage(sid)
+        for node_id in [pins[sid]] if sid in pins else candidates:
+            if not t.is_node_up(node_id):
+                continue
+            node = t.node(node_id)
+            if stage.needs_accelerator and not node.has_accelerator:
+                continue
+            node_mem = mem.get(node_id, 0) + stage.mem_mb
+            node_cpu = cpu.get(node_id, 0) + loads[sid]
+            if node_mem > node.mem_mb or node_cpu > node.cpu_capacity:
+                continue
+            got = arrival(sid, node_id)
+            if got is None:
+                continue
+            done = got[0] + stage.compute_cost / node.cpu_capacity
+            kb = moved + got[1]
+            bound = max(latest, done) if sid in critical else latest
+            if sid == p.sink:
+                out = ev.transfer(node_id, subscriber, sizes[sid])
+                if out is None:
+                    continue
+                bound = max(bound, done + out[0])
+                kb += out[1]
+            if best is not None and o.value(bound, kb) > best[0]:
+                continue
+            held = mem.get(node_id, 0), cpu.get(node_id, 0)
+            assigned[sid], finish[sid] = node_id, done
+            mem[node_id], cpu[node_id] = node_mem, node_cpu
+            search(i + 1, bound, kb)
+            mem[node_id], cpu[node_id] = held
+
+    search(0, Fraction(0), Fraction(0))
+    del search  # it refers to itself: free its state now, not at the next gc
     if best_assignment is None:
         raise NoFeasiblePlacementError(p.pipeline_id)
     return Placement(best_assignment)

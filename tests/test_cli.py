@@ -15,6 +15,7 @@ from infersub.simulator import run
 
 SCENARIO_DIR = Path(infersub.__file__).parent / "scenarios"
 NWDAF = str(SCENARIO_DIR / "nwdaf.json")
+ORACLE_GOLDEN_DIR = Path(__file__).parent / "golden" / "oracle"
 
 
 def test_version_flag(capsys):
@@ -89,6 +90,15 @@ def test_place_lists_every_instance(algorithm, capsys):
         assert row["algorithm"] == algorithm
         assert row["feasible"] is True
         assert row["objective"] is not None
+
+
+@pytest.mark.parametrize("name", ["arvr", "federation", "nlp", "nwdaf", "oran"])
+def test_place_oracle_matches_golden_bytes(name, capsys):
+    """Frozen from the exhaustive search that scored every candidate; the
+    branch-and-bound must print the same bytes."""
+    scenario = str(SCENARIO_DIR / f"{name}.json")
+    assert main(["place", "--scenario", scenario, "--algorithm", "oracle"]) == 0
+    assert capsys.readouterr().out == (ORACLE_GOLDEN_DIR / f"{name}.json").read_text()
 
 
 def test_place_oracle_vs_upstream_never_worse(capsys):

@@ -237,6 +237,29 @@ def test_validate_reports_cycles_and_unknown_stages():
     assert "UnknownStage" in rules
 
 
+def test_cyclic_pipeline_builds_and_raises_only_when_ordered():
+    p = PipelineSpec(
+        "p",
+        (_stage("a"), _stage("b"), _stage("c")),
+        (("a", "b"), ("b", "c"), ("c", "b")),
+        {"a": MATCH_ALL},
+        "c",
+    )
+    assert p.entry_ids() == ["a"]
+    with pytest.raises(ValueError, match="cycle"):
+        p.topo_order()
+
+
+def test_topo_order_and_entries_are_fresh_lists():
+    p = PipelineSpec(
+        "p", (_stage("a"), _stage("b")), (("a", "b"),), {"a": MATCH_ALL}, "b"
+    )
+    p.topo_order().append("x")
+    p.entry_ids().clear()
+    assert p.topo_order() == ["a", "b"]
+    assert p.entry_ids() == ["a"]
+
+
 def test_validate_reports_unbound_entry():
     p = PipelineSpec("p", (_stage("a"), _stage("b")), (("a", "b"),), {}, "b")
     rules = {v.rule for v in validate_pipeline(p)}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from infersub.core import (
     TimeWindow,
     TopicFilter,
     Topology,
+    validate_pipeline,
 )
 from infersub.errors import (
     InstanceTerminatedError,
@@ -71,6 +73,16 @@ def two_node_setup(sel=Fraction(1, 2)):
     )
     workload = WorkloadSpec({BENCH_TOPIC: WorkloadEntry(2048, Fraction(10))})
     return topo, pipeline, workload
+
+
+def test_workload_matching_is_sorted_and_stable():
+    entry = WorkloadEntry(100, Fraction(1))
+    w = WorkloadSpec({name: entry for name in ["z/a/kpi", "b/x/kpi", "a/a/log", "a/b/kpi"]})
+    for _ in range(2):
+        assert w.matching(TopicFilter.parse("+/+/kpi")) == ["a/b/kpi", "b/x/kpi", "z/a/kpi"]
+        assert w.matching(TopicFilter.parse("a/#")) == ["a/a/log", "a/b/kpi"]
+        assert w.matching(MATCH_ALL) == sorted(w.topics)
+        assert w.matching(TopicFilter.parse("q/+")) == []
 
 
 def test_cost_hand_checked_single_stage():
@@ -458,3 +470,126 @@ def test_placement_matches_the_pre_evaluator_reference(seed):
         assert outcome(replan, pl, failed, p, down, w, o, pub, sub) == outcome(
             ref_replan, pl, failed, p, down, w, o, pub, sub
         )
+
+
+# ---------------------------------------------------------------------------
+# The oracle's branch-and-bound against the exhaustive reference
+
+
+def star_oracle_case(rng: random.Random, k: int, n: int, tight: bool):
+    """A k-stage chain on a hub "c" with n - 1 leaves, published at a leaf.
+
+    Uniform cases (tight=False) give every link, node and stage the same
+    figures and keep sizes unchanged, so every assignment that moves forward
+    along the publisher->subscriber route ties on objective and only the
+    upstream key decides. Tight cases draw node memory and cpu below a few
+    stages' needs, so budgets bind and many branches are infeasible, and
+    draw selectivities other than 1, so one route carries several sizes.
+    Returns (p, t, w, o, publisher, subscriber)."""
+    leaves = [f"l{i}" for i in range(1, n)]
+    if tight:
+        nodes = [
+            NodeDescriptor(nid, "edge", Fraction(rng.randint(1, 3)),
+                           Fraction(rng.choice([16, 32, 48, 64])))
+            for nid in ["c", *leaves]
+        ]
+        links = [
+            LinkDescriptor("c", leaf, Fraction(rng.randint(1, 6)),
+                           Fraction(rng.randint(10, 100)))
+            for leaf in leaves
+        ]
+    else:
+        nodes = [
+            NodeDescriptor(nid, "edge", Fraction(4), Fraction(4096))
+            for nid in ["c", *leaves]
+        ]
+        links = [LinkDescriptor("c", leaf, Fraction(2), Fraction(50)) for leaf in leaves]
+    stages = tuple(
+        StageSpec(
+            f"s{i}", Mapping("identity"),
+            Fraction(rng.randint(1, 9)) if tight else Fraction(3),
+            Fraction(rng.choice([8, 16, 24])) if tight else Fraction(16),
+            rng.choice([Fraction(1), Fraction(1, 2), Fraction(3, 2)]) if tight
+            else Fraction(1),
+        )
+        for i in range(1, k + 1)
+    )
+    p = PipelineSpec(
+        "star", stages, tuple((f"s{i}", f"s{i + 1}") for i in range(1, k)),
+        {"s1": TopicFilter.parse(BENCH_TOPIC)}, f"s{k}",
+    )
+    rate = Fraction(rng.choice([100, 200, 400])) if tight else Fraction(10)
+    w = WorkloadSpec({BENCH_TOPIC: WorkloadEntry(rng.choice([512, 2048, 8192]), rate)})
+    publisher = rng.choice(leaves)
+    subscriber = rng.choice(["c", *(x for x in leaves if x != publisher)])
+    return p, Topology.of(nodes, links), w, Objective(), publisher, subscriber
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_oracle_matches_reference_on_tie_heavy_uniform_stars(seed):
+    rng = random.Random(seed)
+    k, n = (3, rng.randint(5, 7)) if seed < 6 else (4, rng.randint(5, 6))
+    p, t, w, o, pub, sub = star_oracle_case(rng, k, n, tight=False)
+    got = place_oracle(p, t, w, o, pub, sub)
+    assert got.assignment == ref_place_oracle(p, t, w, o, pub, sub).assignment
+
+
+def tight_star_case(seed: int):
+    """Tight star number seed of 12: k=3 on 5-7 nodes, k=4 from seed 9 on."""
+    rng = random.Random(1000 + seed)
+    k, n = (3, rng.randint(5, 7)) if seed < 9 else (4, rng.randint(5, 6))
+    return star_oracle_case(rng, k, n, tight=True)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_oracle_matches_reference_under_binding_budgets(seed):
+    p, t, w, o, pub, sub = tight_star_case(seed)
+    assert outcome(place_oracle, p, t, w, o, pub, sub) == outcome(
+        ref_place_oracle, p, t, w, o, pub, sub
+    )
+
+
+def test_binding_budgets_change_the_oracle_outcome():
+    """The tight stars really bind: most budget-free optima break a memory
+    or cpu budget, and both kinds occur."""
+    bound = 0
+    rules: set[str] = set()
+    for seed in range(12):
+        p, t, w, o, pub, sub = tight_star_case(seed)
+        roomy = Topology.of(
+            [replace(x, cpu_capacity=Fraction(10**6), mem_mb=Fraction(10**6))
+             for x in t.nodes.values()],
+            t.links.values(),
+        )
+        broken = feasible(place_oracle(p, roomy, w, o, pub, sub), p, t, w, pub, sub)
+        bound += bool(broken)
+        rules.update(v.rule for v in broken)
+    assert bound >= 8
+    assert rules == {"CpuExceeded", "MemoryExceeded"}
+
+
+def test_oracle_ignores_finish_times_of_branches_off_the_sink():
+    """An unvalidated pipeline whose slow branch never reaches the sink: that
+    branch moves bytes but adds no latency, so it must not tighten the bound."""
+    for seed in range(6):
+        rng = random.Random(2000 + seed)
+        p, t, w, o, pub, sub = star_oracle_case(rng, 3, 5, tight=False)
+        slow = StageSpec("slow", Mapping("identity"), Fraction(400), Fraction(16),
+                         Fraction(1))
+        dangling = PipelineSpec(
+            "dangling", p.stages + (slow,), p.edges + (("s1", "slow"),),
+            p.source_bindings, p.sink,
+        )
+        assert validate_pipeline(dangling)
+        got = place_oracle(dangling, t, w, o, pub, sub)
+        assert got.assignment == ref_place_oracle(dangling, t, w, o, pub, sub).assignment
+
+
+def test_oracle_without_workload_finds_nothing():
+    rng = random.Random(7)
+    p, t, _, o, pub, sub = star_oracle_case(rng, 3, 5, tight=False)
+    w = WorkloadSpec({"other/topic": WorkloadEntry(100, Fraction(1))})
+    with pytest.raises(NoFeasiblePlacementError):
+        place_oracle(p, t, w, o, pub, sub)
+    with pytest.raises(NoFeasiblePlacementError):
+        ref_place_oracle(p, t, w, o, pub, sub)
