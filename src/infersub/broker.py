@@ -23,6 +23,7 @@ from .core import (
     ModelUpdateSub,
     Topic,
     TopicFilter,
+    TopicIndex,
     Topology,
     TriggerPolicy,
     UPDATE_TOPIC_ROOT,
@@ -167,7 +168,9 @@ class Broker:
             raise ValueError(f"unknown placer {placer!r}")
         self.domain_id = domain_id
         self.broker_node = broker_node
+        # bound topic -> publisher node, fixed at construction
         self.bindings = dict(bindings or {})
+        self._bound = TopicIndex(Topic.parse(topic) for topic in self.bindings)
         self.buffer_capacity = buffer_capacity
         self.trainers = dict(trainers or {})
         self.artifact_kb = dict(artifact_kb or {})
@@ -268,12 +271,11 @@ class Broker:
     ) -> PipelineInstance:
         kind = sub.kind
         assert isinstance(kind, InferenceSub)
-        matched = sorted(
-            (topic, node)
-            for topic, node in self.bindings.items()
+        matched = [
+            (topic, self.bindings[topic])
+            for topic in self._bound.matching(kind.filter)
             if not topic.startswith(UPDATE_TOPIC_ROOT + "/")
-            and match_filter(kind.filter, Topic.parse(topic))
-        )
+        ]
         if not matched:
             raise NoPublisherError(f"{sub.sub_id}: no bound topic matches {kind.filter}")
         if kind.privacy_split and len(matched) > 1:
@@ -409,12 +411,15 @@ class Broker:
         actions.extend(self._deliver(self._data_subs_matching(p.topic), p, origin))
 
         # the graph holds active instances only
+        copies: dict[str, Publication] = {}
         for ex in self.exec_graph.entries(stream[1], p.source):
             entry_stage = ex.stage.stage_id
             for iid in ex.instance_ids:
                 inst = self.instances[iid]
                 cut = inst.buffer_cuts.get(entry_stage, ())
-                buffered, reentry, via = self._apply_cut(inst, entry_stage, cut, p)
+                buffered, reentry, via = self._apply_cut(
+                    inst, entry_stage, cut, p, copies
+                )
                 self._buffer(BufferEntry(
                     inst.sub_id, stream, p.seq, buffered,
                     instance_id=iid, reentry_stage=reentry, via_stage=via,
@@ -440,14 +445,24 @@ class Broker:
         entry_stage: str,
         cut: tuple[str, ...],
         p: Publication,
+        copies: dict[str, Publication],
     ) -> tuple[Publication, str | None, str | None]:
-        """Publication as buffered, plus where its replay re-enters."""
-        out = p
-        for sid in cut:
-            out = apply_mapping(inst.pipeline.stage(sid), out)
+        """Publication as buffered, plus where its replay re-enters.
+
+        copies holds p's buffered copies by the exec id of their cut's last
+        stage: that id hashes the whole chain up to it, so instances sharing
+        it share the copy, and p is mapped once per distinct cut.
+        """
         if not cut:
-            return out, entry_stage, None
+            return p, entry_stage, None
         last = cut[-1]
+        key = self.exec_graph.exec_for(inst.instance_id, last).exec_id
+        out = copies.get(key)
+        if out is None:
+            out = p
+            for sid in cut:
+                out = apply_mapping(inst.pipeline.stage(sid), out)
+            copies[key] = out
         nxt = inst.pipeline.succs(last)
         if not nxt:
             return out, None, last  # whole pipeline sat on the publisher

@@ -108,6 +108,59 @@ def match_filter(filter: TopicFilter, topic: Topic) -> bool:
     return len(fs) == len(ts)
 
 
+class _TrieNode:
+    __slots__ = ("children", "topic")
+
+    def __init__(self) -> None:
+        self.children: dict[str, _TrieNode] = {}
+        self.topic: str | None = None  # set when a topic ends here
+
+
+class TopicIndex:
+    """A set of topics looked up by filter, with the same answers as
+    match_filter over every member.
+
+    A segment trie, as in an MQTT broker's subscription tree (MQTT v5 §4.7):
+    a lookup follows one child per exact segment, every child for "+", and
+    collects the whole subtree, this node included, for a trailing "#". A
+    lookup costs the nodes it visits, not the size of the set, so answers
+    are not cached.
+    """
+
+    def __init__(self, topics: Iterable[Topic] = ()) -> None:
+        self._root = _TrieNode()
+        for topic in topics:
+            self.add(topic)
+
+    def add(self, topic: Topic) -> None:
+        node = self._root
+        for seg in topic.segments:
+            nxt = node.children.get(seg)
+            if nxt is None:
+                nxt = node.children[seg] = _TrieNode()
+            node = nxt
+        node.topic = str(topic)
+
+    def matching(self, filter: TopicFilter) -> list[str]:
+        """The member topics filter matches, as sorted strings."""
+        found: list[str] = []
+        level = [self._root]
+        for seg in filter.segments:
+            if seg == "#":
+                while level:
+                    node = level.pop()
+                    if node.topic is not None:
+                        found.append(node.topic)
+                    level.extend(node.children.values())
+                break
+            if seg == "+":
+                level = [c for node in level for c in node.children.values()]
+            else:
+                level = [node.children[seg] for node in level if seg in node.children]
+        found.extend(node.topic for node in level if node.topic is not None)
+        return sorted(found)
+
+
 # ---------------------------------------------------------------------------
 # Publications
 

@@ -18,10 +18,10 @@ from .core import (
     TimeWindow,
     Topic,
     TopicFilter,
+    TopicIndex,
     Topology,
     Violation,
     as_ratio,
-    match_filter,
     route,
     scaled_size,
 )
@@ -91,13 +91,12 @@ class WorkloadSpec:
     topics: dict[str, WorkloadEntry]
 
     @cached_property
-    def _parsed(self) -> list[tuple[str, Topic]]:
-        """(name, parsed topic) of every workload topic, sorted by name."""
-        return [(name, Topic.parse(name)) for name in sorted(self.topics)]
+    def _index(self) -> TopicIndex:
+        return TopicIndex(Topic.parse(name) for name in self.topics)
 
     def matching(self, filter: TopicFilter) -> list[str]:
         """Names of the workload topics filter matches, sorted."""
-        return [name for name, topic in self._parsed if match_filter(filter, topic)]
+        return self._index.matching(filter)
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,15 +365,15 @@ class _Evaluator:
                 out.append(Violation("RouteMissing", f"{a}->{b}"))
         return sorted(set(out))
 
-    def cost(self, assigned: dict[str, str], o: Objective) -> CostReport:
-        """The CostReport of an assignment; needs the publisher and subscriber
-        context."""
-        assert self.pubs is not None and self.subscriber is not None
-        violations = tuple(self.violations(assigned))
-        missing = ("Unassigned", "NodeMissing", "RouteMissing")
-        if any(v.rule in missing for v in violations):
-            return CostReport(None, None, None, False, violations)
+    def walk(self, assigned: dict[str, str]) -> tuple[Fraction, Fraction]:
+        """(latency, KB) of one publication through a full assignment whose
+        transfers all have routes; checks nothing else.
 
+        Latency is the latest finish along the DAG plus the transfer to the
+        subscriber; KB sums every transfer. Needs the publisher and subscriber
+        context.
+        """
+        assert self.pubs is not None and self.subscriber is not None
         p, t = self.p, self.t
         entry_sizes, sizes, _, _ = self.workload
         bytes_kb = Fraction(0)
@@ -399,9 +398,17 @@ class _Evaluator:
 
         term = self.transfer(assigned[p.sink], self.subscriber, sizes[p.sink])
         assert term is not None
-        ms, kb = term
-        latency = finish[p.sink] + ms
-        bytes_kb += kb
+        return finish[p.sink] + term[0], bytes_kb + term[1]
+
+    def cost(self, assigned: dict[str, str], o: Objective) -> CostReport:
+        """The CostReport of an assignment; needs the publisher and subscriber
+        context."""
+        assert self.pubs is not None and self.subscriber is not None
+        violations = tuple(self.violations(assigned))
+        missing = ("Unassigned", "NodeMissing", "RouteMissing")
+        if any(v.rule in missing for v in violations):
+            return CostReport(None, None, None, False, violations)
+        latency, bytes_kb = self.walk(assigned)
         return CostReport(
             latency_ms=latency,
             bytes_kb=bytes_kb,
@@ -601,15 +608,17 @@ def place_oracle(
 
 def _route_candidates(
     t: Topology, pubs: dict[str, str], subscriber: str
-) -> list[str]:
-    """Union of publisher->subscriber route nodes, most upstream first."""
+) -> dict[str, tuple]:
+    """Union of publisher->subscriber route nodes, most upstream first, each
+    with its _upstream_rank."""
     seen: set[str] = set()
     for pub in sorted(set(pubs.values())):
         try:
             seen.update(route(t, pub, subscriber))
         except NoRouteError:
             raise NoFeasiblePlacementError(f"no route {pub}->{subscriber}") from None
-    return sorted(seen, key=lambda n: _upstream_rank(t, subscriber, n))
+    ranks = [(_upstream_rank(t, subscriber, n), n) for n in seen]
+    return {n: rank for rank, n in sorted(ranks)}
 
 
 def _upstream_with_fixed(
@@ -621,36 +630,71 @@ def _upstream_with_fixed(
     the route ordering; fixed assignments are never touched. fixed and
     movable together cover every stage. The placement returned is feasible
     under ev; NoFeasiblePlacementError otherwise.
+
+    A candidate is checked by what it changes. Every greedy choice and every
+    move keeps each node within its memory and cpu budgets, so a candidate
+    node needs room for the one stage, unless fixed stages already break a
+    budget, which fails every candidate. The local search starts from a
+    feasible assignment and moves one stage, which carries no pin, to an up
+    candidate: the move needs the stage's accelerator and room on the
+    candidate. Its transfers keep their routes, since every candidate lies on
+    a publisher->subscriber route and so in the one component that a
+    feasible assignment's stages share. A move is scored by ev.walk alone.
     """
     p, t, subscriber = ev.p, ev.t, ev.subscriber
     assert ev.pubs is not None and subscriber is not None
-    candidates = _route_candidates(t, ev.pubs, subscriber)
+    ranks = _route_candidates(t, ev.pubs, subscriber)
     movable_set = set(movable)
     assignment = dict(fixed)
+    loads = ev.workload[2]
+
+    downs: dict[str, tuple] = {}
 
     def down(node_id: str) -> tuple:
-        return _downstreamness(t, subscriber, node_id)
+        if node_id not in downs:
+            downs[node_id] = _downstreamness(t, subscriber, node_id)
+        return downs[node_id]
+
+    mem: dict[str, Fraction] = {}
+    cpu: dict[str, Fraction] = {}
+
+    def hold(sid: str, node_id: str, sign: int) -> None:
+        mem[node_id] = mem.get(node_id, 0) + sign * p.stage(sid).mem_mb
+        cpu[node_id] = cpu.get(node_id, 0) + sign * loads[sid]
+
+    def has_room(sid: str, node_id: str) -> bool:
+        node = t.node(node_id)
+        return (
+            mem.get(node_id, 0) + p.stage(sid).mem_mb <= node.mem_mb
+            and cpu.get(node_id, 0) + loads[sid] <= node.cpu_capacity
+        )
+
+    for s in p.stages:
+        if s.stage_id in assignment:
+            hold(s.stage_id, assignment[s.stage_id], 1)
+    within_budgets = all(
+        mem[n] <= t.node(n).mem_mb and cpu[n] <= t.node(n).cpu_capacity for n in mem
+    )
 
     for sid in p.topo_order():
         if sid not in movable_set:
             continue
         stage = p.stage(sid)
         chosen = None
-        for cand in candidates:
+        for cand in ranks:
             if not t.is_node_up(cand):
                 continue
             if any(down(cand) > down(assignment[q]) for q in p.preds(sid)):
                 continue
             if stage.needs_accelerator and not t.node(cand).has_accelerator:
                 continue
-            trial = dict(assignment)
-            trial[sid] = cand
-            if not ev.budget_violations(trial):
+            if within_budgets and has_room(sid, cand):
                 chosen = cand
                 break
         if chosen is None:
             raise NoFeasiblePlacementError(f"{p.pipeline_id}: stage {sid}")
         assignment[sid] = chosen
+        hold(sid, chosen, 1)
 
     report = ev.cost(assignment, o)
     if not report.feasible:
@@ -668,33 +712,33 @@ def _upstream_with_fixed(
         for sid in p.topo_order():
             if sid not in movable_set or moves >= max_moves:
                 continue
+            stage = p.stage(sid)
             here = assignment[sid]
             best_key: tuple | None = None
             best_node: str | None = None
-            for cand in candidates:
+            for cand, rank in ranks.items():
                 if cand == here or not t.is_node_up(cand):
                     continue
                 if any(down(cand) > down(assignment[q]) for q in p.preds(sid)):
                     continue
                 if any(down(assignment[q]) > down(cand) for q in p.succs(sid)):
                     continue
-                trial = dict(assignment)
-                trial[sid] = cand
-                trial_report = ev.cost(trial, o)
-                if not trial_report.feasible:
+                if stage.needs_accelerator and not t.node(cand).has_accelerator:
                     continue
-                assert trial_report.objective_value is not None
-                if trial_report.objective_value >= current:
+                if not has_room(sid, cand):
                     continue
-                key = (
-                    trial_report.objective_value,
-                    _upstream_rank(t, subscriber, cand),
-                )
-                if best_key is None or key < best_key:
-                    best_key = key
+                assignment[sid] = cand
+                value = o.value(*ev.walk(assignment))
+                assignment[sid] = here
+                if value >= current:
+                    continue
+                if best_key is None or (value, rank) < best_key:
+                    best_key = (value, rank)
                     best_node = cand
             if best_node is not None and best_key is not None:
                 assignment[sid] = best_node
+                hold(sid, here, -1)
+                hold(sid, best_node, 1)
                 current = best_key[0]
                 moves += 1
                 improved = True

@@ -22,11 +22,11 @@ from .core import (
     TimeWindow,
     Topic,
     TopicFilter,
+    TopicIndex,
     Topology,
     TriggerPolicy,
     UPDATE_TOPIC_ROOT,
     fn_args,
-    match_filter,
 )
 from .errors import ParseError, ValidationError
 from .operators import COMBINE_FNS, PREDICATES
@@ -337,17 +337,19 @@ def _load_models(obj: Any, topo: Topology) -> tuple[ScenarioModel, ...]:
     return tuple(out)
 
 
-def _load_bindings(obj: Any, topo: Topology) -> dict[str, str]:
+def _load_bindings(obj: Any, topo: Topology) -> tuple[dict[str, str], TopicIndex]:
+    """Topic -> publisher node, and the index of those topics."""
     raw = _dict(obj, "bindings")
     out: dict[str, str] = {}
+    index = TopicIndex()
     for topic, node in raw.items():
         path = f"bindings.{topic}"
-        _topic(topic, path)
+        index.add(_topic(topic, path))
         n = _str(node, path)
         if n not in topo.nodes:
             _fail(path, f"unknown node {n!r}")
         out[topic] = n
-    return out
+    return out, index
 
 
 def _load_trigger(raw: Any, path: str) -> TriggerPolicy:
@@ -374,6 +376,7 @@ def _load_subscriptions(
     topo: Topology,
     models: tuple[ScenarioModel, ...],
     bindings: dict[str, str],
+    bound: TopicIndex,
     peers: tuple[PeerSpec, ...],
 ) -> tuple[Subscription, ...]:
     out: list[Subscription] = []
@@ -399,11 +402,10 @@ def _load_subscriptions(
         if kind == "data":
             _keys(sd, path, ("sub_id", "subscriber", "kind", "filter"))
             flt = _filter(sd["filter"], f"{path}.filter")
-            for topic, node in sorted(bindings.items()):
-                if match_filter(flt, Topic.parse(topic)):
-                    if topo.node(node).domain_id != sub_domain:
-                        _fail(f"{path}.filter",
-                              f"matches {topic!r} published in another domain")
+            for topic in bound.matching(flt):
+                if topo.node(bindings[topic]).domain_id != sub_domain:
+                    _fail(f"{path}.filter",
+                          f"matches {topic!r} published in another domain")
             out.append(Subscription(sub_id, subscriber, DataSub(flt)))
             continue
 
@@ -422,14 +424,13 @@ def _load_subscriptions(
                           f"model {mid!r} is not reachable from domain {sub_domain!r}")
             flt = _filter(sd["filter"], f"{path}.filter")
             matched = [
-                (topic, node) for topic, node in sorted(bindings.items())
+                topic for topic in bound.matching(flt)
                 if not topic.startswith(UPDATE_TOPIC_ROOT + "/")
-                and match_filter(flt, Topic.parse(topic))
             ]
             if not matched:
                 _fail(f"{path}.filter", "no bound topic matches")
-            for topic, node in matched:
-                if topo.node(node).domain_id != sub_domain:
+            for topic in matched:
+                if topo.node(bindings[topic]).domain_id != sub_domain:
                     _fail(f"{path}.filter",
                           f"matches {topic!r} published in another domain")
             k = _int(sd.get("k", 1), f"{path}.k")
@@ -621,8 +622,10 @@ def loads_scenario(text: str) -> Scenario:
     _keys(root, "", TOP_KEYS)
     topo, brokers, peers = _load_topology(root["topology"])
     models = _load_models(root["models"], topo)
-    bindings = _load_bindings(root["bindings"], topo)
-    subs = _load_subscriptions(root["subscriptions"], topo, models, bindings, peers)
+    bindings, bound = _load_bindings(root["bindings"], topo)
+    subs = _load_subscriptions(
+        root["subscriptions"], topo, models, bindings, bound, peers
+    )
     workload = _load_workload(root["workload"], bindings, topo, models)
     faults = _load_faults(root["faults"], topo)
     objective = _load_objective(root["objective"])

@@ -36,6 +36,7 @@ from infersub.errors import (
     UnknownModelError,
     UnknownSubscriptionError,
 )
+from infersub.operators import apply_mapping
 from infersub.placement import Objective, WorkloadEntry, WorkloadSpec
 
 
@@ -507,3 +508,49 @@ def test_non_trainer_submissions_are_ignored():
     )
     assert [a for a in actions if isinstance(a, Delivery)] == []
     assert b.pending_updates == {}
+
+
+def test_buffered_copies_equal_each_instances_own_mapping_chain(monkeypatch):
+    """One publication feeds four privacy-split instances: two identical
+    (one shared cut), one to another subscriber (the same cut exec) and one
+    at k=2, whose cut starts with a stage of the same id as the k=1 cut but
+    ends elsewhere, with another size (ceil(ceil(1024/3) * 3/4) = 257, not
+    256). Each buffered copy is what mapping the publication through the
+    instance's own cut gives, and each distinct cut exec maps it once."""
+    import infersub.broker as broker_module
+
+    b = fresh()
+    b.register_model(ModelDescriptor("m", 1, "telemetry", (
+        LayerSpec(Fraction(1), Fraction(8), Fraction(1, 3)),
+        LayerSpec(Fraction(1), Fraction(8), Fraction(3, 4)),
+    )))
+    t, w, o = topo_line(), workload(), Objective()
+    b.subscribe(inf_sub("a1", k=1, privacy_split=True), t, w, o)
+    b.subscribe(inf_sub("a2", k=1, privacy_split=True), t, w, o)
+    b.subscribe(inf_sub("a3", k=1, privacy_split=True, subscriber="hub"), t, w, o)
+    b.subscribe(inf_sub("c", k=2, privacy_split=True), t, w, o)
+    cuts = {}
+    for inst in b.active_instances():
+        cut = inst.buffer_cuts["m-v1-s1"]
+        cuts[b.exec_graph.exec_for(inst.instance_id, cut[-1]).exec_id] = cut
+    assert sorted(cuts.values()) == [("m-v1-s1",), ("m-v1-s1", "m-v1-s2")]
+
+    mapped = []
+
+    def counting(stage, pub):
+        mapped.append(stage.stage_id)
+        return apply_mapping(stage, pub)
+
+    monkeypatch.setattr(broker_module, "apply_mapping", counting)
+    pub = raw_pub()
+    b.on_publish(pub, Fraction(0))
+    assert len(mapped) == sum(len(cut) for cut in cuts.values())
+    copies = {}
+    for inst in b.active_instances():
+        want = pub
+        for sid in inst.buffer_cuts["m-v1-s1"]:
+            want = apply_mapping(inst.pipeline.stage(sid), want)
+        (entry,) = b.buffers[inst.sub_id]
+        assert entry.pub == want
+        copies[inst.sub_id] = entry.pub.size_bytes
+    assert copies == {"a1": 256, "a2": 256, "a3": 256, "c": 257}

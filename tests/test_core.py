@@ -21,7 +21,9 @@ from infersub.core import (
     StageSpec,
     Topic,
     TopicFilter,
+    TopicIndex,
     Topology,
+    UPDATE_TOPIC_ROOT,
     match_filter,
     route,
     route_latency,
@@ -90,6 +92,48 @@ def test_hash_matches_any_tail():
     # '#' needs at least the preceding segments to line up
     assert not filt.matches(Topic.parse("other/a"))
     assert MATCH_ALL.matches(Topic.parse("anything/at/all"))
+
+
+# few segment values, so random filters and topics often match; "_updates"
+# heads the model-update topics that the index holds and its callers skip
+INDEX_SEG = st.sampled_from(["a", "b", "c", UPDATE_TOPIC_ROOT])
+INDEX_TOPIC = st.lists(INDEX_SEG, min_size=1, max_size=4).map(
+    lambda segs: Topic(tuple(segs))
+)
+
+
+@st.composite
+def index_filters(draw, topics):
+    """A filter of exact segments and "+", maybe with a trailing "#", or one
+    of the topics itself."""
+    if topics and draw(st.booleans()):
+        return TopicFilter(draw(st.sampled_from(topics)).segments)
+    segs = draw(st.lists(st.one_of(INDEX_SEG, st.just("+")), max_size=4))
+    if not segs or draw(st.booleans()):
+        segs.append("#")
+    return TopicFilter(tuple(segs))
+
+
+@given(st.data(), st.lists(INDEX_TOPIC, max_size=12))
+def test_topic_index_matches_match_filter_as_topics_are_added(data, topics):
+    index = TopicIndex()
+    added: list[Topic] = []
+    for topic in topics + [None]:
+        for filt in data.draw(st.lists(index_filters(added), min_size=1, max_size=4)):
+            want = sorted({str(t) for t in added if match_filter(filt, t)})
+            assert index.matching(filt) == want
+        if topic is not None:
+            index.add(topic)
+            added.append(topic)
+
+
+def test_topic_index_hash_takes_the_parent_and_skips_siblings():
+    index = TopicIndex(Topic.parse(t) for t in ["a", "a/b", "a/b/c", "ab/x", "b"])
+    assert index.matching(TopicFilter.parse("a/#")) == ["a", "a/b", "a/b/c"]
+    assert index.matching(MATCH_ALL) == ["a", "a/b", "a/b/c", "ab/x", "b"]
+    assert index.matching(TopicFilter.parse("+/+")) == ["a/b", "ab/x"]
+    assert index.matching(TopicFilter.parse("a/+/c/#")) == ["a/b/c"]
+    assert index.matching(TopicFilter.parse("c")) == []
 
 
 # ---------------------------------------------------------------------------

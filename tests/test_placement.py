@@ -593,3 +593,142 @@ def test_oracle_without_workload_finds_nothing():
         place_oracle(p, t, w, o, pub, sub)
     with pytest.raises(NoFeasiblePlacementError):
         ref_place_oracle(p, t, w, o, pub, sub)
+
+
+# ---------------------------------------------------------------------------
+# The upstream search's per-candidate checks against the full-check reference
+
+
+def failure(fn, *args):
+    """fn's assignment, or the type and message of the exception it raised."""
+    try:
+        return fn(*args).assignment
+    except NoFeasiblePlacementError as exc:
+        return type(exc), str(exc)
+
+
+def line_of(p_node: NodeDescriptor, stages: tuple[StageSpec, ...]):
+    """Publisher p - m - subscriber s, 2048 B at 100/s into a chain of
+    stages; the objective counts bytes only, so a stage that shrinks its
+    input (see shrinker) is cheapest at p, then m, then s."""
+    t = Topology.of(
+        [p_node,
+         NodeDescriptor("m", "edge", Fraction(8), Fraction(4096), True),
+         NodeDescriptor("s", "edge", Fraction(8), Fraction(4096), True)],
+        [LinkDescriptor("p", "m", Fraction(1), Fraction(100)),
+         LinkDescriptor("m", "s", Fraction(1), Fraction(100))],
+    )
+    edges = tuple((a.stage_id, b.stage_id) for a, b in zip(stages, stages[1:]))
+    head, sink = stages[0].stage_id, stages[-1].stage_id
+    p = PipelineSpec("line", stages, edges, {head: TopicFilter.parse("d/p/x")}, sink)
+    w = WorkloadSpec({"d/p/x": WorkloadEntry(2048, Fraction(100))})
+    return p, t, w, Objective(Fraction(0), Fraction(1))
+
+
+def shrinker(sid: str, cost: int = 0, mem: int = 0, accelerator: bool = False):
+    """A stage that shrinks its input 8x."""
+    return StageSpec(sid, Mapping("identity"), Fraction(cost), Fraction(mem),
+                     Fraction(1, 8), accelerator)
+
+
+@pytest.mark.parametrize("budget", ["memory", "cpu", "accelerator"])
+def test_no_move_lands_on_a_node_without_room_or_accelerator(budget):
+    """p is the cheapest node for s1 but lacks memory, cpu or an accelerator
+    for it, so the search keeps s1 on m."""
+    node = {
+        "memory": NodeDescriptor("p", "device", Fraction(8), Fraction(64)),
+        "cpu": NodeDescriptor("p", "device", Fraction(1), Fraction(4096)),
+        "accelerator": NodeDescriptor("p", "device", Fraction(8), Fraction(4096)),
+    }[budget]
+    stage = {
+        "memory": shrinker("s1", mem=100),
+        "cpu": shrinker("s1", cost=20),  # 20 * 100/s / 1000 = load 2 > 1
+        "accelerator": shrinker("s1", accelerator=True),
+    }[budget]
+    p, t, w, o = line_of(node, (stage,))
+    got = place_upstream(p, t, w, o, "p", "s")
+    assert got.assignment == {"s1": "m"}
+    assert got.assignment == ref_place_upstream(p, t, w, o, "p", "s").assignment
+    assert not feasible(got, p, t, w, "p", "s")
+    roomy = Topology.of(
+        [NodeDescriptor("p", "device", Fraction(8), Fraction(4096), True),
+         t.node("m"), t.node("s")],
+        t.links.values(),
+    )
+    assert place_upstream(p, roomy, w, o, "p", "s").assignment == {"s1": "p"}
+
+
+def test_a_move_sees_the_room_an_earlier_move_took():
+    """Stages that grow 4x are cheapest at the subscriber s, which has room
+    for one. The greedy phase puts both on p; the search then moves s2 to s
+    and must see s full when it tries s1 there, so s1 goes to m."""
+    grower = [
+        StageSpec(sid, Mapping("identity"), 0, Fraction(60), Fraction(4))
+        for sid in ("s1", "s2")
+    ]
+    node = NodeDescriptor("p", "device", Fraction(8), Fraction(4096))
+    p, t, w, o = line_of(node, tuple(grower))
+    t = Topology.of(
+        [t.node("p"), t.node("m"), replace(t.node("s"), mem_mb=Fraction(100))],
+        t.links.values(),
+    )
+    got = place_upstream(p, t, w, o, "p", "s")
+    assert got.assignment == {"s1": "m", "s2": "s"}
+    assert got.assignment == ref_place_upstream(p, t, w, o, "p", "s").assignment
+
+
+def test_replan_fails_every_candidate_when_fixed_stages_break_a_budget():
+    """A subscriber-side placement (as the baseline makes) puts both stages
+    on m, over its memory. When s2's node fails, s1 stays on m, still over
+    budget, so no node can take s2: the search reports the stage, as the
+    full budget check does, not the broken node."""
+    node = NodeDescriptor("p", "device", Fraction(8), Fraction(4096))
+    p, t, w, o = line_of(node, (shrinker("s1", mem=300), shrinker("s2", mem=10)))
+    t = Topology.of(
+        [t.node("p"), replace(t.node("m"), mem_mb=Fraction(200)), t.node("s"),
+         NodeDescriptor("x", "edge", Fraction(8), Fraction(4096))],
+        [*t.links.values(), LinkDescriptor("m", "x", Fraction(1), Fraction(100))],
+    )
+    start = Placement({"s1": "m", "s2": "x"})
+    assert [v.rule for v in feasible(start, p, t, w, "p", "s")] == ["MemoryExceeded"]
+    got = failure(replan, start, {"x"}, p, t, w, o, "p", "s")
+    assert got == (NoFeasiblePlacementError, "line: stage s2")
+    assert got == failure(ref_replan, start, {"x"}, p, t, w, o, "p", "s")
+
+
+def test_moving_a_join_rescores_every_route_that_touches_it():
+    """Two publishers feed a barrier join, then a stage that grows its input
+    4x and so moves toward the subscriber s. The direct link from b to the
+    hub h is down, so b's relay detours through a. Moving the join changes
+    both incoming routes and the outgoing one; counting bytes only, the join's
+    moves tie with staying on a once both relays' transfers are counted.
+    (No move can lose a route: every candidate shares the publishers' and
+    s's component.)"""
+    nodes = [NodeDescriptor(n, "edge", Fraction(8), Fraction(4096))
+             for n in ("a", "b", "h", "s")]
+    links = [LinkDescriptor("a", "b", Fraction(1), Fraction(10)),
+             LinkDescriptor("a", "h", Fraction(1), Fraction(50)),
+             LinkDescriptor("b", "h", Fraction(1), Fraction(500)),
+             LinkDescriptor("h", "s", Fraction(3), Fraction(20))]
+    t = Topology.of(nodes, links).with_link_state("b", "h", up=False)
+    relays = [StageSpec(r, Mapping("identity"), 0, 0, 1, pin=Pin.at_publisher())
+              for r in ("ra", "rb")]
+    join = StageSpec("join", Funnel("concat", Barrier(("ra", "rb"))), 0, 0, 1)
+    model = StageSpec("s1", Mapping("identity"), Fraction(2), 0, Fraction(4))
+    p = PipelineSpec(
+        "join", (*relays, join, model),
+        (("join", "s1"), ("ra", "join"), ("rb", "join")),
+        {"ra": TopicFilter.parse("d/a/x"), "rb": TopicFilter.parse("d/b/x")}, "s1",
+    )
+    w = WorkloadSpec({"d/a/x": WorkloadEntry(4096, Fraction(5)),
+                      "d/b/x": WorkloadEntry(1024, Fraction(5))})
+    pubs = {"ra": "a", "rb": "b"}
+    for o in (Objective(), Objective(Fraction(1), Fraction(0)),
+              Objective(Fraction(0), Fraction(1))):
+        got = place_upstream(p, t, w, o, pubs, "s")
+        assert got.assignment == ref_place_upstream(p, t, w, o, pubs, "s").assignment
+        assert not feasible(got, p, t, w, pubs, "s")
+        start = Placement({**got.assignment, "join": "h", "s1": "h"})
+        assert failure(replan, start, {"h"}, p, t, w, o, pubs, "s") == failure(
+            ref_replan, start, {"h"}, p, t, w, o, pubs, "s"
+        )
