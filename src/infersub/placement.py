@@ -40,6 +40,9 @@ ORACLE_BOUND = 1_000_000
 # publisher context for a pipeline: one node id, or one per entry stage
 Publishers = Union[str, dict[str, str]]
 
+# node -> (memory, cpu load) of the stages a search holds there
+_Totals = dict[str, tuple[Fraction, Fraction]]
+
 
 @dataclass(frozen=True)
 class Objective:
@@ -204,6 +207,10 @@ class _Evaluator:
     targets, the entry workload and every stage's size and cpu load) is derived
     on first use and shared by every assignment a search tries. Publisher and
     subscriber pins are only checkable when that context is given.
+
+    Every search places stages through the same two rules: admits (with hold
+    for the per-node totals it reads) decides whether a node may take a
+    stage, and timing gives the stage's finish time and incoming KB there.
     """
 
     def __init__(
@@ -303,26 +310,46 @@ class _Evaluator:
             loads[sid] = stage.compute_cost * rates[sid] / 1000
         return entry_sizes, sizes, loads, violations
 
+    def admits(self, sid: str, node_id: str, totals: _Totals) -> bool:
+        """Whether node_id is up, has the accelerator sid needs, and has
+        memory and cpu room for sid beside the per-node (mem, cpu) totals."""
+        if not self.t.is_node_up(node_id):
+            return False
+        node, stage = self.t.node(node_id), self.p.stage(sid)
+        if stage.needs_accelerator and not node.has_accelerator:
+            return False
+        mem, cpu = totals.get(node_id, (0, 0))
+        return (
+            mem + stage.mem_mb <= node.mem_mb
+            and cpu + self.workload[2][sid] <= node.cpu_capacity
+        )
+
+    def hold(self, sid: str, node_id: str, totals: _Totals, add: bool) -> None:
+        """Add sid's memory and cpu load to node_id's totals, or remove it."""
+        mem, cpu = totals.get(node_id, (0, 0))
+        stage_mem, load = self.p.stage(sid).mem_mb, self.workload[2][sid]
+        if add:
+            totals[node_id] = mem + stage_mem, cpu + load
+        else:
+            totals[node_id] = mem - stage_mem, cpu - load
+
     def budget_violations(self, assigned: dict[str, str]) -> list[Violation]:
         """Memory and cpu budgets of each node over the stages assigned."""
-        loads = self.workload[2]
-        per_node: dict[str, list[StageSpec]] = {}
+        totals: _Totals = {}
         for s in self.p.stages:
             if s.stage_id in assigned:
-                per_node.setdefault(assigned[s.stage_id], []).append(s)
+                self.hold(s.stage_id, assigned[s.stage_id], totals, add=True)
         out: list[Violation] = []
-        for node_id in sorted(per_node):
+        for node_id in sorted(totals):
             node = self.t.node(node_id)
-            stages = per_node[node_id]
-            mem = sum((s.mem_mb for s in stages), Fraction(0))
+            mem, cpu = totals[node_id]
             if mem > node.mem_mb:
                 out.append(
                     Violation("MemoryExceeded", node_id, f"{mem} > {node.mem_mb}")
                 )
-            load = sum((loads[s.stage_id] for s in stages), Fraction(0))
-            if load > node.cpu_capacity:
+            if cpu > node.cpu_capacity:
                 out.append(
-                    Violation("CpuExceeded", node_id, f"{load} > {node.cpu_capacity}")
+                    Violation("CpuExceeded", node_id, f"{cpu} > {node.cpu_capacity}")
                 )
         return out
 
@@ -365,6 +392,40 @@ class _Evaluator:
                 out.append(Violation("RouteMissing", f"{a}->{b}"))
         return sorted(set(out))
 
+    def timing(
+        self,
+        sid: str,
+        node_id: str,
+        assigned: dict[str, str],
+        finish: dict[str, Fraction],
+    ) -> tuple[Fraction, Fraction] | None:
+        """(finish time, KB moved in) of stage sid on node_id, given each
+        predecessor's node in assigned and finish time in finish; None when
+        an input has no route. An entry's input comes from its publisher.
+
+        The stage starts when its last input arrives and computes for
+        compute_cost / cpu_capacity ms, so finish times only grow along edges.
+        """
+        entry_sizes, sizes, _, _ = self.workload
+        preds = self.p.preds(sid)
+        if not preds:
+            assert self.pubs is not None
+            term = self.transfer(self.pubs[sid], node_id, entry_sizes[sid])
+            if term is None:
+                return None
+            at, kb = term
+        else:
+            at = kb = None
+            for q in preds:
+                term = self.transfer(assigned[q], node_id, sizes[q])
+                if term is None:
+                    return None
+                ready = finish[q] + term[0]
+                at = ready if at is None else max(at, ready)
+                kb = term[1] if kb is None else kb + term[1]
+        compute = self.p.stage(sid).compute_cost / self.t.node(node_id).cpu_capacity
+        return at + compute, kb
+
     def walk(self, assigned: dict[str, str]) -> tuple[Fraction, Fraction]:
         """(latency, KB) of one publication through a full assignment whose
         transfers all have routes; checks nothing else.
@@ -373,30 +434,17 @@ class _Evaluator:
         subscriber; KB sums every transfer. Needs the publisher and subscriber
         context.
         """
-        assert self.pubs is not None and self.subscriber is not None
-        p, t = self.p, self.t
-        entry_sizes, sizes, _, _ = self.workload
-        bytes_kb = Fraction(0)
+        assert self.subscriber is not None
+        p = self.p
+        bytes_kb = 0
         finish: dict[str, Fraction] = {}
         for sid in p.topo_order():
-            node_id = assigned[sid]
-            preds = p.preds(sid)
-            arrival = Fraction(0)
-            if not preds:
-                term = self.transfer(self.pubs[sid], node_id, entry_sizes[sid])
-                assert term is not None
-                arrival, kb = term
-                bytes_kb += kb
-            for q in preds:
-                term = self.transfer(assigned[q], node_id, sizes[q])
-                assert term is not None
-                ms, kb = term
-                arrival = max(arrival, finish[q] + ms)
-                bytes_kb += kb
-            compute = p.stage(sid).compute_cost / t.node(node_id).cpu_capacity
-            finish[sid] = arrival + compute
-
-        term = self.transfer(assigned[p.sink], self.subscriber, sizes[p.sink])
+            got = self.timing(sid, assigned[sid], assigned, finish)
+            assert got is not None
+            finish[sid], kb = got
+            bytes_kb += kb
+        sink_size = self.workload[1][p.sink]
+        term = self.transfer(assigned[p.sink], self.subscriber, sink_size)
         assert term is not None
         return finish[p.sink] + term[0], bytes_kb + term[1]
 
@@ -455,22 +503,11 @@ def cost(
 # Placement algorithms
 
 
-def _upstream_rank(t: Topology, subscriber: str, node_id: str) -> tuple:
-    """Sort key placing more-upstream nodes (farther from the subscriber)
-    first; unroutable nodes last."""
-    got = _reach(t, node_id, subscriber)
-    if got is None:
-        return (0, Fraction(0), 0, node_id)
-    return (-1, -got[0], -got[1], node_id)
-
-
-def _downstreamness(t: Topology, subscriber: str, node_id: str) -> tuple:
-    """Totally ordered proxy for position along the flow toward the
-    subscriber; smaller means closer to the subscriber."""
-    got = _reach(t, node_id, subscriber)
-    if got is None:
-        return (1, Fraction(0), 0)
-    return (0, got[0], got[1])
+def _distance(t: Topology, a: str, b: str) -> tuple:
+    """Totally ordered distance of route(t, a, b): (0, latency, hops), or
+    (1, 0, 0), farther than any route, when there is none."""
+    got = _reach(t, a, b)
+    return (1, 0, 0) if got is None else (0, got[0], got[1])
 
 
 def place_oracle(
@@ -499,7 +536,10 @@ def place_oracle(
     strictly greater than the best objective found: no term shrinks as
     stages are added, so the bound never overestimates, and a tie survives
     to be compared by key. Stages that do not reach the sink add no latency.
-    A full assignment is scored by the evaluator's cost.
+    A full assignment is scored by the same running terms: the search has
+    checked every rule of the evaluator's violations on the way down, and
+    finish times only grow along edges, so the bound at a leaf is the walk's
+    latency.
     """
     ev = _Evaluator(p, t, w, publisher, subscriber)
     pins = ev.pins
@@ -508,7 +548,7 @@ def place_oracle(
     space = len(candidates) ** len(unpinned) if unpinned else 1
     if space > ORACLE_BOUND:
         raise SearchSpaceTooLargeError(space, ORACLE_BOUND)
-    entry_sizes, sizes, loads, missing = ev.workload
+    _, sizes, _, missing = ev.workload
     if missing:
         raise NoFeasiblePlacementError(p.pipeline_id)
 
@@ -522,68 +562,33 @@ def place_oracle(
             frontier.extend(p.preds(sid))
 
     def upstream_key(assignment: dict[str, str]) -> tuple:
-        key = []
-        for s in p.stages:
-            node_id = assignment[s.stage_id]
-            got = _reach(t, ev.anchor(s.stage_id), node_id)
-            if got is None:
-                key.append((1, Fraction(0), 0, node_id))
-            else:
-                key.append((0, got[0], got[1], node_id))
-        return tuple(key)
+        return tuple(
+            _distance(t, ev.anchor(s.stage_id), assignment[s.stage_id])
+            + (assignment[s.stage_id],)
+            for s in p.stages
+        )
 
     assigned: dict[str, str] = {}
     finish: dict[str, Fraction] = {}
-    mem: dict[str, Fraction] = {}
-    cpu: dict[str, Fraction] = {}
+    totals: _Totals = {}
     best: tuple | None = None
     best_assignment: dict[str, str] | None = None
-
-    def arrival(sid: str, node_id: str) -> tuple[Fraction, Fraction] | None:
-        """(latest arrival, KB moved) of sid's inputs at node_id; None when
-        one has no route."""
-        preds = p.preds(sid)
-        if not preds:
-            return ev.transfer(ev.pubs[sid], node_id, entry_sizes[sid])
-        at, kb = Fraction(0), Fraction(0)
-        for q in preds:
-            term = ev.transfer(assigned[q], node_id, sizes[q])
-            if term is None:
-                return None
-            at = max(at, finish[q] + term[0])
-            kb += term[1]
-        return at, kb
 
     def search(i: int, latest: Fraction, moved: Fraction) -> None:
         nonlocal best, best_assignment
         if i == len(order):
-            report = ev.cost(assigned, o)
-            if not report.feasible:
-                return
-            assert report.objective_value is not None
-            if best is not None and report.objective_value > best[0]:
-                return
-            key = (report.objective_value, upstream_key(assigned))
+            key = (o.value(latest, moved), upstream_key(assigned))
             if best is None or key < best:
                 best, best_assignment = key, dict(assigned)
             return
         sid = order[i]
-        stage = p.stage(sid)
         for node_id in [pins[sid]] if sid in pins else candidates:
-            if not t.is_node_up(node_id):
+            if not ev.admits(sid, node_id, totals):
                 continue
-            node = t.node(node_id)
-            if stage.needs_accelerator and not node.has_accelerator:
-                continue
-            node_mem = mem.get(node_id, 0) + stage.mem_mb
-            node_cpu = cpu.get(node_id, 0) + loads[sid]
-            if node_mem > node.mem_mb or node_cpu > node.cpu_capacity:
-                continue
-            got = arrival(sid, node_id)
+            got = ev.timing(sid, node_id, assigned, finish)
             if got is None:
                 continue
-            done = got[0] + stage.compute_cost / node.cpu_capacity
-            kb = moved + got[1]
+            done, kb = got[0], moved + got[1]
             bound = max(latest, done) if sid in critical else latest
             if sid == p.sink:
                 out = ev.transfer(node_id, subscriber, sizes[sid])
@@ -593,11 +598,10 @@ def place_oracle(
                 kb += out[1]
             if best is not None and o.value(bound, kb) > best[0]:
                 continue
-            held = mem.get(node_id, 0), cpu.get(node_id, 0)
             assigned[sid], finish[sid] = node_id, done
-            mem[node_id], cpu[node_id] = node_mem, node_cpu
+            ev.hold(sid, node_id, totals, add=True)
             search(i + 1, bound, kb)
-            mem[node_id], cpu[node_id] = held
+            ev.hold(sid, node_id, totals, add=False)
 
     search(0, Fraction(0), Fraction(0))
     del search  # it refers to itself: free its state now, not at the next gc
@@ -606,19 +610,15 @@ def place_oracle(
     return Placement(best_assignment)
 
 
-def _route_candidates(
-    t: Topology, pubs: dict[str, str], subscriber: str
-) -> dict[str, tuple]:
-    """Union of publisher->subscriber route nodes, most upstream first, each
-    with its _upstream_rank."""
+def _route_candidates(t: Topology, pubs: dict[str, str], subscriber: str) -> set[str]:
+    """Union of publisher->subscriber route nodes."""
     seen: set[str] = set()
     for pub in sorted(set(pubs.values())):
         try:
             seen.update(route(t, pub, subscriber))
         except NoRouteError:
             raise NoFeasiblePlacementError(f"no route {pub}->{subscriber}") from None
-    ranks = [(_upstream_rank(t, subscriber, n), n) for n in seen]
-    return {n: rank for rank, n in sorted(ranks)}
+    return seen
 
 
 def _upstream_with_fixed(
@@ -633,68 +633,54 @@ def _upstream_with_fixed(
 
     A candidate is checked by what it changes. Every greedy choice and every
     move keeps each node within its memory and cpu budgets, so a candidate
-    node needs room for the one stage, unless fixed stages already break a
-    budget, which fails every candidate. The local search starts from a
-    feasible assignment and moves one stage, which carries no pin, to an up
-    candidate: the move needs the stage's accelerator and room on the
-    candidate. Its transfers keep their routes, since every candidate lies on
-    a publisher->subscriber route and so in the one component that a
+    must admit the one stage beside running per-node totals, unless fixed
+    stages already break a budget, which fails every greedy candidate. The
+    local search starts from a feasible assignment and moves one stage,
+    which carries no pin, to a candidate that also lies at or upstream of
+    its successors. Its transfers keep their routes, since every candidate
+    lies on a publisher->subscriber route and so in the one component that a
     feasible assignment's stages share. A move is scored by ev.walk alone.
     """
     p, t, subscriber = ev.p, ev.t, ev.subscriber
     assert ev.pubs is not None and subscriber is not None
-    ranks = _route_candidates(t, ev.pubs, subscriber)
     movable_set = set(movable)
     assignment = dict(fixed)
-    loads = ev.workload[2]
-
     downs: dict[str, tuple] = {}
 
     def down(node_id: str) -> tuple:
+        """_distance from node_id to the subscriber, once per node."""
         if node_id not in downs:
-            downs[node_id] = _downstreamness(t, subscriber, node_id)
+            downs[node_id] = _distance(t, node_id, subscriber)
         return downs[node_id]
 
-    mem: dict[str, Fraction] = {}
-    cpu: dict[str, Fraction] = {}
+    # most upstream first, ties by node id; every route node reaches the
+    # subscriber along its route, so none sorts as unroutable
+    ranked = sorted(_route_candidates(t, ev.pubs, subscriber))
+    ranked.sort(key=down, reverse=True)
 
-    def hold(sid: str, node_id: str, sign: int) -> None:
-        mem[node_id] = mem.get(node_id, 0) + sign * p.stage(sid).mem_mb
-        cpu[node_id] = cpu.get(node_id, 0) + sign * loads[sid]
+    totals: _Totals = {}
+    for sid, node_id in fixed.items():
+        ev.hold(sid, node_id, totals, add=True)
+    within_budgets = not ev.budget_violations(fixed)
 
-    def has_room(sid: str, node_id: str) -> bool:
-        node = t.node(node_id)
+    def fits(sid: str, cand: str, succs: Sequence[str] = ()) -> bool:
+        """cand lies at or downstream of the nodes of sid's predecessors and
+        at or upstream of those of succs, and admits sid."""
+        d = down(cand)
         return (
-            mem.get(node_id, 0) + p.stage(sid).mem_mb <= node.mem_mb
-            and cpu.get(node_id, 0) + loads[sid] <= node.cpu_capacity
+            all(d <= down(assignment[q]) for q in p.preds(sid))
+            and all(down(assignment[q]) <= d for q in succs)
+            and ev.admits(sid, cand, totals)
         )
-
-    for s in p.stages:
-        if s.stage_id in assignment:
-            hold(s.stage_id, assignment[s.stage_id], 1)
-    within_budgets = all(
-        mem[n] <= t.node(n).mem_mb and cpu[n] <= t.node(n).cpu_capacity for n in mem
-    )
 
     for sid in p.topo_order():
         if sid not in movable_set:
             continue
-        stage = p.stage(sid)
-        chosen = None
-        for cand in ranks:
-            if not t.is_node_up(cand):
-                continue
-            if any(down(cand) > down(assignment[q]) for q in p.preds(sid)):
-                continue
-            if stage.needs_accelerator and not t.node(cand).has_accelerator:
-                continue
-            if within_budgets and has_room(sid, cand):
-                chosen = cand
-                break
+        chosen = next((c for c in ranked if within_budgets and fits(sid, c)), None)
         if chosen is None:
             raise NoFeasiblePlacementError(f"{p.pipeline_id}: stage {sid}")
         assignment[sid] = chosen
-        hold(sid, chosen, 1)
+        ev.hold(sid, chosen, totals, add=True)
 
     report = ev.cost(assignment, o)
     if not report.feasible:
@@ -712,34 +698,20 @@ def _upstream_with_fixed(
         for sid in p.topo_order():
             if sid not in movable_set or moves >= max_moves:
                 continue
-            stage = p.stage(sid)
             here = assignment[sid]
-            best_key: tuple | None = None
-            best_node: str | None = None
-            for cand, rank in ranks.items():
-                if cand == here or not t.is_node_up(cand):
-                    continue
-                if any(down(cand) > down(assignment[q]) for q in p.preds(sid)):
-                    continue
-                if any(down(assignment[q]) > down(cand) for q in p.succs(sid)):
-                    continue
-                if stage.needs_accelerator and not t.node(cand).has_accelerator:
-                    continue
-                if not has_room(sid, cand):
+            best: tuple[Fraction, int, str] | None = None
+            for rank, cand in enumerate(ranked):
+                if cand == here or not fits(sid, cand, p.succs(sid)):
                     continue
                 assignment[sid] = cand
                 value = o.value(*ev.walk(assignment))
                 assignment[sid] = here
-                if value >= current:
-                    continue
-                if best_key is None or (value, rank) < best_key:
-                    best_key = (value, rank)
-                    best_node = cand
-            if best_node is not None and best_key is not None:
-                assignment[sid] = best_node
-                hold(sid, here, -1)
-                hold(sid, best_node, 1)
-                current = best_key[0]
+                if value < current and (best is None or (value, rank, cand) < best):
+                    best = value, rank, cand
+            if best is not None:
+                current, _, assignment[sid] = best
+                ev.hold(sid, here, totals, add=False)
+                ev.hold(sid, assignment[sid], totals, add=True)
                 moves += 1
                 improved = True
     return Placement(assignment)

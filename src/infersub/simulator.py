@@ -198,7 +198,6 @@ class _World:
         self.exec_counts: dict[str, int] = {}
         self.exec_meta: dict[str, tuple[str, str]] = {}
         self.raw_crossings = 0
-        self.trace: list[tuple[int, str, str, Topic, str, int, str]] = []
         self.lost_transfers = 0
 
         self.failure_us: dict[str, int] = {}
@@ -306,9 +305,6 @@ class _World:
         dur = self._carry(link, tr.pub.size_bytes)
         if tr.pub.tag == "raw":
             self.raw_crossings += 1
-        self.trace.append((
-            self.now_us, a, b, tr.pub.topic, tr.pub.source, tr.pub.seq, tr.pub.tag,
-        ))
         tr.pos += 1
         self._push(self.now_us + dur, PRIO_HOP, self._on_hop, tr)
 

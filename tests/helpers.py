@@ -1,4 +1,5 @@
-"""Shared fixtures-in-code: instance bridging and scenario JSON builders."""
+"""Shared fixtures-in-code: instance bridging, scenario JSON builders and a
+hop recorder for simulator runs."""
 
 from __future__ import annotations
 
@@ -11,16 +12,44 @@ from infersub.core import (
     NodeDescriptor,
     Pin,
     PipelineSpec,
+    Publication,
     StageSpec,
     Topology,
     TopicFilter,
 )
 from infersub.placement import Objective, WorkloadEntry, WorkloadSpec
 from infersub.scenario import Scenario, loads_scenario
+from infersub.simulator import _World, simulate
 
 from oracles import LineInstance
 
 BENCH_TOPIC = "bench/in"
+
+
+def simulate_recording_legs(
+    sc: Scenario,
+) -> tuple[_World, list[tuple[int, str, str, Publication]]]:
+    """Run sc to completion like simulate, and return the world with every
+    hop that left a node, as (µs, from, to, publication) in start order.
+
+    Wraps _World._start_leg for the run: a leg counts only when the call
+    advanced the transfer, so a hop dropped on a down link is not recorded.
+    """
+    legs: list[tuple[int, str, str, Publication]] = []
+    start_leg = _World._start_leg
+
+    def recording(world: _World, tr) -> None:
+        pos = tr.pos
+        start_leg(world, tr)
+        if tr.pos > pos:
+            legs.append((world.now_us, tr.path[pos], tr.path[tr.pos], tr.pub))
+
+    _World._start_leg = recording
+    try:
+        world = simulate(sc)
+    finally:
+        _World._start_leg = start_leg
+    return world, legs
 
 
 def line_to_core(

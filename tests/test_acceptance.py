@@ -27,6 +27,7 @@ from helpers import (
     barrier_scenario,
     count_window_scenario,
     line_to_core,
+    simulate_recording_legs,
     star_scenario,
     trainer_scenario,
 )
@@ -130,10 +131,11 @@ def test_c05():
 
 def test_c06():
     """Privacy split: no raw-tagged publication ever crosses a link."""
-    w = simulate(bundled("nlp"))
+    w, legs = simulate_recording_legs(bundled("nlp"))
     assert w.report().totals.raw_link_crossings == 0
-    for _, frm, to, _, _, _, tag in w.trace:
-        assert not (tag == "raw" and frm != to), (frm, to)
+    assert legs, "the run moves publications over links"
+    for _, frm, to, pub in legs:
+        assert not (pub.tag == "raw" and frm != to), (frm, to)
     # the counter is live: without a privacy split raw hops do cross links
     assert run(bundled("arvr")).totals.raw_link_crossings > 0
 

@@ -15,7 +15,7 @@ from infersub.simulator import run
 
 SCENARIO_DIR = Path(infersub.__file__).parent / "scenarios"
 NWDAF = str(SCENARIO_DIR / "nwdaf.json")
-ORACLE_GOLDEN_DIR = Path(__file__).parent / "golden" / "oracle"
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def test_version_flag(capsys):
@@ -92,13 +92,26 @@ def test_place_lists_every_instance(algorithm, capsys):
         assert row["objective"] is not None
 
 
-@pytest.mark.parametrize("name", ["arvr", "federation", "nlp", "nwdaf", "oran"])
-def test_place_oracle_matches_golden_bytes(name, capsys):
-    """Frozen from the exhaustive search that scored every candidate; the
-    branch-and-bound must print the same bytes."""
+@pytest.mark.parametrize(
+    "name, algorithm",
+    [
+        # the oracle rows keep the ids they had before upstream was pinned
+        pytest.param(
+            name, algorithm, id=name if algorithm == "oracle" else f"{name}-upstream"
+        )
+        for algorithm in ("oracle", "upstream")
+        for name in ("arvr", "federation", "nlp", "nwdaf", "oran")
+    ],
+)
+def test_place_oracle_matches_golden_bytes(name, algorithm, capsys):
+    """The oracle files are frozen from the exhaustive search that scored
+    every candidate; the branch-and-bound must print the same bytes. The
+    upstream files are a regression pin written by commit d2d1056, not a hand
+    audit: they hold whatever that heuristic printed then."""
     scenario = str(SCENARIO_DIR / f"{name}.json")
-    assert main(["place", "--scenario", scenario, "--algorithm", "oracle"]) == 0
-    assert capsys.readouterr().out == (ORACLE_GOLDEN_DIR / f"{name}.json").read_text()
+    assert main(["place", "--scenario", scenario, "--algorithm", algorithm]) == 0
+    golden = GOLDEN_DIR / algorithm / f"{name}.json"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_place_oracle_vs_upstream_never_worse(capsys):

@@ -14,7 +14,7 @@ import pytest
 import infersub
 from infersub.metrics import emit, report_from_json
 from infersub.scenario import FaultEvent, load_scenario
-from infersub.simulator import run, simulate
+from infersub.simulator import run
 
 from helpers import (
     barrier_scenario,
@@ -22,6 +22,7 @@ from helpers import (
     count_window_scenario,
     link,
     node,
+    simulate_recording_legs,
     time_window_scenario,
     trainer_scenario,
     two_publisher_scenario,
@@ -129,11 +130,34 @@ def test_link_fault_blocks_hops_until_link_up():
         FaultEvent(at_ms=Fraction(down_ms), kind="link_down", link=ends),
         FaultEvent(at_ms=Fraction(up_ms), kind="link_up", link=ends),
     ))
-    w = simulate(sc)
-    crossings = [t for t, a, b, *_ in w.trace if tuple(sorted((a, b))) == ends]
+    w, legs = simulate_recording_legs(sc)
+    crossings = [t for t, a, b, _ in legs if tuple(sorted((a, b))) == ends]
     assert not [t for t in crossings if down_ms * 1000 <= t < up_ms * 1000]
     assert [t for t in crossings if t >= up_ms * 1000]
     assert w.lost_transfers > 0
+
+
+def test_a_hop_dropped_in_flight_is_not_recorded():
+    """A publication already on its way to c when c-s1 goes down is dropped
+    at c: its p1-c leg is recorded, no c-s1 leg is, and the drop is counted."""
+    sc = two_publisher_scenario(extra_topic=False)
+    _, clean = simulate_recording_legs(sc)
+    hops: dict[tuple[str, int], list[tuple[int, str, str]]] = {}
+    for t, a, b, pub in clean:
+        hops.setdefault((str(pub.topic), pub.seq), []).append((t, a, b))
+    key, ((t1, a, b), (t2, _, c)) = next(
+        (key, legs) for key, legs in hops.items() if len(legs) == 2
+    )
+    assert (a, b, c) == ("p1", "c", "s1")
+    sc = dataclasses.replace(sc, faults=(
+        FaultEvent(at_ms=Fraction(t1 + t2, 2000), kind="link_down", link=(b, c)),
+        FaultEvent(at_ms=Fraction(t2 + 1000, 1000), kind="link_up", link=(b, c)),
+    ))
+    w, legs = simulate_recording_legs(sc)
+    assert [(t, x, y) for t, x, y, pub in legs if (str(pub.topic), pub.seq) == key] == [
+        (t1, a, b)
+    ]
+    assert w.lost_transfers == 1
 
 
 def test_link_traffic_and_leg_times_are_exact():
@@ -177,10 +201,10 @@ def test_link_traffic_and_leg_times_are_exact():
         },
         sim={"duration_ms": 2000, "seed": 3},
     )
-    w = simulate(sc)
+    w, recorded = simulate_recording_legs(sc)
     legs: dict[tuple[str, int], list[tuple[int, str, str]]] = {}
-    for t, a, b, topic, _, seq, _ in w.trace:
-        legs.setdefault((str(topic), seq), []).append((t, a, b))
+    for t, a, b, pub in recorded:
+        legs.setdefault((str(pub.topic), pub.seq), []).append((t, a, b))
     assert sorted(legs) == sorted((t, seq) for t in sizes for seq in range(1, count + 1))
     want_latencies = []
     for (topic, _), hops in legs.items():
