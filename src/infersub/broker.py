@@ -44,6 +44,7 @@ from .errors import (
 )
 from .operators import ModelUpdate, aggregate_updates, apply_mapping
 from .placement import (
+    ExecStage,
     ExecutionGraph,
     Objective,
     Placement,
@@ -144,10 +145,13 @@ Action = Union[Delivery, StageTask, ModelFetch]
 
 @dataclass(frozen=True)
 class RepairPlan:
-    """Outcome of one node-failure handling pass."""
+    """Outcome of one node-failure handling pass. replays resends the unacked
+    entries from the broker node: a Delivery per direct entry, and one
+    StageTask per (exec, stream, seq) of re-entries, as a shared prefix
+    replayed once feeds every instance on it."""
 
     affected: tuple[str, ...]
-    replays: dict[str, tuple[BufferEntry, ...]]
+    replays: tuple[Action, ...]
     suspended: tuple[str, ...]
 
 
@@ -192,6 +196,9 @@ class Broker:
         self.exec_graph = ExecutionGraph()
         # topic string -> ids of the data subs matching it, in id order
         self._data_matches: dict[str, tuple[str, ...]] = {}
+        # (model, k, privacy_split) -> its split chain; peers may declare one
+        # id and version with different layers, so the descriptor is the key
+        self._splits: dict[tuple[ModelDescriptor, int, bool], PipelineSpec] = {}
         self._next_instance = 0
 
     # -- registry ----------------------------------------------------------
@@ -283,7 +290,10 @@ class Broker:
                 f"{sub.sub_id}: privacy split needs a single publisher, "
                 f"matched {[m[0] for m in matched]}"
             )
-        chain = split_model(model, kind.k, kind.privacy_split)
+        key = (model, kind.k, kind.privacy_split)
+        chain = self._splits.get(key)
+        if chain is None:
+            chain = self._splits[key] = split_model(*key)
         chain_entry = chain.entry_ids()[0]
 
         stages = list(chain.stages)
@@ -508,35 +518,39 @@ class Broker:
             e for e in buf if not (e.stream == stream and e.seq <= seq)
         ]
 
-    def consume_buffered(self, sub_ids: list[str], stream: Stream, seq: int) -> None:
-        """Drop exactly one buffered item per sub: consumed by a funnel or a
-        terminal filter drop downstream, so it will never be acked."""
+    def consume_buffered(
+        self, instance_ids: Iterable[str], pubs: Iterable[Publication]
+    ) -> list[str]:
+        """Settle pubs for the live subscriptions of instance_ids: a funnel
+        consumed them or a filter dropped them downstream, so they will never
+        be acked. Returns those subscriptions' ids, sorted."""
+        sub_ids = sorted(
+            self.instances[iid].sub_id
+            for iid in instance_ids
+            if self.instances[iid].status == "active"
+        )
+        settled = {((p.source, str(p.topic)), p.seq) for p in pubs}
         for sub_id in sub_ids:
             buf = self.buffers.get(sub_id)
-            if not buf:
-                continue
-            self.buffers[sub_id] = [
-                e for e in buf if not (e.stream == stream and e.seq == seq)
-            ]
+            if buf:
+                self.buffers[sub_id] = [
+                    e for e in buf if (e.stream, e.seq) not in settled
+                ]
+        return sub_ids
 
-    def buffer_emission(
-        self,
-        exec_id: str,
-        instance_ids: tuple[str, ...],
-        emission: Publication,
-        reentry_stage: str | None,
-        via_stage: str,
-    ) -> None:
+    def buffer_emission(self, ex: ExecStage, emission: Publication) -> None:
         """Hold a funnel emission for retransmission and persist its counter."""
-        self.funnel_seqs[exec_id] = emission.seq + 1
+        self.funnel_seqs[ex.exec_id] = emission.seq + 1
+        succs = self.exec_graph.succs(ex.exec_id)
+        reentry = succs[0].stage.stage_id if succs else None
         stream = (emission.source, str(emission.topic))
-        for iid in instance_ids:
+        for iid in ex.instance_ids:
             inst = self.instances[iid]
             if inst.status != "active":
                 continue
             self._buffer(BufferEntry(
-                inst.sub_id, stream, emission.seq, emission,
-                instance_id=iid, reentry_stage=reentry_stage, via_stage=via_stage,
+                inst.sub_id, stream, emission.seq, emission, instance_id=iid,
+                reentry_stage=reentry, via_stage=ex.stage.stage_id,
             ), count=False)
 
     def funnel_seed(self, exec_id: str) -> int:
@@ -661,12 +675,12 @@ class Broker:
         o: Objective,
         now: Fraction = Fraction(0),
     ) -> RepairPlan:
-        """Replan instances touching the failed node; schedule replays.
+        """Replan instances touching the failed node; return the replays.
 
         Every unacked buffered publication of a live subscription is replayed:
         an instance with no stage on the failed node can still have lost an
         in-flight transfer routed through it, and the subscriber-side dedup
-        absorbs any surplus.
+        absorbs any surplus. A suspended instance's entries are dropped.
         """
         affected: list[str] = []
         suspended: list[str] = []
@@ -700,21 +714,30 @@ class Broker:
         if affected or suspended:
             self._recompile(suspended + affected, affected)
 
-        replays: dict[str, tuple[BufferEntry, ...]] = {}
+        replays: list[Action] = []
+        dispatched: set[tuple[str, Stream, int]] = set()
+        origin = self.broker_node
         for sub_id in sorted(self.buffers):
             if sub_id not in self.subs:
                 continue
+            subscriber = self.subs[sub_id].subscriber
             keep: list[BufferEntry] = []
             for e in self.buffers[sub_id]:
                 if e.instance_id is not None:
-                    inst = self.instances[e.instance_id]
-                    if inst.status != "active":
+                    if self.instances[e.instance_id].status != "active":
                         continue  # suspended: entry dropped, counted as lost
                 keep.append(e)
+                if e.reentry_stage is None:
+                    replays.append(Delivery(sub_id, subscriber, e.pub, e.stream, origin))
+                    continue
+                assert e.instance_id is not None
+                ex = self.exec_graph.exec_for(e.instance_id, e.reentry_stage)
+                if ex is None or (ex.exec_id, e.stream, e.seq) in dispatched:
+                    continue
+                dispatched.add((ex.exec_id, e.stream, e.seq))
+                replays.append(StageTask(ex.exec_id, ex.node, e.pub, origin, e.via_stage))
             self.buffers[sub_id] = keep
-            if keep:
-                replays[sub_id] = tuple(keep)
-        return RepairPlan(tuple(affected), replays, tuple(suspended))
+        return RepairPlan(tuple(affected), tuple(replays), tuple(suspended))
 
     # -- helpers -----------------------------------------------------------
 

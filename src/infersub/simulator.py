@@ -194,6 +194,7 @@ class _World:
         self.seen: dict[tuple[str, tuple[str, str]], set[int]] = {}
         self.link_bytes: dict[tuple[str, str], int] = {}
         self.leg_us: dict[tuple[tuple[str, str], int], int] = {}
+        self.compute_us: dict[str, int] = {}
         self.busy_us: dict[str, int] = {n: 0 for n in sc.topology.nodes}
         self.exec_counts: dict[str, int] = {}
         self.exec_meta: dict[str, tuple[str, str]] = {}
@@ -347,8 +348,13 @@ class _World:
     # -- compute queues ----------------------------------------------------
 
     def _duration_us(self, ex) -> int:
-        cap = self.topo.node(ex.node).cpu_capacity
-        return _ceil_us(Fraction(ex.stage.compute_cost) / Fraction(cap))
+        """µs one run of ex takes, cached per exec id: the id fixes the stage
+        and the node, and a node's cpu capacity never changes."""
+        dur = self.compute_us.get(ex.exec_id)
+        if dur is None:
+            cap = self.topo.node(ex.node).cpu_capacity
+            dur = self.compute_us[ex.exec_id] = _ceil_us(ex.stage.compute_cost / cap)
+        return dur
 
     def _enqueue(self, done, domain: str, ex, pub: Publication) -> None:
         """Queue one run of ex on its node; done(domain, ex, pub) follows it."""
@@ -400,12 +406,8 @@ class _World:
         assert isinstance(stage.kind, Filter)
         out = inference_filter(stage, pub)
         if out is None:
-            broker = self.brokers[domain]
-            stream = (pub.source, str(pub.topic))
-            subs = self._live_subs(broker, ex)
-            for sub_id in subs:
+            for sub_id in self.brokers[domain].consume_buffered(ex.instance_ids, [pub]):
                 self.filtered[sub_id] = self.filtered.get(sub_id, 0) + 1
-            broker.consume_buffered(subs, stream, pub.seq)
             return
         self._fan_out(domain, ex, out)
 
@@ -413,13 +415,6 @@ class _World:
         ex = self._count_execution(domain, ex)
         if ex is not None:
             self._fan_out(domain, ex, emission)
-
-    def _live_subs(self, broker: Broker, ex) -> list[str]:
-        return sorted(
-            broker.instances[iid].sub_id
-            for iid in ex.instance_ids
-            if broker.instances[iid].status == "active"
-        )
 
     def _fan_out(self, domain: str, ex, pub: Publication) -> None:
         graph = self.brokers[domain].exec_graph
@@ -471,17 +466,12 @@ class _World:
                 self._on_funnel_fire, domain, ex.exec_id, self.now_us,
             )
         self.funnels[key] = st2
-        subs = self._live_subs(broker, ex)
         if superseded is not None:
-            for sub_id in subs:
+            for sub_id in broker.consume_buffered(ex.instance_ids, [superseded]):
                 self.filtered[sub_id] = self.filtered.get(sub_id, 0) + 1
-            broker.consume_buffered(
-                subs, (superseded.source, str(superseded.topic)), superseded.seq
-            )
         if emission is not None:
             consumed = [p for _, p in before if p is not superseded] + [pub]
-            for c in consumed:
-                broker.consume_buffered(subs, (c.source, str(c.topic)), c.seq)
+            broker.consume_buffered(ex.instance_ids, consumed)
             self._emit(domain, ex, emission)
 
     def _on_funnel_fire(self, domain: str, exec_id: str, open_us: int) -> None:
@@ -496,18 +486,11 @@ class _World:
         st2, emission = funnel_tick(st, _ms(self.now_us))
         self.funnels[key] = st2
         if emission is not None:
-            subs = self._live_subs(broker, ex)
-            for _, c in st.pending:
-                broker.consume_buffered(subs, (c.source, str(c.topic)), c.seq)
+            broker.consume_buffered(ex.instance_ids, [c for _, c in st.pending])
             self._emit(domain, ex, emission)
 
     def _emit(self, domain: str, ex, emission: Publication) -> None:
-        broker = self.brokers[domain]
-        succs = broker.exec_graph.succs(ex.exec_id)
-        reentry = succs[0].stage.stage_id if succs else None
-        broker.buffer_emission(
-            ex.exec_id, ex.instance_ids, emission, reentry, ex.stage.stage_id
-        )
+        self.brokers[domain].buffer_emission(ex, emission)
         self._enqueue(self._on_emit_done, domain, ex, emission)
 
     # -- subscriber side ---------------------------------------------------
@@ -653,34 +636,12 @@ class _World:
     def _run_repair(self, domain: str, failed: str, fail_us: int) -> None:
         if self.topo.is_node_up(failed):
             return  # blip ended before detection completed
-        broker = self.brokers[domain]
-        plan = broker.on_node_failure(
+        plan = self.brokers[domain].on_node_failure(
             failed, self.topo, self.sc.workload, self.sc.objective, _ms(self.now_us)
         )
         for iid in plan.affected:
             self.recovery_us.setdefault(iid, []).append(self.now_us - fail_us)
-        dispatched: set[tuple[str, tuple[str, str], int]] = set()
-        for sub_id in sorted(plan.replays):
-            sub = broker.subs[sub_id]
-            for e in plan.replays[sub_id]:
-                if e.reentry_stage is None:
-                    self._send(
-                        broker.broker_node, sub.subscriber, e.pub,
-                        self._deliver_local, domain, sub_id, e.stream,
-                    )
-                    continue
-                assert e.instance_id is not None
-                ex = broker.exec_graph.exec_for(e.instance_id, e.reentry_stage)
-                if ex is None:
-                    continue
-                dkey = (ex.exec_id, e.stream, e.seq)
-                if dkey in dispatched:
-                    continue  # prefix shared: one physical replay feeds all
-                dispatched.add(dkey)
-                self._send(
-                    broker.broker_node, ex.node, e.pub,
-                    self._arrive_stage, domain, ex.exec_id, e.via_stage,
-                )
+        self._do_actions(domain, plan.replays)
 
     # -- report ------------------------------------------------------------
 

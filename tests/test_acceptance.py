@@ -14,6 +14,8 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import infersub
 from infersub.core import Barrier, CountWindow, StageSpec, TimeWindow, Topic
 from infersub.metrics import emit
@@ -140,17 +142,25 @@ def test_c06():
     assert run(bundled("arvr")).totals.raw_link_crossings > 0
 
 
+# c07 kills each of these nodes at 2500 ms in its bundled scenario
+C07_KILLS = {
+    "nwdaf": ["ag1", "ag2"],
+    "oran": ["du1", "du2", "cu1"],
+    "arvr": ["e1", "e2"],
+    "nlp": ["w1", "w2"],
+    "federation": ["ne1", "ne2", "se"],
+}
+
+
+def c07_kill(sc, nid):
+    fault = FaultEvent(at_ms=2500, kind="node_down", node=nid, link=None)
+    return dataclasses.replace(sc, faults=(fault,))
+
+
 def test_c07():
     """Any mid-pipeline node can die: repair is bounded, streams stay whole."""
-    kills = {
-        "nwdaf": ["ag1", "ag2"],
-        "oran": ["du1", "du2", "cu1"],
-        "arvr": ["e1", "e2"],
-        "nlp": ["w1", "w2"],
-        "federation": ["ne1", "ne2", "se"],
-    }
     total_repairs = 0
-    for name, nodes in kills.items():
+    for name, nodes in C07_KILLS.items():
         sc = bundled(name)
         bound_us = (sc.sim.heartbeat_misses + 1) * sc.sim.heartbeat_ms * 1000
         data_topics = {
@@ -161,8 +171,7 @@ def test_c07():
             for s in sc.subscriptions if isinstance(s.kind, DataSub)
         }
         for nid in nodes:
-            fault = FaultEvent(at_ms=2500, kind="node_down", node=nid, link=None)
-            w = simulate(dataclasses.replace(sc, faults=(fault,)))
+            w = simulate(c07_kill(sc, nid))
             rep = w.report()
             ctx = f"{name}/kill {nid}"
 
@@ -188,6 +197,24 @@ def test_c07():
             if name == "nlp":
                 assert rep.totals.raw_link_crossings == 0, ctx
     assert total_repairs >= 1, "no kill exercised the repair path"
+
+
+@pytest.mark.parametrize(
+    "name, nid",
+    [
+        pytest.param(name, nid, id=f"{name}-{nid}")
+        for name, nodes in C07_KILLS.items()
+        for nid in nodes
+    ],
+)
+def test_c07_kill_reports_match_golden_bytes(name, nid):
+    """A regression pin, not a hand audit: tests/golden/faults/ holds the
+    `run` JSON each c07 kill printed at commit 38021e3, before replays and
+    buffer settling moved behind the broker. c07's invariants pass for more
+    than one replay order; these bytes hold repair, replay and its dedup to
+    the exact counts (dup_suppressed, filtered, end_buffered)."""
+    got = emit(run(c07_kill(bundled(name), nid)), "json")
+    assert got == (GOLDEN_DIR / "faults" / f"{name}-{nid}.json").read_text()
 
 
 def test_c08():

@@ -278,11 +278,12 @@ def test_ack_needs_stream_when_buffer_is_mixed():
 
 def test_consume_buffered_removes_exact_seq():
     b = fresh()
-    b.subscribe(data_sub(), topo_line(), workload(), Objective())
+    b.register_model(model())
+    b.subscribe(inf_sub(), topo_line(), workload(), Objective())
     for seq in range(1, 4):
         b.on_publish(raw_pub(seq=seq), Fraction(seq))
-    b.consume_buffered(["tap"], ("pub", "d/pub/x"), 2)
-    assert [e.seq for e in b.buffers["tap"]] == [1, 3]
+    assert b.consume_buffered(["d-i1"], [raw_pub(seq=2)]) == ["infer"]
+    assert [e.seq for e in b.buffers["infer"]] == [1, 3]
 
 
 def test_buffered_copy_is_taken_after_the_publisher_prefix():
@@ -315,7 +316,39 @@ def test_failure_replays_exactly_the_unacked_entries():
     t = topo_line().with_node_state("hub", up=False)
     plan = b.on_node_failure("hub", t, workload(), Objective(), Fraction(9))
     assert plan.affected == () and plan.suspended == ()
-    assert [e.seq for e in plan.replays["tap"]] == [3, 4, 5]
+    assert [(a.sub_id, a.pub.seq) for a in plan.replays] == [
+        ("tap", 3), ("tap", 4), ("tap", 5)
+    ]
+
+
+def test_failure_replays_a_shared_prefix_once_per_stream_seq():
+    """Two instances share their whole chain, so one StageTask per seq feeds
+    both; the tap gets a Delivery per unacked entry. Every replay leaves the
+    broker node, and replaying keeps the entries buffered until acked."""
+    b = fresh()
+    b.register_model(model())
+    for sub_id in ("infer-a", "infer-b"):
+        b.subscribe(inf_sub(sub_id=sub_id, k=2), topo_line(), workload(), Objective())
+    b.subscribe(data_sub(), topo_line(), workload(), Objective())
+    for seq in range(1, 5):
+        b.on_publish(raw_pub(seq=seq), Fraction(seq))
+    b.on_ack("tap", 1)
+    entry = b.exec_graph.exec_for("d-i1", "m-v1-s1")
+    assert entry.instance_ids == ("d-i1", "d-i2")
+
+    t = topo_line().with_node_state("pub2", up=False)
+    plan = b.on_node_failure("pub2", t, workload(), Objective(), Fraction(9))
+    tasks = [a for a in plan.replays if isinstance(a, StageTask)]
+    deliveries = [a for a in plan.replays if isinstance(a, Delivery)]
+    assert len(tasks) + len(deliveries) == len(plan.replays)
+    assert [(a.exec_id, a.node, a.pub.seq, a.via_stage) for a in tasks] == [
+        (entry.exec_id, entry.node, seq, None) for seq in (1, 2, 3, 4)
+    ]
+    assert [(a.sub_id, a.subscriber, a.stream, a.pub.seq) for a in deliveries] == [
+        ("tap", "mon", ("pub", "d/pub/x"), seq) for seq in (2, 3, 4)
+    ]
+    assert {a.origin for a in plan.replays} == {"hub"}
+    assert [len(b.buffers[s]) for s in ("infer-a", "infer-b", "tap")] == [4, 4, 3]
 
 
 def test_failure_of_subscriber_suspends_and_drops_entries():
@@ -326,7 +359,7 @@ def test_failure_of_subscriber_suspends_and_drops_entries():
     t = topo_line().with_node_state("mon", up=False)
     plan = b.on_node_failure("mon", t, workload(), Objective(), Fraction(1))
     assert plan.suspended == ("d-i1",)
-    assert plan.replays == {}
+    assert plan.replays == ()
     assert b.instances["d-i1"].status == "suspended"
     assert b.instances["d-i1"].suspend_reason == "endpoint-failed"
     assert b.buffers["infer"] == []

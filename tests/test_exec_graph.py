@@ -201,7 +201,7 @@ def test_repair_carries_the_funnel_counter_to_the_new_exec():
         topic=Topic(("pipe", "m-v1-join")), source="h1", seq=6,
         ts=Fraction(0), size_bytes=8,
     )
-    b.buffer_emission(old.exec_id, old.instance_ids, emission, "m-v1-s1", "m-v1-join")
+    b.buffer_emission(old, emission)
     assert b.funnel_seed(old.exec_id) == 7
 
     plan = b.on_node_failure("h1", t.with_node_state("h1", False), w, o)
