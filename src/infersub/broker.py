@@ -51,6 +51,7 @@ from .placement import (
     WorkloadSpec,
     merge_shared_prefix,
     place_baseline_subscriber,
+    place_oracle,
     place_upstream,
     replan,
 )
@@ -168,7 +169,7 @@ class Broker:
         artifact_kb: dict[str, int] | None = None,
         placer: str = "upstream",
     ) -> None:
-        if placer not in ("upstream", "baseline"):
+        if placer not in ("upstream", "baseline", "oracle"):
             raise ValueError(f"unknown placer {placer!r}")
         self.domain_id = domain_id
         self.broker_node = broker_node
@@ -361,7 +362,8 @@ class Broker:
         if self.placer == "baseline":
             placement = place_baseline_subscriber(pipeline, t, w, publishers, sub.subscriber)
         else:
-            placement = place_upstream(pipeline, t, w, o, publishers, sub.subscriber)
+            place = place_oracle if self.placer == "oracle" else place_upstream
+            placement = place(pipeline, t, w, o, publishers, sub.subscriber)
         self._next_instance += 1
         inst = PipelineInstance(
             instance_id=f"{self.domain_id}-i{self._next_instance}",

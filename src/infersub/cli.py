@@ -10,6 +10,7 @@ from dataclasses import asdict
 from . import __version__
 from .errors import InferSubError, ParseError, ValidationError
 from .metrics import emit
+# place_oracle is unused here, but perfbench/spans.py patches cli.place_oracle
 from .placement import cost, place_oracle
 from .scenario import load_scenario
 from .simulator import compare, compile_scenario, run
@@ -29,44 +30,42 @@ def _load(path: str):
         raise SystemExit(1)
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(text: str, out: str | None) -> int:
+    """Write text to stdout or to `out` and return the exit code, 2 if `out` fails."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     sc = _load(args.scenario)
     report = run(sc, args.seed)
-    _write(emit(report, args.format), args.out)
-    return 0
+    return _write(emit(report, args.format), args.out)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     sc = _load(args.scenario)
     both = compare(sc, args.seed)
     payload = {name: asdict(rep) for name, rep in sorted(both.items())}
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    return _write(json.dumps(payload, indent=2) + "\n", args.out)
 
 
 def _cmd_place(args: argparse.Namespace) -> int:
     sc = _load(args.scenario)
-    placer = "baseline" if args.algorithm == "baseline" else "upstream"
-    brokers, _ = compile_scenario(sc, placer)
+    brokers, _ = compile_scenario(sc, args.algorithm)
     rows = []
     for domain in sorted(brokers):
         broker = brokers[domain]
         for iid in sorted(broker.instances):
             inst = broker.instances[iid]
             pl = inst.placement
-            if args.algorithm == "oracle":
-                pl = place_oracle(
-                    inst.pipeline, sc.topology, sc.workload, sc.objective,
-                    inst.publishers, inst.subscriber,
-                )
             rep = cost(
                 pl, inst.pipeline, sc.topology, sc.workload, sc.objective,
                 inst.publishers, inst.subscriber,
@@ -85,8 +84,7 @@ def _cmd_place(args: argparse.Namespace) -> int:
                 ),
                 "feasible": rep.feasible,
             })
-    _write(json.dumps(rows, indent=2) + "\n", args.out)
-    return 0
+    return _write(json.dumps(rows, indent=2) + "\n", args.out)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -177,6 +177,11 @@ def test_duplicate_sub_id_rejected():
         b.subscribe(data_sub(), topo_line(), workload(), Objective())
 
 
+def test_unknown_placer_rejected():
+    with pytest.raises(ValueError, match="unknown placer 'nope'"):
+        Broker("d", "b", {}, placer="nope")
+
+
 def test_multi_match_builds_a_funnel_pipeline():
     b = fresh(bindings={"d/pub/x": "pub", "d/pub2/x": "pub2"})
     b.register_model(model())

@@ -11,7 +11,8 @@ import infersub
 from infersub.cli import main
 from infersub.metrics import emit
 from infersub.scenario import load_scenario
-from infersub.simulator import run
+from infersub.simulator import compile_scenario, run
+from oracles import ref_place_oracle
 
 SCENARIO_DIR = Path(infersub.__file__).parent / "scenarios"
 NWDAF = str(SCENARIO_DIR / "nwdaf.json")
@@ -57,6 +58,15 @@ def test_run_out_file(tmp_path, capsys):
     assert main(["run", "--scenario", NWDAF, "--out", str(dest)]) == 0
     assert capsys.readouterr().out == ""
     assert json.loads(dest.read_text())["totals"]["published"] == 140
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    dest = tmp_path / "missing" / "report.json"
+    assert main(["run", "--scenario", NWDAF, "--out", str(dest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write output: ")
+    assert not dest.exists()
 
 
 def test_run_csv_format(capsys):
@@ -159,6 +169,59 @@ def test_place_oracle_oversized_space_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["place", "--scenario", str(path), "--algorithm", "oracle"]) == 2
     assert "search space" in capsys.readouterr().err
+
+
+def test_place_oracle_does_not_need_upstream_to_succeed(tmp_path, capsys):
+    # only the off-route node g has the accelerator the single stage needs;
+    # upstream searches the p-s route and fails, the oracle picks g
+    nodes = [
+        {"node_id": "p", "tier": "device", "cpu_capacity": 8, "mem_mb": 512,
+         "domain_id": "d"},
+        {"node_id": "s", "tier": "edge", "cpu_capacity": 8, "mem_mb": 512,
+         "domain_id": "d"},
+        {"node_id": "g", "tier": "edge", "cpu_capacity": 8, "mem_mb": 512,
+         "has_accelerator": True, "domain_id": "d"},
+    ]
+    links = [
+        {"a": "p", "b": "s", "latency_ms": 1, "bandwidth_kb_per_ms": 100},
+        {"a": "g", "b": "s", "latency_ms": 5, "bandwidth_kb_per_ms": 100},
+    ]
+    doc = {
+        "topology": {"nodes": nodes, "links": links, "brokers": {"d": "s"}},
+        "models": [{
+            "model_id": "m", "version": 1, "task_tag": "text", "domain_id": "d",
+            "layers": [{"compute_cost": 1, "mem_mb": 1, "selectivity": 1,
+                        "needs_accelerator": True}],
+        }],
+        "bindings": {"d/p/x": "p"},
+        "subscriptions": [{
+            "sub_id": "a", "subscriber": "s", "kind": "inference",
+            "model_id": "m", "filter": "d/p/x", "k": 1,
+        }],
+        "workload": {"d/p/x": {"size_bytes": 512, "rate_per_s": 1,
+                               "periodic": True, "count": 1}},
+        "faults": [],
+        "objective": {"alpha": 1, "beta": 0.1},
+        "sim": {"duration_ms": 100, "seed": 1},
+    }
+    path = tmp_path / "offroute.json"
+    path.write_text(json.dumps(doc))
+
+    assert main(["place", "--scenario", str(path), "--algorithm", "oracle"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 1 and rows[0]["feasible"]
+    sc = load_scenario(str(path))
+    # baseline placement never fails, so it yields the instance to re-place
+    brokers, _ = compile_scenario(sc, "baseline")
+    (inst,) = brokers["d"].instances.values()
+    ref = ref_place_oracle(
+        inst.pipeline, sc.topology, sc.workload, sc.objective,
+        inst.publishers, inst.subscriber,
+    )
+    assert rows[0]["assignment"] == dict(ref.assignment) == {"m-v1-s1": "g"}
+
+    assert main(["place", "--scenario", str(path), "--algorithm", "upstream"]) == 2
+    assert capsys.readouterr().err == "error: a:m-v1: stage m-v1-s1\n"
 
 
 def test_bad_usage_exits_2():
