@@ -48,6 +48,7 @@ from .placement import (
     ExecutionGraph,
     Objective,
     Placement,
+    TransferMemo,
     WorkloadSpec,
     merge_shared_prefix,
     place_baseline_subscriber,
@@ -236,7 +237,13 @@ class Broker:
         w: WorkloadSpec,
         o: Objective,
         now: Fraction = Fraction(0),
+        memo: TransferMemo | None = None,
     ) -> tuple[str, list[Action]]:
+        """Register sub; an inference sub is placed and merged at once.
+
+        memo shares transfer terms among the placement searches of one
+        compile; the broker keeps no reference to it.
+        """
         if sub.sub_id in self.subs:
             raise ValueError(f"duplicate sub id {sub.sub_id!r}")
         kind = sub.kind
@@ -254,9 +261,11 @@ class Broker:
             self.subs[sub.sub_id] = sub
             try:
                 if kind.model_id in self.models:
-                    inst = self._instantiate(sub, self.models[kind.model_id], t, w, o, "local")
+                    inst = self._instantiate(
+                        sub, self.models[kind.model_id], t, w, o, "local", memo
+                    )
                 else:
-                    inst, fetch = self.resolve_remote(sub, t, w, o)
+                    inst, fetch = self.resolve_remote(sub, t, w, o, memo)
                     actions.append(fetch)
             except Exception:
                 del self.subs[sub.sub_id]
@@ -276,6 +285,7 @@ class Broker:
         w: WorkloadSpec,
         o: Objective,
         span: str,
+        memo: TransferMemo | None = None,
     ) -> PipelineInstance:
         kind = sub.kind
         assert isinstance(kind, InferenceSub)
@@ -363,7 +373,7 @@ class Broker:
             placement = place_baseline_subscriber(pipeline, t, w, publishers, sub.subscriber)
         else:
             place = place_oracle if self.placer == "oracle" else place_upstream
-            placement = place(pipeline, t, w, o, publishers, sub.subscriber)
+            placement = place(pipeline, t, w, o, publishers, sub.subscriber, memo)
         self._next_instance += 1
         inst = PipelineInstance(
             instance_id=f"{self.domain_id}-i{self._next_instance}",
@@ -572,6 +582,7 @@ class Broker:
         t: Topology,
         w: WorkloadSpec,
         o: Objective,
+        memo: TransferMemo | None = None,
     ) -> tuple[PipelineInstance, ModelFetch]:
         """Find the model at a peer over an up bridge and build a cross
         instance; the caller meters the returned artifact fetch."""
@@ -588,7 +599,7 @@ class Broker:
             if model is None:
                 continue
             inst = self._instantiate(
-                sub, model, t, w, o, f"cross:{peer.peer_domain}"
+                sub, model, t, w, o, f"cross:{peer.peer_domain}", memo
             )
             inst.status = "pending"
             kb = remote.artifact_kb.get(kind.model_id, 64 * len(model.layers))

@@ -11,7 +11,7 @@ from . import __version__
 from .errors import InferSubError, ParseError, ValidationError
 from .metrics import emit
 # place_oracle is unused here, but perfbench/spans.py patches cli.place_oracle
-from .placement import cost, place_oracle
+from .placement import TransferMemo, cost, place_oracle
 from .scenario import load_scenario
 from .simulator import compare, compile_scenario, run
 
@@ -58,8 +58,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_place(args: argparse.Namespace) -> int:
-    sc = _load(args.scenario)
-    brokers, _ = compile_scenario(sc, args.algorithm)
+    rows = _placement_rows(_load(args.scenario), args.algorithm)
+    return _write(json.dumps(rows, indent=2) + "\n", args.out)
+
+
+def _placement_rows(sc, algorithm: str) -> list[dict]:
+    """One row per instance, scored through the transfer terms its search
+    computed; the memo and the brokers are freed before the rows are
+    written."""
+    memo = TransferMemo(sc.topology)
+    brokers, _ = compile_scenario(sc, algorithm, memo)
     rows = []
     for domain in sorted(brokers):
         broker = brokers[domain]
@@ -68,12 +76,12 @@ def _cmd_place(args: argparse.Namespace) -> int:
             pl = inst.placement
             rep = cost(
                 pl, inst.pipeline, sc.topology, sc.workload, sc.objective,
-                inst.publishers, inst.subscriber,
+                inst.publishers, inst.subscriber, memo,
             )
             rows.append({
                 "sub_id": inst.sub_id,
                 "instance_id": iid,
-                "algorithm": args.algorithm,
+                "algorithm": algorithm,
                 "assignment": {
                     sid: pl.assignment[sid] for sid in sorted(pl.assignment)
                 },
@@ -84,7 +92,7 @@ def _cmd_place(args: argparse.Namespace) -> int:
                 ),
                 "feasible": rep.feasible,
             })
-    return _write(json.dumps(rows, indent=2) + "\n", args.out)
+    return rows
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

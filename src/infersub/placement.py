@@ -7,6 +7,7 @@ from bisect import insort
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Sequence, Union
 
 from .core import (
@@ -199,6 +200,37 @@ def _reach(t: Topology, a: str, b: str) -> tuple[Fraction, int, tuple[str, ...]]
 # Feasibility and cost
 
 
+class TransferMemo:
+    """Transfer terms on one topology snapshot in exact integers, shared by
+    every search of one compile.
+
+    A search measures time in ticks of 1 / unit ms and traffic in bytes
+    counted per hop. unit is the LCM of the snapshot's latency denominators,
+    1024 times each bandwidth numerator and cpu, the LCM of the cpu capacity
+    numerators. So every route latency and per-hop transfer time is a whole
+    number of ticks, and so is compute_cost / cpu_capacity for every compute
+    cost whose denominator divides unit // cpu. terms maps (source,
+    destination, bytes) to (ticks, bytes counted per hop), or None without a
+    route.
+
+    compile_scenario makes one, hands it to every search of the compile and
+    drops it when it returns, so no snapshot, broker or instance keeps the
+    terms alive. A search given none, or one for another snapshot, makes its
+    own.
+    """
+
+    def __init__(self, t: Topology) -> None:
+        self.t = t
+        links = t.links.values()
+        self.cpu = lcm(*(n.cpu_capacity.numerator for n in t.nodes.values()))
+        self.unit = lcm(
+            self.cpu,
+            *(link.latency_ms.denominator for link in links),
+            *(1024 * link.bandwidth_kb_per_ms.numerator for link in links),
+        )
+        self.terms: dict[tuple[str, str, int], tuple[int, int] | None] = {}
+
+
 class _Evaluator:
     """Feasibility and cost of assignments of one pipeline on one topology,
     workload, publisher context and subscriber.
@@ -210,7 +242,13 @@ class _Evaluator:
 
     Every search places stages through the same two rules: admits (with hold
     for the per-node totals it reads) decides whether a node may take a
-    stage, and timing gives the stage's finish time and incoming KB there.
+    stage, and timing gives the stage's finish time and incoming bytes there.
+
+    Times are integer ticks of 1 / unit ms and traffic is bytes counted per
+    hop, so a search adds and compares ints; weights turns the objective
+    into integer weights on the two. unit is the memo's, times the least
+    factor that makes every compute term of this pipeline whole; transfer
+    terms are shared through the memo when that factor is 1.
     """
 
     def __init__(
@@ -220,6 +258,7 @@ class _Evaluator:
         w: WorkloadSpec,
         publisher: Publishers | None = None,
         subscriber: str | None = None,
+        memo: TransferMemo | None = None,
     ) -> None:
         self.p = p
         self.t = t
@@ -227,7 +266,8 @@ class _Evaluator:
         self.pubs = None if publisher is None else _publishers_by_entry(p, publisher)
         self.subscriber = subscriber
         self._anchors: dict[str, str] = {}
-        self._terms: dict[tuple[str, str, int], tuple[Fraction, Fraction] | None] = {}
+        self._memo = memo
+        self._compute: dict[tuple[str, str], int] = {}
 
     def anchor(self, sid: str) -> str:
         """_anchor_publisher of sid; needs the publisher context."""
@@ -236,26 +276,73 @@ class _Evaluator:
             self._anchors[sid] = _anchor_publisher(self.p, sid, self.pubs)
         return self._anchors[sid]
 
-    def transfer(
-        self, a: str, b: str, size_bytes: int
-    ) -> tuple[Fraction, Fraction] | None:
-        """(ms, KB counted per hop) to move size_bytes along route(t, a, b),
-        or None when there is no route. Each hop takes its latency plus size
-        over bandwidth. Memoized per (a, b, size_bytes)."""
+    @cached_property
+    def _scale(self) -> tuple[int, dict[tuple[str, str, int], tuple[int, int] | None]]:
+        """(unit, transfer terms), made on first use: feasibility needs
+        neither."""
+        memo = self._memo
+        if memo is None or memo.t is not self.t:
+            memo = TransferMemo(self.t)
+        free = memo.unit // memo.cpu
+        extra = lcm(*(
+            s.compute_cost.denominator // gcd(s.compute_cost.denominator, free)
+            for s in self.p.stages
+        ))
+        return memo.unit * extra, memo.terms if extra == 1 else {}
+
+    @property
+    def unit(self) -> int:
+        return self._scale[0]
+
+    def ticks(self, ms: Fraction) -> int:
+        """ms in ticks; whole for every latency and compute term."""
+        return ms.numerator * (self.unit // ms.denominator)
+
+    def weights(self, o: Objective) -> tuple[int, int]:
+        """Integer (a, b) such that a * ticks + b * bytes is o's value of
+        (ticks / unit ms, bytes / 1024 KB) times one positive constant."""
+        a, b = o.alpha / self.unit, o.beta / 1024
+        d = lcm(a.denominator, b.denominator)
+        return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+
+    def transfer(self, a: str, b: str, size_bytes: int) -> tuple[int, int] | None:
+        """(ticks, bytes counted per hop) to move size_bytes along
+        route(t, a, b), or None when there is no route. Each hop takes its
+        latency plus size over bandwidth. Memoized per (a, b, size_bytes)."""
+        unit, terms = self._scale
         key = (a, b, size_bytes)
-        if key not in self._terms:
+        if key not in terms:
             got = _reach(self.t, a, b)
             if got is None:
-                self._terms[key] = None
+                terms[key] = None
             else:
                 lat, hops, path = got
-                kb = Fraction(size_bytes, 1024)
+                ticks = self.ticks(lat)
                 for x, y in zip(path, path[1:]):
                     link = self.t.link_between(x, y)
                     assert link is not None
-                    lat += kb / link.bandwidth_kb_per_ms
-                self._terms[key] = (lat, kb * hops)
-        return self._terms[key]
+                    bw = link.bandwidth_kb_per_ms
+                    per_byte = bw.denominator * (unit // (1024 * bw.numerator))
+                    ticks += size_bytes * per_byte
+                terms[key] = (ticks, size_bytes * hops)
+        return terms[key]
+
+    def compute(self, sid: str, node_id: str) -> int:
+        """Ticks sid computes for on node_id: compute_cost / cpu_capacity ms,
+        in ints, as unit is a multiple of the capacity's numerator."""
+        key = (sid, node_id)
+        if key not in self._compute:
+            cost = self.p.stage(sid).compute_cost
+            cpu = self.t.node(node_id).cpu_capacity
+            per_cost = cpu.denominator * (self.unit // cpu.numerator)
+            self._compute[key] = cost.numerator * per_cost // cost.denominator
+        return self._compute[key]
+
+    def distance(self, a: str, b: str) -> tuple[int, int, int]:
+        """Totally ordered distance of route(t, a, b): (0, latency ticks,
+        hops), or (1, 0, 0), farther than any route, when there is none."""
+        got = _reach(self.t, a, b)
+        return (1, 0, 0) if got is None else (0, self.ticks(got[0]), got[1])
 
     @cached_property
     def pins(self) -> dict[str, str]:
@@ -397,10 +484,10 @@ class _Evaluator:
         sid: str,
         node_id: str,
         assigned: dict[str, str],
-        finish: dict[str, Fraction],
-    ) -> tuple[Fraction, Fraction] | None:
-        """(finish time, KB moved in) of stage sid on node_id, given each
-        predecessor's node in assigned and finish time in finish; None when
+        finish: dict[str, int],
+    ) -> tuple[int, int] | None:
+        """(finish ticks, bytes moved in) of stage sid on node_id, given each
+        predecessor's node in assigned and finish ticks in finish; None when
         an input has no route. An entry's input comes from its publisher.
 
         The stage starts when its last input arrives and computes for
@@ -413,40 +500,38 @@ class _Evaluator:
             term = self.transfer(self.pubs[sid], node_id, entry_sizes[sid])
             if term is None:
                 return None
-            at, kb = term
+            at, moved = term
         else:
-            at = kb = None
+            at = moved = 0
             for q in preds:
                 term = self.transfer(assigned[q], node_id, sizes[q])
                 if term is None:
                     return None
-                ready = finish[q] + term[0]
-                at = ready if at is None else max(at, ready)
-                kb = term[1] if kb is None else kb + term[1]
-        compute = self.p.stage(sid).compute_cost / self.t.node(node_id).cpu_capacity
-        return at + compute, kb
+                at = max(at, finish[q] + term[0])
+                moved += term[1]
+        return at + self.compute(sid, node_id), moved
 
-    def walk(self, assigned: dict[str, str]) -> tuple[Fraction, Fraction]:
-        """(latency, KB) of one publication through a full assignment whose
-        transfers all have routes; checks nothing else.
+    def walk(self, assigned: dict[str, str]) -> tuple[int, int]:
+        """(latency ticks, bytes) of one publication through a full
+        assignment whose transfers all have routes; checks nothing else.
 
         Latency is the latest finish along the DAG plus the transfer to the
-        subscriber; KB sums every transfer. Needs the publisher and subscriber
-        context.
+        subscriber; bytes sum every transfer. Needs the publisher and
+        subscriber context.
         """
         assert self.subscriber is not None
         p = self.p
-        bytes_kb = 0
-        finish: dict[str, Fraction] = {}
+        moved = 0
+        finish: dict[str, int] = {}
         for sid in p.topo_order():
             got = self.timing(sid, assigned[sid], assigned, finish)
             assert got is not None
-            finish[sid], kb = got
-            bytes_kb += kb
+            finish[sid], hop_bytes = got
+            moved += hop_bytes
         sink_size = self.workload[1][p.sink]
         term = self.transfer(assigned[p.sink], self.subscriber, sink_size)
         assert term is not None
-        return finish[p.sink] + term[0], bytes_kb + term[1]
+        return finish[p.sink] + term[0], moved + term[1]
 
     def cost(self, assigned: dict[str, str], o: Objective) -> CostReport:
         """The CostReport of an assignment; needs the publisher and subscriber
@@ -456,7 +541,8 @@ class _Evaluator:
         missing = ("Unassigned", "NodeMissing", "RouteMissing")
         if any(v.rule in missing for v in violations):
             return CostReport(None, None, None, False, violations)
-        latency, bytes_kb = self.walk(assigned)
+        ticks, moved = self.walk(assigned)
+        latency, bytes_kb = Fraction(ticks, self.unit), Fraction(moved, 1024)
         return CostReport(
             latency_ms=latency,
             bytes_kb=bytes_kb,
@@ -489,25 +575,20 @@ def cost(
     o: Objective,
     publisher: Publishers,
     subscriber: str,
+    memo: TransferMemo | None = None,
 ) -> CostReport:
     """Critical-path latency and per-hop KB for one publication through pl.
 
     Latency sums entry transfer, per-stage compute (cost / cpu_capacity),
     inter-stage transfers, and the final transfer to the subscriber, along the
-    longest path of the DAG.
+    longest path of the DAG. memo shares transfer terms with the searches of
+    one compile; it changes no result.
     """
-    return _Evaluator(p, t, w, publisher, subscriber).cost(pl.assignment, o)
+    return _Evaluator(p, t, w, publisher, subscriber, memo).cost(pl.assignment, o)
 
 
 # ---------------------------------------------------------------------------
 # Placement algorithms
-
-
-def _distance(t: Topology, a: str, b: str) -> tuple:
-    """Totally ordered distance of route(t, a, b): (0, latency, hops), or
-    (1, 0, 0), farther than any route, when there is none."""
-    got = _reach(t, a, b)
-    return (1, 0, 0) if got is None else (0, got[0], got[1])
 
 
 def place_oracle(
@@ -517,6 +598,7 @@ def place_oracle(
     o: Objective,
     publisher: Publishers,
     subscriber: str,
+    memo: TransferMemo | None = None,
 ) -> Placement:
     """Exact minimum-objective placement of all unpinned stages, by
     branch-and-bound; capped at ORACLE_BOUND candidate assignments.
@@ -539,9 +621,11 @@ def place_oracle(
     A full assignment is scored by the same running terms: the search has
     checked every rule of the evaluator's violations on the way down, and
     finish times only grow along edges, so the bound at a leaf is the walk's
-    latency.
+    latency. Bounds and leaves are compared as the evaluator's integer
+    weighting of (ticks, bytes), which orders them as the objective does.
     """
-    ev = _Evaluator(p, t, w, publisher, subscriber)
+    ev = _Evaluator(p, t, w, publisher, subscriber, memo)
+    wa, wb = ev.weights(o)
     pins = ev.pins
     unpinned = [s.stage_id for s in p.stages if s.stage_id not in pins]
     candidates = sorted(n for n in t.nodes if t.is_node_up(n))
@@ -563,21 +647,21 @@ def place_oracle(
 
     def upstream_key(assignment: dict[str, str]) -> tuple:
         return tuple(
-            _distance(t, ev.anchor(s.stage_id), assignment[s.stage_id])
+            ev.distance(ev.anchor(s.stage_id), assignment[s.stage_id])
             + (assignment[s.stage_id],)
             for s in p.stages
         )
 
     assigned: dict[str, str] = {}
-    finish: dict[str, Fraction] = {}
+    finish: dict[str, int] = {}
     totals: _Totals = {}
     best: tuple | None = None
     best_assignment: dict[str, str] | None = None
 
-    def search(i: int, latest: Fraction, moved: Fraction) -> None:
+    def search(i: int, latest: int, moved: int) -> None:
         nonlocal best, best_assignment
         if i == len(order):
-            key = (o.value(latest, moved), upstream_key(assigned))
+            key = (wa * latest + wb * moved, upstream_key(assigned))
             if best is None or key < best:
                 best, best_assignment = key, dict(assigned)
             return
@@ -596,14 +680,14 @@ def place_oracle(
                     continue
                 bound = max(bound, done + out[0])
                 kb += out[1]
-            if best is not None and o.value(bound, kb) > best[0]:
+            if best is not None and wa * bound + wb * kb > best[0]:
                 continue
             assigned[sid], finish[sid] = node_id, done
             ev.hold(sid, node_id, totals, add=True)
             search(i + 1, bound, kb)
             ev.hold(sid, node_id, totals, add=False)
 
-    search(0, Fraction(0), Fraction(0))
+    search(0, 0, 0)
     del search  # it refers to itself: free its state now, not at the next gc
     if best_assignment is None:
         raise NoFeasiblePlacementError(p.pipeline_id)
@@ -639,18 +723,20 @@ def _upstream_with_fixed(
     which carries no pin, to a candidate that also lies at or upstream of
     its successors. Its transfers keep their routes, since every candidate
     lies on a publisher->subscriber route and so in the one component that a
-    feasible assignment's stages share. A move is scored by ev.walk alone.
+    feasible assignment's stages share. A move is scored by ev.walk alone,
+    weighted in integers as the oracle's leaves are.
     """
     p, t, subscriber = ev.p, ev.t, ev.subscriber
     assert ev.pubs is not None and subscriber is not None
     movable_set = set(movable)
     assignment = dict(fixed)
     downs: dict[str, tuple] = {}
+    wa, wb = ev.weights(o)
 
     def down(node_id: str) -> tuple:
-        """_distance from node_id to the subscriber, once per node."""
+        """ev.distance from node_id to the subscriber, once per node."""
         if node_id not in downs:
-            downs[node_id] = _distance(t, node_id, subscriber)
+            downs[node_id] = ev.distance(node_id, subscriber)
         return downs[node_id]
 
     # most upstream first, ties by node id; every route node reaches the
@@ -682,13 +768,13 @@ def _upstream_with_fixed(
         assignment[sid] = chosen
         ev.hold(sid, chosen, totals, add=True)
 
-    report = ev.cost(assignment, o)
-    if not report.feasible:
+    violations = ev.violations(assignment)
+    if violations:
         raise NoFeasiblePlacementError(
-            f"{p.pipeline_id}: {[v.rule for v in report.violations]}"
+            f"{p.pipeline_id}: {[v.rule for v in violations]}"
         )
-    assert report.objective_value is not None
-    current = report.objective_value
+    ticks, moved = ev.walk(assignment)
+    current = wa * ticks + wb * moved
 
     max_moves = 100 * len(p.stages)
     moves = 0
@@ -699,12 +785,13 @@ def _upstream_with_fixed(
             if sid not in movable_set or moves >= max_moves:
                 continue
             here = assignment[sid]
-            best: tuple[Fraction, int, str] | None = None
+            best: tuple[int, int, str] | None = None
             for rank, cand in enumerate(ranked):
                 if cand == here or not fits(sid, cand, p.succs(sid)):
                     continue
                 assignment[sid] = cand
-                value = o.value(*ev.walk(assignment))
+                ticks, moved = ev.walk(assignment)
+                value = wa * ticks + wb * moved
                 assignment[sid] = here
                 if value < current and (best is None or (value, rank, cand) < best):
                     best = value, rank, cand
@@ -724,9 +811,10 @@ def place_upstream(
     o: Objective,
     publisher: Publishers,
     subscriber: str,
+    memo: TransferMemo | None = None,
 ) -> Placement:
     """Balanced-upstream heuristic over the publisher->subscriber route."""
-    ev = _Evaluator(p, t, w, publisher, subscriber)
+    ev = _Evaluator(p, t, w, publisher, subscriber, memo)
     movable = [s.stage_id for s in p.stages if s.stage_id not in ev.pins]
     return _upstream_with_fixed(ev, o, ev.pins, movable)
 

@@ -52,7 +52,7 @@ from .operators import (
     funnel_tick,
     inference_filter,
 )
-from .placement import WorkloadEntry
+from .placement import TransferMemo, WorkloadEntry
 from .scenario import Scenario
 
 US_PER_MS = 1000
@@ -124,14 +124,18 @@ class _TopicState:
 
 
 def compile_scenario(
-    sc: Scenario, placer: str
+    sc: Scenario, placer: str, memo: TransferMemo | None = None
 ) -> tuple[dict[str, Broker], list[tuple[str, list]]]:
     """Build one broker per domain and subscribe every subscription.
 
     Returns the brokers by domain and, in sub-id order, the (domain, actions)
     that each subscribe produced, for the caller to carry out or ignore.
+    Every placement search of the compile shares one memo of transfer terms;
+    it is freed on return unless the caller passed it in to score with.
     """
     topo = sc.topology
+    if memo is None:
+        memo = TransferMemo(topo)
     brokers: dict[str, Broker] = {}
     for domain in sorted(sc.brokers):
         bindings = {
@@ -163,7 +167,9 @@ def compile_scenario(
     actions = []
     for sub in sorted(sc.subscriptions, key=lambda s: s.sub_id):
         domain = topo.node(sub.subscriber).domain_id
-        _, acts = brokers[domain].subscribe(sub, topo, sc.workload, sc.objective)
+        _, acts = brokers[domain].subscribe(
+            sub, topo, sc.workload, sc.objective, memo=memo
+        )
         actions.append((domain, acts))
     return brokers, actions
 

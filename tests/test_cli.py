@@ -3,19 +3,23 @@
 from __future__ import annotations
 
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
 import infersub
+from infersub.broker import Broker
 from infersub.cli import main
 from infersub.metrics import emit
+from infersub.placement import TransferMemo
 from infersub.scenario import load_scenario
 from infersub.simulator import compile_scenario, run
 from oracles import ref_place_oracle
 
 SCENARIO_DIR = Path(infersub.__file__).parent / "scenarios"
 NWDAF = str(SCENARIO_DIR / "nwdaf.json")
+FEDERATION = str(SCENARIO_DIR / "federation.json")
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -222,6 +226,39 @@ def test_place_oracle_does_not_need_upstream_to_succeed(tmp_path, capsys):
 
     assert main(["place", "--scenario", str(path), "--algorithm", "upstream"]) == 2
     assert capsys.readouterr().err == "error: a:m-v1: stage m-v1-s1\n"
+
+
+@pytest.mark.parametrize("algorithm", ["upstream", "oracle", "baseline"])
+def test_the_compile_memo_is_freed_when_compile_and_place_return(
+    algorithm, monkeypatch, tmp_path
+):
+    """compile_scenario, and place with its row scoring, each share one
+    TransferMemo across their searches. Nothing keeps it once they return:
+    no topology snapshot or broker gains an attribute that could hold it.
+    federation has peers, so cross-domain subscriptions place through
+    resolve_remote as well."""
+    made: list[weakref.ref] = []
+    init = TransferMemo.__init__
+
+    def record(self, t):
+        init(self, t)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(TransferMemo, "__init__", record)
+    sc = load_scenario(FEDERATION)
+    before = set(vars(sc.topology))
+    brokers, _ = compile_scenario(sc, algorithm)
+    assert len(made) == 1 and made[0]() is None
+    assert set(vars(sc.topology)) == before
+    fresh = set(vars(Broker("d0", "n0")))
+    assert [set(vars(b)) for b in brokers.values()] == [fresh] * len(brokers)
+
+    made.clear()
+    out = tmp_path / "rows.json"
+    argv = ["place", "--scenario", FEDERATION, "--algorithm", algorithm]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())
+    assert len(made) == 1 and made[0]() is None
 
 
 def test_bad_usage_exits_2():

@@ -35,6 +35,7 @@ from infersub.placement import (
     ORACLE_BOUND,
     Objective,
     Placement,
+    TransferMemo,
     WorkloadEntry,
     WorkloadSpec,
     cost,
@@ -326,16 +327,24 @@ def test_oracle_refuses_oversized_search_spaces():
 # Against the pre-evaluator placement code kept in oracles
 
 
-def gen_placement_case(rng: random.Random):
+def gen_placement_case(rng: random.Random, fractional: bool = False):
     """A random placement problem: a chain behind an optional funnel join
     (barrier, count or time window) and prefilter gate, every pin kind,
     accelerator needs, mem/cpu budgets that sometimes bind, and down,
-    cut-off or unreachable nodes. Returns (p, t, w, o, publisher, subscriber)."""
+    cut-off or unreachable nodes. Returns (p, t, w, o, publisher, subscriber).
+
+    With fractional, latencies, bandwidths, cpu capacities and compute costs
+    are drawn over the co-prime denominators 3, 7 and 10 (or 1), so both the
+    numerators and the denominators of those inputs reach the tick unit."""
+
+    def ratio(n: int) -> Fraction:
+        return Fraction(n, rng.choice([1, 3, 7, 10])) if fractional else Fraction(n)
+
     n = rng.randint(3, 6)
     ids = [f"n{i}" for i in range(n)]
     nodes = [
         NodeDescriptor(
-            nid, "edge", Fraction(rng.randint(1, 8)),
+            nid, "edge", ratio(rng.randint(1, 8)),
             Fraction(rng.choice([24, 64, 4096, 4096])), rng.random() < 0.4,
         )
         for nid in ids
@@ -345,7 +354,7 @@ def gen_placement_case(rng: random.Random):
     if rng.random() < 0.1:
         ends.discard(sorted(ends)[0])  # may cut the topology in two
     links = [
-        LinkDescriptor(a, b, Fraction(rng.randint(0, 5)), Fraction(rng.randint(1, 200)))
+        LinkDescriptor(a, b, ratio(rng.randint(0, 5)), ratio(rng.randint(1, 200)))
         for a, b in sorted(ends)
     ]
     t = Topology.of(nodes, links)
@@ -367,7 +376,7 @@ def gen_placement_case(rng: random.Random):
 
     def stage(sid: str, kind) -> StageSpec:
         return StageSpec(
-            sid, kind, Fraction(rng.randint(0, 20)), Fraction(rng.randint(0, 40)),
+            sid, kind, ratio(rng.randint(0, 20)), Fraction(rng.randint(0, 40)),
             Fraction(rng.randint(2, 12), 8), rng.random() < 0.1, pin(),
         )
 
@@ -422,11 +431,10 @@ def outcome(fn, *args):
     return got.assignment if isinstance(got, Placement) else got
 
 
-@given(st.integers(0, 10**9))
-@settings(max_examples=300, deadline=None)
-def test_placement_matches_the_pre_evaluator_reference(seed):
-    rng = random.Random(seed)
-    p, t, w, o, pub, sub = gen_placement_case(rng)
+def check_against_reference(rng, p, t, w, o, pub, sub, memo=None):
+    """Every public placement function on one case equals the pre-evaluator
+    reference, error types included; memo, when given, is passed to each
+    function that takes one."""
     ids = sorted(t.nodes)
 
     for _ in range(3):
@@ -441,11 +449,11 @@ def test_placement_matches_the_pre_evaluator_reference(seed):
             assert outcome(feasible, pl, p, t, w, *context) == outcome(
                 ref_feasible, pl, p, t, w, *context
             )
-        assert outcome(cost, pl, p, t, w, o, pub, sub) == outcome(
+        assert outcome(cost, pl, p, t, w, o, pub, sub, memo) == outcome(
             ref_cost, pl, p, t, w, o, pub, sub
         )
 
-    upstream = outcome(place_upstream, p, t, w, o, pub, sub)
+    upstream = outcome(place_upstream, p, t, w, o, pub, sub, memo)
     assert upstream == outcome(ref_place_upstream, p, t, w, o, pub, sub)
     baseline = outcome(place_baseline_subscriber, p, t, w, pub, sub)
     assert baseline == outcome(ref_place_baseline_subscriber, p, t, w, pub, sub)
@@ -454,7 +462,7 @@ def test_placement_matches_the_pre_evaluator_reference(seed):
     unpinned = sum(not s.pin.is_pinned for s in p.stages)
     space = sum(t.is_node_up(n) for n in ids) ** unpinned
     if space <= 64 or space > ORACLE_BOUND:
-        oracle = outcome(place_oracle, p, t, w, o, pub, sub)
+        oracle = outcome(place_oracle, p, t, w, o, pub, sub, memo)
         assert oracle == outcome(ref_place_oracle, p, t, w, o, pub, sub)
         starts.append(oracle)
 
@@ -470,6 +478,60 @@ def test_placement_matches_the_pre_evaluator_reference(seed):
         assert outcome(replan, pl, failed, p, down, w, o, pub, sub) == outcome(
             ref_replan, pl, failed, p, down, w, o, pub, sub
         )
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=300, deadline=None)
+def test_placement_matches_the_pre_evaluator_reference(seed):
+    rng = random.Random(seed)
+    check_against_reference(rng, *gen_placement_case(rng))
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    pytest.param(Fraction(3, 7), Fraction(10, 3), id="both-weights"),
+    pytest.param(Fraction(0), Fraction(2, 9), id="alpha-zero"),
+    pytest.param(Fraction(4, 11), Fraction(0), id="beta-zero"),
+])
+@given(seed=st.integers(0, 10**9))
+def test_placement_is_exact_on_fractional_inputs(alpha, beta, seed):
+    """Co-prime latency, bandwidth, cpu and compute-cost denominators, each
+    objective weight zero in turn, and one memo shared by every call on the
+    case's topology, as a compile shares it. The memo is first filled by the
+    same pipeline with every compute cost zero, whose ticks need no factor
+    beyond the memo's unit, as a compile's other pipelines would."""
+    rng = random.Random(seed)
+    p, t, w, _, pub, sub = gen_placement_case(rng, fractional=True)
+    o = Objective(alpha, beta)
+    memo = TransferMemo(t)
+    free = replace(p, stages=tuple(replace(s, compute_cost=0) for s in p.stages))
+    outcome(place_upstream, free, t, w, o, pub, sub, memo)
+    check_against_reference(rng, p, t, w, o, pub, sub, memo)
+
+
+def test_a_memo_of_another_snapshot_is_not_read():
+    """Terms memoized on one snapshot would misprice a route that a link
+    fault changed; a search given that memo on the new snapshot makes its own."""
+    topo = Topology.of(
+        [NodeDescriptor(n, "edge", 4, 256) for n in ("m", "p", "x")],
+        [
+            LinkDescriptor("p", "x", 1, 100),
+            LinkDescriptor("m", "p", 2, 100),
+            LinkDescriptor("m", "x", 3, 100),
+        ],
+    )
+    stage = StageSpec("s1", Mapping("identity"), 1, 1, 1)
+    pipeline = PipelineSpec(
+        "one", (stage,), (), {"s1": TopicFilter.parse(BENCH_TOPIC)}, "s1"
+    )
+    w = WorkloadSpec({BENCH_TOPIC: WorkloadEntry(1024, 1)})
+    pl, o = Placement({"s1": "x"}), Objective()
+    memo = TransferMemo(topo)
+    compute = Fraction(1, 4)
+    direct = cost(pl, pipeline, topo, w, o, "p", "x", memo)
+    assert direct.latency_ms == 1 + Fraction(1, 100) + compute
+    down = topo.with_link_state("p", "x", up=False)
+    detour = cost(pl, pipeline, down, w, o, "p", "x", memo)
+    assert detour.latency_ms == 2 + 3 + 2 * Fraction(1, 100) + compute
 
 
 # ---------------------------------------------------------------------------
