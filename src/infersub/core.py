@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil, lcm
+from math import lcm
 from typing import Iterable, Union
 
 from .errors import NoRouteError, SplitArityError
@@ -35,8 +35,9 @@ def as_ratio(x: Ratio) -> Fraction:
 
 
 def scaled_size(input_total: int, selectivity: Fraction) -> int:
-    """Size law shared by every operator: max(1, ceil(total * selectivity))."""
-    return max(1, ceil(input_total * selectivity))
+    """Size law shared by every operator: max(1, ceil(total * selectivity)),
+    in ints."""
+    return max(1, -(-input_total * selectivity.numerator // selectivity.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +642,9 @@ class LinkDescriptor:
         return (self.a, self.b)
 
 
+_ZERO_MS = Fraction(0)  # the latency of a route that stays on its node
+
+
 @dataclass(frozen=True, eq=False)
 class Topology:
     """The continuum graph. Node liveness lives here, not on NodeDescriptor."""
@@ -753,7 +757,7 @@ class Topology:
         if a not in self.nodes or b not in self.nodes:
             raise NoRouteError(a, b)
         if a == b:
-            return (Fraction(0), 0, (a,))
+            return (_ZERO_MS, 0, (a,))
         if not self.is_node_up(a) or not self.is_node_up(b):
             raise NoRouteError(a, b)
         got = self.shortest_paths(a).get(b)

@@ -123,11 +123,10 @@ def apply_mapping(stage: StageSpec, p: Publication) -> Publication:
     fn = UNARY_FNS.get(stage.kind.fn_id)
     if fn is None:
         raise UnknownFnError(stage.kind.fn_id)
-    return replace(
-        p,
-        size_bytes=scaled_size(p.size_bytes, stage.selectivity),
-        payload=fn(dict(stage.kind.args), p.payload),
-        tag="derived",
+    return Publication(
+        p.topic, p.source, p.seq, p.ts,
+        scaled_size(p.size_bytes, stage.selectivity),
+        fn(dict(stage.kind.args), p.payload), "derived", p.semantic_tag,
     )
 
 
@@ -140,10 +139,10 @@ def inference_filter(stage: StageSpec, p: Publication) -> Publication | None:
         raise UnknownPredicateError(stage.kind.predicate_id)
     if not pred(dict(stage.kind.args), p.payload):
         return None
-    return replace(
-        p,
-        size_bytes=scaled_size(p.size_bytes, stage.selectivity),
-        tag="derived",
+    return Publication(
+        p.topic, p.source, p.seq, p.ts,
+        scaled_size(p.size_bytes, stage.selectivity),
+        p.payload, "derived", p.semantic_tag,
     )
 
 

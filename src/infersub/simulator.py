@@ -56,6 +56,8 @@ from .placement import TransferMemo, WorkloadEntry
 from .scenario import Scenario
 
 US_PER_MS = 1000
+US_PER_S = 1000 * US_PER_MS
+_TWO_53 = Decimal(2 ** 53)
 
 # event priorities at equal timestamps; lower runs first
 PRIO_FAULT_DOWN = 0
@@ -82,18 +84,75 @@ def _topic_rng(seed: int, topic: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _exp_gap_ms(rng: random.Random, rate_per_ms: Fraction) -> Fraction:
-    """One exponential inter-arrival gap, reproducible across platforms.
+def _exp_gap_us(rng: random.Random, rate_per_s: Fraction) -> int:
+    """One exponential inter-arrival gap in whole µs, at least 1, reproducible
+    across platforms.
 
     The logarithm goes through decimal (correctly rounded per IEEE 754-2008
     semantics) rather than math.log so identical seeds give identical runs
-    everywhere.
+    everywhere. The gap -ln(u) / rate is then rounded up exactly in ints:
+    ln(u) is the decimal n / d, so it is ceil(-n * 10^6 / (d * rate)) µs.
     """
-    u = Fraction(rng.getrandbits(53) + 1, 2 ** 53)
+    u = rng.getrandbits(53) + 1
     with localcontext() as ctx:
         ctx.prec = 28
-        ln_u = (Decimal(u.numerator) / Decimal(u.denominator)).ln()
-    return -Fraction(ln_u) / rate_per_ms
+        n, d = (Decimal(u) / _TWO_53).ln().as_integer_ratio()
+    return max(1, -(n * US_PER_S * rate_per_s.denominator // (d * rate_per_s.numerator)))
+
+
+def _periodic_us(emitted: int, rate_per_s: Fraction) -> int:
+    """µs from a periodic topic's start to its publication after emitted
+    ones: ceil(emitted * 10^6 / rate)."""
+    return -(-emitted * US_PER_S * rate_per_s.denominator // rate_per_s.numerator)
+
+
+def _latency_stats(lats_us: list[int]) -> tuple[float | None, float | None]:
+    """(mean, nearest-rank p95) of µs latencies in ms; Nones for no latency."""
+    if not lats_us:
+        return None, None
+    lats = sorted(lats_us)
+    rank = -((-95 * len(lats)) // 100)  # ceil
+    return (
+        float(Fraction(sum(lats), US_PER_MS * len(lats))),
+        float(Fraction(lats[rank - 1], US_PER_MS)),
+    )
+
+
+class _Seqs:
+    """The seqs one stream has delivered: the run lo..hi, plus the others.
+
+    A stream delivered in order keeps others empty, so memory follows how far
+    out of order seqs arrive, not how many do. Iterating yields every seq.
+    """
+
+    __slots__ = ("lo", "hi", "others")
+
+    def __init__(self, lo: int) -> None:
+        """No seq yet; the run starts at lo once lo arrives."""
+        self.lo = lo
+        self.hi = lo - 1
+        self.others: set[int] = set()
+
+    def add(self, seq: int) -> bool:
+        """Record seq; False when it was already delivered."""
+        if self.lo <= seq <= self.hi or seq in self.others:
+            return False
+        if seq != self.hi + 1:
+            self.others.add(seq)
+            return True
+        hi = seq
+        while hi + 1 in self.others:
+            hi += 1
+            self.others.remove(hi)
+        self.hi = hi
+        return True
+
+    def __iter__(self):
+        yield from range(self.lo, self.hi + 1)
+        yield from self.others
+
+    def __len__(self) -> int:
+        return self.hi - self.lo + 1 + len(self.others)
 
 
 @dataclass
@@ -195,9 +254,12 @@ class _World:
         self.delivered: dict[str, int] = {}
         self.dups: dict[str, int] = {}
         self.filtered: dict[str, int] = {}
-        self.latencies: dict[str, list[Fraction]] = {}
+        self.latencies: dict[str, list[int]] = {}  # µs
         self.applied: dict[str, list[int]] = {}
-        self.seen: dict[tuple[str, tuple[str, str]], set[int]] = {}
+        self.seen: dict[tuple[str, tuple[str, str]], _Seqs] = {}
+        # (from, to) -> (µs, path) of an ack on self.topo, None without a
+        # route; every assignment to self.topo goes through _set_topo
+        self._acks: dict[tuple[str, str], tuple[int, tuple[str, ...]] | None] = {}
         self.link_bytes: dict[tuple[str, str], int] = {}
         self.leg_us: dict[tuple[tuple[str, str], int], int] = {}
         self.compute_us: dict[str, int] = {}
@@ -226,9 +288,9 @@ class _World:
                 st = _TopicState(Topic.parse(topic), entry, None, 0, start_us)
             else:
                 rng = _topic_rng(self.seed, topic)
-                gap = _exp_gap_ms(rng, entry.rate_per_s / 1000)
                 st = _TopicState(
-                    Topic.parse(topic), entry, rng, 0, start_us + max(1, _ceil_us(gap))
+                    Topic.parse(topic), entry, rng, 0,
+                    start_us + _exp_gap_us(rng, entry.rate_per_s),
                 )
             self.topic_state[topic] = st
             if st.next_us <= self.end_us:
@@ -304,11 +366,12 @@ class _World:
 
     def _start_leg(self, tr: _Transfer) -> None:
         a, b = tr.path[tr.pos], tr.path[tr.pos + 1]
-        if not self.topo.is_link_up(a, b):
+        # Topology.is_link_up in one lookup: a route's nodes are all known
+        link = self.topo.link_between(a, b)
+        down = self.topo.down_nodes
+        if link is None or link.state != "up" or a in down or b in down:
             self.lost_transfers += 1
             return
-        link = self.topo.link_between(a, b)
-        assert link is not None
         dur = self._carry(link, tr.pub.size_bytes)
         if tr.pub.tag == "raw":
             self.raw_crossings += 1
@@ -318,17 +381,18 @@ class _World:
     def _carry(self, link, nbytes: int) -> int:
         """Count nbytes on link; the µs they take to cross it, cached per
         (link, nbytes): only latency and bandwidth set it, never the state."""
-        self.link_bytes[link.ends] = self.link_bytes.get(link.ends, 0) + nbytes
-        key = (link.ends, nbytes)
-        if key not in self.leg_us:
-            self.leg_us[key] = _ceil_us(
+        ends = link.ends
+        self.link_bytes[ends] = self.link_bytes.get(ends, 0) + nbytes
+        key = (ends, nbytes)
+        dur = self.leg_us.get(key)
+        if dur is None:
+            dur = self.leg_us[key] = _ceil_us(
                 link.latency_ms + Fraction(nbytes, 1024) / link.bandwidth_kb_per_ms
             )
-        return self.leg_us[key]
+        return dur
 
     def _on_hop(self, tr: _Transfer) -> None:
-        node = tr.path[tr.pos]
-        if not self.topo.is_node_up(node):
+        if tr.path[tr.pos] in self.topo.down_nodes:
             self.lost_transfers += 1
             return
         if tr.pos < len(tr.path) - 1:
@@ -508,26 +572,43 @@ class _World:
         if sub_id not in broker.subs:
             return
         key = (sub_id, stream)
-        seen = self.seen.setdefault(key, set())
-        if pub.seq in seen:
+        seen = self.seen.get(key)
+        if seen is None:
+            seen = self.seen[key] = _Seqs(pub.seq)
+        if not seen.add(pub.seq):
             self.dups[sub_id] = self.dups.get(sub_id, 0) + 1
         else:
-            seen.add(pub.seq)
             self.delivered[sub_id] = self.delivered.get(sub_id, 0) + 1
-            self.latencies.setdefault(sub_id, []).append(_ms(self.now_us) - pub.ts)
+            ts = pub.ts
+            ts_us, off_clock = divmod(ts.numerator * US_PER_MS, ts.denominator)
+            if off_clock:
+                raise ValueError(f"publication ts {ts} ms is not a whole µs")
+            self.latencies.setdefault(sub_id, []).append(self.now_us - ts_us)
             if pub.semantic_tag in ("model-update", "model-snapshot"):
                 versions = self.applied.setdefault(sub_id, [])
                 if not versions or pub.seq > versions[-1]:
                     versions.append(pub.seq)
-        subscriber = broker.subs[sub_id].subscriber
-        try:
-            delay, _, path = self.topo.shortest(subscriber, broker.broker_node)
-        except NoRouteError:
+        ack = self._ack_route(broker.subs[sub_id].subscriber, broker.broker_node)
+        if ack is None:
             return
+        delay_us, path = ack
         self._push(
-            self.now_us + _ceil_us(delay), PRIO_ACK,
+            self.now_us + delay_us, PRIO_ACK,
             self._on_ack_due, domain, sub_id, stream, pub.seq, path,
         )
+
+    def _ack_route(self, src: str, dst: str) -> tuple[int, tuple[str, ...]] | None:
+        """(µs, path) of route(self.topo, src, dst), None when there is none."""
+        key = (src, dst)
+        if key in self._acks:
+            return self._acks[key]
+        try:
+            delay, _, path = self.topo.shortest(src, dst)
+            got = (_ceil_us(delay), path)
+        except NoRouteError:
+            got = None
+        self._acks[key] = got
+        return got
 
     def _on_ack_due(
         self, domain: str, sub_id: str, stream: tuple[str, str], seq: int,
@@ -564,7 +645,7 @@ class _World:
             )
             self.published += 1
             domain = self.topo.node(publisher).domain_id
-            if topic.split("/")[0] == UPDATE_TOPIC_ROOT:
+            if st.topic.segments[0] == UPDATE_TOPIC_ROOT:
                 broker = self.brokers[domain]
                 self._send(
                     publisher, broker.broker_node, pub, self._arrive_submit, domain
@@ -576,22 +657,24 @@ class _World:
         if entry.count is not None and st.emitted >= entry.count:
             return
         if entry.periodic:
-            period = Fraction(1000, 1) / entry.rate_per_s
-            nxt = entry.start_ms * US_PER_MS + _ceil_us(st.emitted * period)
+            nxt = entry.start_ms * US_PER_MS + _periodic_us(st.emitted, entry.rate_per_s)
         else:
             assert st.rng is not None
-            gap = _exp_gap_ms(st.rng, entry.rate_per_s / 1000)
-            nxt = st.next_us + max(1, _ceil_us(gap))
+            nxt = st.next_us + _exp_gap_us(st.rng, entry.rate_per_s)
         st.next_us = nxt
         if nxt <= self.end_us:
             self._push(nxt, PRIO_PUB, self._on_pub_due, topic)
 
     # -- faults and repair -------------------------------------------------
 
+    def _set_topo(self, topo: Topology) -> None:
+        self.topo = topo
+        self._acks.clear()
+
     def _on_node_down(self, node: str) -> None:
         if not self.topo.is_node_up(node):
             return
-        self.topo = self.topo.with_node_state(node, False)
+        self._set_topo(self.topo.with_node_state(node, False))
         self.failure_us[node] = self.now_us
         q = self.nodeq[node]
         if q.running is not None:
@@ -608,7 +691,7 @@ class _World:
     def _on_node_up(self, node: str) -> None:
         if self.topo.is_node_up(node):
             return
-        self.topo = self.topo.with_node_state(node, True)
+        self._set_topo(self.topo.with_node_state(node, True))
         self.miss_count.pop(node, None)
         self.handled.discard(node)
         self.failure_us.pop(node, None)
@@ -619,7 +702,7 @@ class _World:
                 self._run_repair(domain, failed, fail_us)
 
     def _on_link(self, ends: tuple[str, str], up: bool) -> None:
-        self.topo = self.topo.with_link_state(*ends, up)
+        self._set_topo(self.topo.with_link_state(*ends, up))
 
     def _on_heartbeat(self) -> None:
         misses = self.sc.sim.heartbeat_misses
@@ -661,14 +744,7 @@ class _World:
                 all_subs.append((sub_id, broker))
         all_subs.sort(key=lambda x: x[0])
         for sub_id, broker in all_subs:
-            lats = sorted(self.latencies.get(sub_id, []))
-            if lats:
-                mean = float(sum(lats) / len(lats))
-                rank = -((-95 * len(lats)) // 100)  # ceil, nearest-rank p95
-                p95 = float(lats[rank - 1])
-            else:
-                mean = None
-                p95 = None
+            mean, p95 = _latency_stats(self.latencies.get(sub_id, []))
             subs_out.append(SubscriptionMetrics(
                 sub_id=sub_id,
                 accepted=broker.accept_counts.get(sub_id, 0),

@@ -11,7 +11,10 @@ ref_merge_shared_prefix is the from-scratch exec-graph build the package used
 before it kept the graph incrementally; and ref_feasible, ref_cost,
 ref_place_upstream, ref_place_baseline_subscriber, ref_place_oracle and
 ref_replan are the placement functions as they were before one evaluator per
-search derived the pins, the entry workload and the stage sizes and rates once.
+search derived the pins, the entry workload and the stage sizes and rates once;
+ref_exp_gap_us, ref_periodic_us and ref_latency_stats are the simulator's
+Poisson gap, periodic schedule and latency summary as it computed them in
+Fractions before its event path kept integer µs.
 
 Keep it boring. These references exist so the real implementations have
 something to disagree with; cleverness here would defeat the point.
@@ -24,6 +27,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -1160,3 +1164,35 @@ def gen_funnel_script(
         )
         script.append(("offer", iid, pub, now))
     return config, script
+
+
+# ---------------------------------------------------------------------------
+# Simulator clock references: the Fraction formulas of the event loop
+
+
+def _ref_ceil_us(ms: Fraction) -> int:
+    return -((-ms * 1000) // 1)
+
+
+def ref_exp_gap_us(rng: random.Random, rate_per_s: Fraction) -> int:
+    """Next Poisson gap in µs: -ln(u) / rate ms with u drawn from rng."""
+    u = Fraction(rng.getrandbits(53) + 1, 2 ** 53)
+    with localcontext() as ctx:
+        ctx.prec = 28
+        ln_u = (Decimal(u.numerator) / Decimal(u.denominator)).ln()
+    gap_ms = -Fraction(ln_u) / (rate_per_s / 1000)
+    return max(1, _ref_ceil_us(gap_ms))
+
+
+def ref_periodic_us(emitted: int, rate_per_s: Fraction) -> int:
+    """µs from a periodic topic's start to its publication after emitted ones."""
+    period = Fraction(1000, 1) / rate_per_s
+    return _ref_ceil_us(emitted * period)
+
+
+def ref_latency_stats(latencies_ms: list[Fraction]) -> tuple[float, float]:
+    """(mean, nearest-rank p95) of a nonempty list of ms latencies."""
+    lats = sorted(latencies_ms)
+    mean = float(sum(lats) / len(lats))
+    rank = -((-95 * len(lats)) // 100)
+    return mean, float(lats[rank - 1])

@@ -6,15 +6,26 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import infersub
+from infersub.core import Publication, Topic
 from infersub.metrics import emit, report_from_json
 from infersub.scenario import FaultEvent, load_scenario
-from infersub.simulator import run
+from infersub.simulator import (
+    _exp_gap_us,
+    _latency_stats,
+    _periodic_us,
+    _Seqs,
+    _World,
+    run,
+    simulate,
+)
 
 from helpers import (
     barrier_scenario,
@@ -27,6 +38,7 @@ from helpers import (
     trainer_scenario,
     two_publisher_scenario,
 )
+from oracles import ref_exp_gap_us, ref_latency_stats, ref_periodic_us
 
 SCENARIO_DIR = Path(infersub.__file__).parent / "scenarios"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -211,9 +223,9 @@ def test_link_traffic_and_leg_times_are_exact():
         size = sizes[topic]
         assert [(a, b) for _, a, b in hops] == [("a1", "b"), ("b", "a2")]
         assert hops[1][0] - hops[0][0] == leg_us(("a1", "b"), size)
-        want_latencies.append(Fraction(
-            leg_us(("a1", "b"), size) + leg_us(("a2", "b"), size), 1000
-        ))
+        want_latencies.append(leg_us(("a1", "b"), size) + leg_us(("a2", "b"), size))
+    # latencies are whole µs from publication to delivery
+    assert all(type(us) is int for us in w.latencies["tap"])
     assert sorted(w.latencies["tap"]) == sorted(want_latencies)
 
     data_kb = Fraction(count * sum(sizes.values()), 1024)
@@ -244,6 +256,116 @@ def test_last_heartbeat_tick_falls_at_duration():
 
     assert repairs(at_ms) == 1
     assert repairs(at_ms + hb_ms) == 0
+
+
+# ---------------------------------------------------------------------------
+# The integer-µs event path against the Fraction formulas it replaced.
+
+# rates per s with denominators 1, 3, 7 and 10, e.g. 7/3
+RATES = st.builds(Fraction, st.integers(1, 10**5), st.sampled_from([1, 3, 7, 10]))
+
+
+@given(st.integers(0, 2**64), RATES)
+def test_exp_gap_us_equals_the_fraction_formula(seed, rate):
+    ours, ref = random.Random(seed), random.Random(seed)
+    for _ in range(4):
+        assert _exp_gap_us(ours, rate) == ref_exp_gap_us(ref, rate)
+    assert ours.getstate() == ref.getstate()
+
+
+@given(st.integers(0, 10**6), RATES)
+def test_periodic_us_equals_the_fraction_formula(emitted, rate):
+    assert _periodic_us(emitted, rate) == ref_periodic_us(emitted, rate)
+
+
+@given(st.lists(st.integers(0, 10**9), min_size=1, max_size=60))
+def test_latency_stats_equal_the_fraction_formula(lats_us):
+    want = ref_latency_stats([Fraction(us, 1000) for us in lats_us])
+    assert _latency_stats(lats_us) == want
+    assert _latency_stats([]) == (None, None)
+
+
+@given(st.lists(st.integers(0, 40), max_size=80))
+def test_seqs_answer_like_a_set(seqs):
+    got, want = None, set()
+    for seq in seqs:
+        if got is None:
+            got = _Seqs(seq)
+        assert got.add(seq) == (seq not in want)
+        want.add(seq)
+    if got is not None:
+        assert sorted(got) == sorted(want)
+        assert len(got) == len(want)
+
+
+def test_delivery_counts_duplicates_and_keeps_an_in_order_stream_small():
+    w = _World(two_publisher_scenario(extra_topic=False), 37, "upstream")
+    stream = ("p1", "iso/p1/x")
+    topic = Topic.parse(stream[1])
+
+    def deliver(seq):
+        pub = Publication(topic, "p1", seq, Fraction(0), 512)
+        w._deliver_local("iso", "tap1", stream, pub)
+
+    # out of order with duplicates, then a replay of everything so far
+    for seq in [1, 2, 4, 3, 3, 6, 1, 5, 7, *range(1, 8)]:
+        deliver(seq)
+    assert (w.delivered["tap1"], w.dups["tap1"]) == (7, 9)
+    seen = w.seen[("tap1", stream)]
+    assert (seen.lo, seen.hi, seen.others) == (1, 7, set())
+    for seq in range(8, 10_000):
+        deliver(seq)
+    assert (seen.hi, seen.others) == (9_999, set())
+    assert (w.delivered["tap1"], w.dups["tap1"]) == (9_999, 9)
+
+
+def test_acks_take_the_route_of_the_topology_at_delivery(monkeypatch):
+    """s acks to the broker on c over s-c (1 ms), over s-x-c (4 ms) while
+    s-c is down, not at all while x-c is down too, and over s-c again once
+    it is back up, while the data keeps arriving over p-s."""
+    sc = build_scenario(
+        nodes=[
+            node("p", "device", 8, 256, "d"),
+            node("s", "device", 8, 256, "d"),
+            node("c", "edge", 16, 2048, "d"),
+            node("x", "edge", 16, 2048, "d"),
+        ],
+        links=[link("p", "s", 1, 400), link("c", "s", 1, 400),
+               link("s", "x", 2, 400), link("c", "x", 2, 400)],
+        brokers={"d": "c"},
+        bindings={"t/p": "p"},
+        subscriptions=[{"sub_id": "tap", "subscriber": "s", "kind": "data", "filter": "t/p"}],
+        workload={"t/p": {"size_bytes": 100, "rate_per_s": 10, "periodic": True, "count": 30}},
+        faults=[
+            {"at_ms": 1050, "kind": "link_down", "link": ["c", "s"]},
+            {"at_ms": 2050, "kind": "link_down", "link": ["c", "x"]},
+            {"at_ms": 2550, "kind": "link_up", "link": ["c", "s"]},
+        ],
+        sim={"duration_ms": 4000, "seed": 1},
+    )
+    delivered: dict[int, int] = {}
+    acked: dict[int, tuple[int, tuple[str, ...]]] = {}
+    deliver, ack_due = _World._deliver_local, _World._on_ack_due
+
+    def recording_deliver(world, domain, sub_id, stream, pub):
+        delivered[pub.seq] = world.now_us
+        deliver(world, domain, sub_id, stream, pub)
+
+    def recording_ack(world, domain, sub_id, stream, seq, path):
+        acked[seq] = (world.now_us - delivered[seq], path)
+        ack_due(world, domain, sub_id, stream, seq, path)
+
+    monkeypatch.setattr(_World, "_deliver_local", recording_deliver)
+    monkeypatch.setattr(_World, "_on_ack_due", recording_ack)
+    simulate(sc)
+    assert sorted(delivered) == list(range(1, 31))
+    for seq, t in delivered.items():
+        if t < 1_050_000 or t >= 2_550_000:
+            assert acked[seq] == (1000, ("s", "c")), seq
+        elif t < 2_050_000:
+            assert acked[seq] == (4000, ("s", "x", "c")), seq
+        else:
+            assert seq not in acked, seq
 
 
 # ---------------------------------------------------------------------------
