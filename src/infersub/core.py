@@ -185,11 +185,17 @@ class Publication:
     semantic_tag: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ts", as_ratio(self.ts))
-        object.__setattr__(self, "payload", tuple(float(v) for v in self.payload))
+        # a derived publication passes its source's checked values on, so each
+        # check costs little when it holds: no as_ratio for a Fraction, and
+        # the sign from the numerator (a Fraction's denominator is positive)
+        ts = self.ts
+        if type(ts) is not Fraction:
+            ts = as_ratio(ts)
+            object.__setattr__(self, "ts", ts)
+        object.__setattr__(self, "payload", tuple(map(float, self.payload)))
         if self.seq < 0:
             raise ValueError("publication: seq must be >= 0")
-        if self.ts < 0:
+        if ts.numerator < 0:
             raise ValueError("publication: ts must be >= 0")
         if self.size_bytes < 1:
             raise ValueError("publication: size_bytes must be >= 1")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import random
 from collections import deque
 from collections.abc import Callable
@@ -88,12 +89,34 @@ def _exp_gap_us(rng: random.Random, rate_per_s: Fraction) -> int:
     """One exponential inter-arrival gap in whole µs, at least 1, reproducible
     across platforms.
 
-    The logarithm goes through decimal (correctly rounded per IEEE 754-2008
-    semantics) rather than math.log so identical seeds give identical runs
-    everywhere. The gap -ln(u) / rate is then rounded up exactly in ints:
-    ln(u) is the decimal n / d, so it is ceil(-n * 10^6 / (d * rate)) µs.
+    The gap is defined through decimal (correctly rounded per IEEE 754-2008
+    semantics), not math.log, so identical seeds give identical runs
+    everywhere: with u = (getrandbits(53) + 1) / 2^53 and ln(u) the 28-digit
+    decimal n / d, it is max(1, ceil(-n * 10^6 / (d * rate))) µs, in ints.
+
+    A float filter answers first when it provably agrees, the filter-then-exact
+    scheme of adaptive-precision predicates (Shewchuk 1997). u is exact in a
+    float and s = 10^6 / rate is correctly rounded, so x = -log(u) * s errs
+    from the true gap g by a few ulps plus s times libm's error on log. The
+    decimal gap errs from g by under 10^-27 * g (the rounded ln) plus
+    10^-27 * s (u rounded to 28 digits). So when x lies farther than the
+    guard x * 2^-40 + s * 2^-50 from every integer, no integer lies between x
+    and the decimal gap, and both round up to the same integer on any libm
+    whose log errs by less than 2^-42 relative plus 2^-51 absolute (common
+    libms err by about one ulp). Otherwise, or when x is not finite or is at
+    least 2^52 (no fraction bits left), the decimal path decides.
     """
     u = rng.getrandbits(53) + 1
+    try:
+        scale = US_PER_S * rate_per_s.denominator / rate_per_s.numerator
+    except OverflowError:  # a gap beyond any float; the decimal path decides
+        scale = math.inf
+    x = -math.log(u * 2.0 ** -53) * scale
+    if x < 2.0 ** 52:
+        frac = x - math.floor(x)
+        guard = x * 2.0 ** -40 + scale * 2.0 ** -50
+        if guard < frac < 1 - guard:
+            return max(1, math.ceil(x))
     with localcontext() as ctx:
         ctx.prec = 28
         n, d = (Decimal(u) / _TWO_53).ln().as_integer_ratio()
@@ -594,7 +617,7 @@ class _World:
         delay_us, path = ack
         self._push(
             self.now_us + delay_us, PRIO_ACK,
-            self._on_ack_due, domain, sub_id, stream, pub.seq, path,
+            self._on_ack_due, domain, sub_id, stream, pub.seq, path, self.topo,
         )
 
     def _ack_route(self, src: str, dst: str) -> tuple[int, tuple[str, ...]] | None:
@@ -612,10 +635,14 @@ class _World:
 
     def _on_ack_due(
         self, domain: str, sub_id: str, stream: tuple[str, str], seq: int,
-        path: tuple[str, ...],
+        path: tuple[str, ...], routed_on: Topology,
     ) -> None:
-        if not self.topo.is_node_up(path[0]) or not all(
-            map(self.topo.is_link_up, path, path[1:])
+        # routed_on, the snapshot the ack was routed on, had the whole path up
+        # (the subscriber had just received); snapshots are immutable, so only
+        # a changed topology needs the walk
+        if routed_on is not self.topo and (
+            not self.topo.is_node_up(path[0])
+            or not all(map(self.topo.is_link_up, path, path[1:]))
         ):
             return
         broker = self.brokers[domain]

@@ -166,6 +166,31 @@ def test_publication_validation():
         Publication(topic, "n", 0, Fraction(0), 1, tag="cooked")
 
 
+@pytest.mark.parametrize("ts", [Fraction(-1, 3), -0.001, -1, "-0.5"])
+def test_publication_rejects_a_negative_ts(ts):
+    with pytest.raises(ValueError, match="ts must be >= 0"):
+        Publication(Topic.parse("a/b"), "n", 0, ts, 1)
+
+
+@pytest.mark.parametrize("ts", [0.1, "0.1", "1/10", Fraction(1, 10)])
+def test_publication_ts_becomes_an_exact_fraction(ts):
+    pub = Publication(Topic.parse("a/b"), "n", 0, ts, 1)
+    assert type(pub.ts) is Fraction
+    assert pub.ts == Fraction(1, 10)
+
+
+def test_publication_payload_becomes_floats():
+    pub = Publication(Topic.parse("a/b"), "n", 0, Fraction(0), 1, payload=[1, 2, 3])
+    assert pub.payload == (1.0, 2.0, 3.0)
+    assert all(type(v) is float for v in pub.payload)
+
+
+@pytest.mark.parametrize("ts", [True, False])
+def test_publication_rejects_a_bool_ts(ts):
+    with pytest.raises(TypeError):
+        Publication(Topic.parse("a/b"), "n", 0, ts, 1)
+
+
 # ---------------------------------------------------------------------------
 # Model splitting
 

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import infersub
+from infersub import simulator
+from infersub.broker import Broker
 from infersub.core import Publication, Topic
 from infersub.metrics import emit, report_from_json
 from infersub.scenario import FaultEvent, load_scenario
@@ -273,6 +276,94 @@ def test_exp_gap_us_equals_the_fraction_formula(seed, rate):
     assert ours.getstate() == ref.getstate()
 
 
+class _Draw:
+    """A stand-in rng whose getrandbits(53) returns u - 1: the gap's draw is u."""
+
+    def __init__(self, u: int) -> None:
+        self.u = u
+
+    def getrandbits(self, k: int) -> int:
+        assert k == 53
+        return self.u - 1
+
+
+def _gap_and_decimal_runs(monkeypatch, u: int, rate: Fraction) -> tuple[int, int]:
+    """(_exp_gap_us for the draw u at rate, times it took the decimal path)."""
+    real, runs = simulator.localcontext, []
+
+    def counting(*args):
+        runs.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(simulator, "localcontext", counting)
+    got = _exp_gap_us(_Draw(u), rate)
+    monkeypatch.setattr(simulator, "localcontext", real)
+    return got, len(runs)
+
+
+def _exact_gap(u: int, rate: Fraction) -> Decimal:
+    """-ln(u / 2^53) * 10^6 / rate µs at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return -(Decimal(u) / 2**53).ln() * 10**6 * rate.denominator / rate.numerator
+
+
+def _draw_near_integer_gap(rate: Fraction, above: bool) -> tuple[int, int]:
+    """(u, m): a draw whose exact gap lies 10^-10 to 10^-9 µs above m µs or
+    below it. m starts near 10^6 / (64 rate), where a float's ulp is under
+    10^-10 µs, so the float gap is off the integer too and only the guard
+    can send it to the decimal path. u starts at 2^53 exp(-m rate / 10^6)
+    and steps by the gap's slope towards 5 * 10^-10 µs off m."""
+    lo, hi = Decimal(10) ** -10, Decimal(10) ** -9
+    target = (lo + hi) / 2 if above else -(lo + hi) / 2
+    m = 10**6 * rate.denominator // (64 * rate.numerator)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        while True:
+            m += 1
+            p = (-Decimal(m * rate.numerator) / (10**6 * rate.denominator)).exp()
+            u = int((p * 2**53).to_integral_value())
+            slope = Decimal(10**6 * rate.denominator) / (rate.numerator * u)
+            u -= int(((target - (_exact_gap(u, rate) - m)) / slope).to_integral_value())
+            off = _exact_gap(u, rate) - m
+            if lo < (off if above else -off) < hi:
+                return u, m
+
+
+@pytest.mark.parametrize("rate", [Fraction(20), Fraction(7, 3), Fraction(1, 10)])
+@pytest.mark.parametrize("above", [False, True])
+def test_exp_gap_us_next_to_an_integer_goes_the_decimal_way(monkeypatch, rate, above):
+    u, m = _draw_near_integer_gap(rate, above)
+    got, decimal_runs = _gap_and_decimal_runs(monkeypatch, u, rate)
+    assert decimal_runs == 1
+    assert got == (m + 1 if above else m) == ref_exp_gap_us(_Draw(u), rate)
+
+
+def test_exp_gap_us_of_the_top_draw_is_one_us(monkeypatch):
+    # u = 2^53: ln(u / 2^53) is 0, so the float lands on an integer
+    got, decimal_runs = _gap_and_decimal_runs(monkeypatch, 2**53, Fraction(20))
+    assert (got, decimal_runs) == (1, 1)
+    assert ref_exp_gap_us(_Draw(2**53), Fraction(20)) == 1
+
+
+@pytest.mark.parametrize("rate", [
+    Fraction(1, 10**400),  # 10^6 / rate overflows a float
+    Fraction(1, 10**12),  # the gap is past 2^52 µs: no fraction bits
+    Fraction(10**400),  # 10^6 / rate underflows to 0.0, so x is 0
+])
+def test_exp_gap_us_beyond_float_range_goes_the_decimal_way(monkeypatch, rate):
+    for u in (1, 2**52):
+        got, decimal_runs = _gap_and_decimal_runs(monkeypatch, u, rate)
+        assert decimal_runs == 1
+        assert got == ref_exp_gap_us(_Draw(u), rate)
+
+
+def test_exp_gap_us_away_from_integers_stays_in_floats(monkeypatch):
+    # 10^6 ln 2 / 20 = 34657.359... µs
+    got, decimal_runs = _gap_and_decimal_runs(monkeypatch, 2**52, Fraction(20))
+    assert (got, decimal_runs) == (34658, 0)
+
+
 @given(st.integers(0, 10**6), RATES)
 def test_periodic_us_equals_the_fraction_formula(emitted, rate):
     assert _periodic_us(emitted, rate) == ref_periodic_us(emitted, rate)
@@ -319,11 +410,12 @@ def test_delivery_counts_duplicates_and_keeps_an_in_order_stream_small():
     assert (w.delivered["tap1"], w.dups["tap1"]) == (9_999, 9)
 
 
-def test_acks_take_the_route_of_the_topology_at_delivery(monkeypatch):
-    """s acks to the broker on c over s-c (1 ms), over s-x-c (4 ms) while
-    s-c is down, not at all while x-c is down too, and over s-c again once
-    it is back up, while the data keeps arriving over p-s."""
-    sc = build_scenario(
+def _ack_detour_scenario(count: int = 30, more_faults: tuple[dict, ...] = ()):
+    """p publishes count times to s over p-s, every 100 ms; s acks to the
+    broker on c over s-c, or over s-x-c while s-c is down. s-c goes down at
+    1050 ms, x-c at 2050 ms and s-c comes back at 2550 ms, followed by
+    more_faults."""
+    return build_scenario(
         nodes=[
             node("p", "device", 8, 256, "d"),
             node("s", "device", 8, 256, "d"),
@@ -335,14 +427,22 @@ def test_acks_take_the_route_of_the_topology_at_delivery(monkeypatch):
         brokers={"d": "c"},
         bindings={"t/p": "p"},
         subscriptions=[{"sub_id": "tap", "subscriber": "s", "kind": "data", "filter": "t/p"}],
-        workload={"t/p": {"size_bytes": 100, "rate_per_s": 10, "periodic": True, "count": 30}},
+        workload={"t/p": {"size_bytes": 100, "rate_per_s": 10, "periodic": True, "count": count}},
         faults=[
             {"at_ms": 1050, "kind": "link_down", "link": ["c", "s"]},
             {"at_ms": 2050, "kind": "link_down", "link": ["c", "x"]},
             {"at_ms": 2550, "kind": "link_up", "link": ["c", "s"]},
+            *more_faults,
         ],
         sim={"duration_ms": 4000, "seed": 1},
     )
+
+
+def test_acks_take_the_route_of_the_topology_at_delivery(monkeypatch):
+    """s acks to the broker on c over s-c (1 ms), over s-x-c (4 ms) while
+    s-c is down, not at all while x-c is down too, and over s-c again once
+    it is back up, while the data keeps arriving over p-s."""
+    sc = _ack_detour_scenario()
     delivered: dict[int, int] = {}
     acked: dict[int, tuple[int, tuple[str, ...]]] = {}
     deliver, ack_due = _World._deliver_local, _World._on_ack_due
@@ -351,9 +451,9 @@ def test_acks_take_the_route_of_the_topology_at_delivery(monkeypatch):
         delivered[pub.seq] = world.now_us
         deliver(world, domain, sub_id, stream, pub)
 
-    def recording_ack(world, domain, sub_id, stream, seq, path):
+    def recording_ack(world, domain, sub_id, stream, seq, path, *routed_on):
         acked[seq] = (world.now_us - delivered[seq], path)
-        ack_due(world, domain, sub_id, stream, seq, path)
+        ack_due(world, domain, sub_id, stream, seq, path, *routed_on)
 
     monkeypatch.setattr(_World, "_deliver_local", recording_deliver)
     monkeypatch.setattr(_World, "_on_ack_due", recording_ack)
@@ -366,6 +466,54 @@ def test_acks_take_the_route_of_the_topology_at_delivery(monkeypatch):
             assert acked[seq] == (4000, ("s", "x", "c")), seq
         else:
             assert seq not in acked, seq
+
+
+def test_an_ack_on_its_routing_snapshot_would_pass_the_full_path_check(monkeypatch):
+    """An ack still due on the snapshot it was routed on skips the walk over
+    its path; on runs that change the topology under acks in flight, every
+    such ack would have passed the walk, and an ack on another snapshot
+    takes the walk. x-c comes back at 3000 ms, which restores the loaded
+    snapshot itself; then s-c and node x blip, each back to that snapshot,
+    and each of the four blip edges falls while one ack is in flight."""
+    blips = (
+        {"at_ms": 3000, "kind": "link_up", "link": ["c", "x"]},
+        {"at_ms": 3201.5, "kind": "link_down", "link": ["c", "s"]},
+        {"at_ms": 3301.5, "kind": "link_up", "link": ["c", "s"]},
+        {"at_ms": 3501.5, "kind": "node_down", "node": "x"},
+        {"at_ms": 3601.5, "kind": "node_up", "node": "x"},
+    )
+    sc = _ack_detour_scenario(count=40, more_faults=blips)
+    shortcut: list[bool] = []  # the walk's verdict on each skipped walk
+    walked: list[int] = []
+    on_root = 0
+    acked: list[int] = []
+    ack_due, on_ack = _World._on_ack_due, Broker.on_ack
+
+    def recording_ack(world, domain, sub_id, stream, seq, path, routed_on):
+        nonlocal on_root
+        topo = world.topo
+        if routed_on is topo:
+            up = topo.is_node_up(path[0]) and all(map(topo.is_link_up, path, path[1:]))
+            shortcut.append(up)
+            on_root += topo is sc.topology and world.now_us > 3_000_000
+        else:
+            walked.append(world.now_us)
+        ack_due(world, domain, sub_id, stream, seq, path, routed_on)
+
+    def recording_on_ack(broker, sub_id, seq, stream):
+        acked.append(seq)
+        return on_ack(broker, sub_id, seq, stream)
+
+    monkeypatch.setattr(_World, "_on_ack_due", recording_ack)
+    monkeypatch.setattr(Broker, "on_ack", recording_on_ack)
+    simulate(sc)
+    assert shortcut and all(shortcut)
+    assert on_root > 0
+    # the ack due at 3305 ms went over s-x-c, 4 ms
+    assert walked == [3_202_001, 3_305_001, 3_502_001, 3_602_001]
+    # no route while x-c was down (seqs 22-26); the walk drops seq 33's ack,
+    # whose s-c went down under it, and passes the other three
+    assert sorted(set(range(1, 41)) - set(acked)) == [22, 23, 24, 25, 26, 33]
 
 
 # ---------------------------------------------------------------------------
