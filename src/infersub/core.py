@@ -648,9 +648,6 @@ class LinkDescriptor:
         return (self.a, self.b)
 
 
-_ZERO_MS = Fraction(0)  # the latency of a route that stays on its node
-
-
 @dataclass(frozen=True, eq=False)
 class Topology:
     """The continuum graph. Node liveness lives here, not on NodeDescriptor."""
@@ -671,7 +668,11 @@ class Topology:
             if nid != node.node_id:
                 raise ValueError(f"topology: node keyed {nid!r} vs {node.node_id!r}")
         # routing index, built on first use; a snapshot never changes, so
-        # neither needs invalidating. _root: the snapshot this one derives from
+        # neither needs invalidating. _root: the snapshot this one derives from.
+        # _scale, the LCM of the link latency denominators, makes every route
+        # latency an int, that of a route staying on its node included
+        scale = lcm(*(l.latency_ms.denominator for l in self.links.values()))
+        object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_adjacency", None)
         object.__setattr__(self, "_trees", {})
         object.__setattr__(self, "_root", None)
@@ -710,9 +711,9 @@ class Topology:
 
     def _up_adjacency(self) -> dict[str, tuple[tuple[str, LinkDescriptor, int], ...]]:
         """node -> (neighbour, link, latency * _scale) over up links to up
-        neighbours, by id; _scale, the LCM of latency denominators, makes ints."""
+        neighbours, by id."""
         if self._adjacency is None:
-            scale = lcm(*(l.latency_ms.denominator for l in self.links.values()))
+            scale = self._scale
             adj: dict[str, list[tuple[str, LinkDescriptor, int]]] = {
                 n: [] for n in self.nodes
             }
@@ -724,7 +725,6 @@ class Topology:
                     adj[link.a].append((link.b, link, w))
                 if self.is_node_up(link.a):
                     adj[link.b].append((link.a, link, w))
-            object.__setattr__(self, "_scale", scale)
             object.__setattr__(self, "_adjacency", {
                 n: tuple(sorted(edges, key=lambda edge: edge[0]))
                 for n, edges in adj.items()
@@ -733,13 +733,13 @@ class Topology:
 
     def shortest_paths(
         self, source: str
-    ) -> dict[str, tuple[Fraction, int, tuple[str, ...]]]:
+    ) -> dict[str, tuple[int, int, tuple[str, ...]]]:
         """Shortest-path tree of source over up links, cached per snapshot:
-        every reachable node -> (latency, hops, path).
+        every reachable node -> (latency * _scale, hops, path).
 
         Heap keys (latency * _scale, hops, path) are unique ints and tuples,
         so each node's first pop is its minimum under the (latency, hops,
-        path) order route documents; its latency becomes a Fraction once.
+        path) order route documents; the popped key is the entry.
         """
         tree = self._trees.get(source)
         if tree is None:
@@ -751,19 +751,20 @@ class Topology:
                 here = path[-1]
                 if here in tree:
                     continue
-                tree[here] = (Fraction(lat, self._scale), hops, path)
+                tree[here] = (lat, hops, path)
                 for nxt, _, w in adj[here]:
                     if nxt not in tree:
                         heapq.heappush(heap, (lat + w, hops + 1, path + (nxt,)))
             self._trees[source] = tree
         return tree
 
-    def shortest(self, a: str, b: str) -> tuple[Fraction, int, tuple[str, ...]]:
-        """(latency, hops, path) of route(self, a, b); raises NoRouteError."""
+    def shortest(self, a: str, b: str) -> tuple[int, int, tuple[str, ...]]:
+        """(latency * _scale, hops, path) of route(self, a, b); raises
+        NoRouteError."""
         if a not in self.nodes or b not in self.nodes:
             raise NoRouteError(a, b)
         if a == b:
-            return (_ZERO_MS, 0, (a,))
+            return (0, 0, (a,))
         if not self.is_node_up(a) or not self.is_node_up(b):
             raise NoRouteError(a, b)
         got = self.shortest_paths(a).get(b)
@@ -818,7 +819,7 @@ def route(t: Topology, a: str, b: str) -> list[str]:
 def route_latency(t: Topology, a: str, b: str) -> tuple[Fraction, int]:
     """(total latency, hop count) of route(t, a, b)."""
     lat, hops, _ = t.shortest(a, b)
-    return lat, hops
+    return Fraction(lat, t._scale), hops
 
 
 # ---------------------------------------------------------------------------

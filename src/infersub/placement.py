@@ -41,8 +41,9 @@ ORACLE_BOUND = 1_000_000
 # publisher context for a pipeline: one node id, or one per entry stage
 Publishers = Union[str, dict[str, str]]
 
-# node -> (memory, cpu load) of the stages a search holds there
-_Totals = dict[str, tuple[Fraction, Fraction]]
+# node -> (memory, cpu load) of the stages a search holds there, in the
+# evaluator's mem and cpu scales
+_Totals = dict[str, tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -188,8 +189,9 @@ def _anchor_publisher(p: PipelineSpec, sid: str, pubs: dict[str, str]) -> str:
 # Routes, read from the topology snapshot's shortest-path trees
 
 
-def _reach(t: Topology, a: str, b: str) -> tuple[Fraction, int, tuple[str, ...]] | None:
-    """(latency, hops, path) of route(t, a, b); None when there is none."""
+def _reach(t: Topology, a: str, b: str) -> tuple[int, int, tuple[str, ...]] | None:
+    """(latency * t._scale, hops, path) of route(t, a, b); None when there is
+    none."""
     try:
         return t.shortest(a, b)
     except NoRouteError:
@@ -200,18 +202,23 @@ def _reach(t: Topology, a: str, b: str) -> tuple[Fraction, int, tuple[str, ...]]
 # Feasibility and cost
 
 
+def _in_scale(x: Fraction, scale: int) -> int:
+    """x * scale rounded down; exact when x's denominator divides scale."""
+    return x.numerator * scale // x.denominator
+
+
 class TransferMemo:
     """Transfer terms on one topology snapshot in exact integers, shared by
     every search of one compile.
 
     A search measures time in ticks of 1 / unit ms and traffic in bytes
-    counted per hop. unit is the LCM of the snapshot's latency denominators,
-    1024 times each bandwidth numerator and cpu, the LCM of the cpu capacity
-    numerators. So every route latency and per-hop transfer time is a whole
-    number of ticks, and so is compute_cost / cpu_capacity for every compute
-    cost whose denominator divides unit // cpu. terms maps (source,
-    destination, bytes) to (ticks, bytes counted per hop), or None without a
-    route.
+    counted per hop. unit is the LCM of the snapshot's latency denominators
+    (its _scale, in which its routing trees keep latencies), 1024 times each
+    bandwidth numerator and cpu, the LCM of the cpu capacity numerators. So
+    every route latency and per-hop transfer time is a whole number of
+    ticks, and so is compute_cost / cpu_capacity for every compute cost whose
+    denominator divides unit // cpu. terms maps (source, destination, bytes)
+    to (ticks, bytes counted per hop), or None without a route.
 
     compile_scenario makes one, hands it to every search of the compile and
     drops it when it returns, so no snapshot, broker or instance keeps the
@@ -225,7 +232,7 @@ class TransferMemo:
         self.cpu = lcm(*(n.cpu_capacity.numerator for n in t.nodes.values()))
         self.unit = lcm(
             self.cpu,
-            *(link.latency_ms.denominator for link in links),
+            t._scale,
             *(1024 * link.bandwidth_kb_per_ms.numerator for link in links),
         )
         self.terms: dict[tuple[str, str, int], tuple[int, int] | None] = {}
@@ -248,7 +255,9 @@ class _Evaluator:
     hop, so a search adds and compares ints; weights turns the objective
     into integer weights on the two. unit is the memo's, times the least
     factor that makes every compute term of this pipeline whole; transfer
-    terms are shared through the memo when that factor is 1.
+    terms are shared through the memo when that factor is 1. Memory and cpu
+    load are ints as well, in one mem and one cpu scale per evaluator, so
+    admission adds and compares ints too.
     """
 
     def __init__(
@@ -268,6 +277,7 @@ class _Evaluator:
         self._anchors: dict[str, str] = {}
         self._memo = memo
         self._compute: dict[tuple[str, str], int] = {}
+        self._budgets: dict[str, tuple[int, int]] = {}
 
     def anchor(self, sid: str) -> str:
         """_anchor_publisher of sid; needs the publisher context."""
@@ -294,10 +304,6 @@ class _Evaluator:
     def unit(self) -> int:
         return self._scale[0]
 
-    def ticks(self, ms: Fraction) -> int:
-        """ms in ticks; whole for every latency and compute term."""
-        return ms.numerator * (self.unit // ms.denominator)
-
     def weights(self, o: Objective) -> tuple[int, int]:
         """Integer (a, b) such that a * ticks + b * bytes is o's value of
         (ticks / unit ms, bytes / 1024 KB) times one positive constant."""
@@ -317,7 +323,7 @@ class _Evaluator:
                 terms[key] = None
             else:
                 lat, hops, path = got
-                ticks = self.ticks(lat)
+                ticks = lat * (unit // self.t._scale)
                 for x, y in zip(path, path[1:]):
                     link = self.t.link_between(x, y)
                     assert link is not None
@@ -342,7 +348,9 @@ class _Evaluator:
         """Totally ordered distance of route(t, a, b): (0, latency ticks,
         hops), or (1, 0, 0), farther than any route, when there is none."""
         got = _reach(self.t, a, b)
-        return (1, 0, 0) if got is None else (0, self.ticks(got[0]), got[1])
+        if got is None:
+            return (1, 0, 0)
+        return (0, got[0] * (self.unit // self.t._scale), got[1])
 
     @cached_property
     def pins(self) -> dict[str, str]:
@@ -397,6 +405,34 @@ class _Evaluator:
             loads[sid] = stage.compute_cost * rates[sid] / 1000
         return entry_sizes, sizes, loads, violations
 
+    @cached_property
+    def _needs(self) -> tuple[int, int, dict[str, tuple[int, int]]]:
+        """(mem scale, cpu scale, stage -> (memory, cpu load) in those scales).
+
+        The mem scale is the LCM of the stages' mem_mb denominators and the
+        cpu scale that of their load denominators, so every need is an int.
+        """
+        loads = self.workload[2]
+        ms = lcm(*(s.mem_mb.denominator for s in self.p.stages))
+        cs = lcm(*(load.denominator for load in loads.values()))
+        needs = {
+            s.stage_id: (_in_scale(s.mem_mb, ms), _in_scale(loads[s.stage_id], cs))
+            for s in self.p.stages
+        }
+        return ms, cs, needs
+
+    def _budget(self, node_id: str) -> tuple[int, int]:
+        """node_id's (memory, cpu) budget in the mem and cpu scales, rounded
+        down: an integer total fits the exact budget exactly when it fits
+        the floor."""
+        got = self._budgets.get(node_id)
+        if got is None:
+            ms, cs, _ = self._needs
+            node = self.t.node(node_id)
+            got = (_in_scale(node.mem_mb, ms), _in_scale(node.cpu_capacity, cs))
+            self._budgets[node_id] = got
+        return got
+
     def admits(self, sid: str, node_id: str, totals: _Totals) -> bool:
         """Whether node_id is up, has the accelerator sid needs, and has
         memory and cpu room for sid beside the per-node (mem, cpu) totals."""
@@ -406,19 +442,18 @@ class _Evaluator:
         if stage.needs_accelerator and not node.has_accelerator:
             return False
         mem, cpu = totals.get(node_id, (0, 0))
-        return (
-            mem + stage.mem_mb <= node.mem_mb
-            and cpu + self.workload[2][sid] <= node.cpu_capacity
-        )
+        need_mem, need_cpu = self._needs[2][sid]
+        max_mem, max_cpu = self._budget(node_id)
+        return mem + need_mem <= max_mem and cpu + need_cpu <= max_cpu
 
     def hold(self, sid: str, node_id: str, totals: _Totals, add: bool) -> None:
         """Add sid's memory and cpu load to node_id's totals, or remove it."""
         mem, cpu = totals.get(node_id, (0, 0))
-        stage_mem, load = self.p.stage(sid).mem_mb, self.workload[2][sid]
+        need_mem, need_cpu = self._needs[2][sid]
         if add:
-            totals[node_id] = mem + stage_mem, cpu + load
+            totals[node_id] = mem + need_mem, cpu + need_cpu
         else:
-            totals[node_id] = mem - stage_mem, cpu - load
+            totals[node_id] = mem - need_mem, cpu - need_cpu
 
     def budget_violations(self, assigned: dict[str, str]) -> list[Violation]:
         """Memory and cpu budgets of each node over the stages assigned."""
@@ -426,18 +461,20 @@ class _Evaluator:
         for s in self.p.stages:
             if s.stage_id in assigned:
                 self.hold(s.stage_id, assigned[s.stage_id], totals, add=True)
+        ms, cs, _ = self._needs
         out: list[Violation] = []
         for node_id in sorted(totals):
             node = self.t.node(node_id)
             mem, cpu = totals[node_id]
-            if mem > node.mem_mb:
-                out.append(
-                    Violation("MemoryExceeded", node_id, f"{mem} > {node.mem_mb}")
-                )
-            if cpu > node.cpu_capacity:
-                out.append(
-                    Violation("CpuExceeded", node_id, f"{cpu} > {node.cpu_capacity}")
-                )
+            max_mem, max_cpu = self._budget(node_id)
+            if mem > max_mem:
+                out.append(Violation(
+                    "MemoryExceeded", node_id, f"{Fraction(mem, ms)} > {node.mem_mb}"
+                ))
+            if cpu > max_cpu:
+                out.append(Violation(
+                    "CpuExceeded", node_id, f"{Fraction(cpu, cs)} > {node.cpu_capacity}"
+                ))
         return out
 
     def violations(self, assigned: dict[str, str]) -> list[Violation]:

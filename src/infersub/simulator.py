@@ -626,8 +626,9 @@ class _World:
         if key in self._acks:
             return self._acks[key]
         try:
-            delay, _, path = self.topo.shortest(src, dst)
-            got = (_ceil_us(delay), path)
+            lat, _, path = self.topo.shortest(src, dst)
+            # lat is the latency in 1 / _scale ms: ceil to whole µs in ints
+            got = (-(-lat * US_PER_MS // self.topo._scale), path)
         except NoRouteError:
             got = None
         self._acks[key] = got

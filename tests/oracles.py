@@ -46,6 +46,7 @@ from infersub.core import (
     Topology,
     Violation,
     route,
+    route_latency,
     scaled_size,
 )
 from infersub.errors import (
@@ -302,9 +303,15 @@ def _ref_anchor_publisher(p: PipelineSpec, sid: str, pubs: dict[str, str]) -> st
 
 
 def _ref_reach(t: Topology, a: str, b: str) -> tuple[Fraction, int, tuple[str, ...]] | None:
-    """(latency, hops, path) of route(t, a, b); None when there is none."""
+    """(latency, hops, path) of route(t, a, b); None when there is none.
+
+    Read through the public route and route_latency, which
+    test_route_matches_the_per_call_dijkstra_reference checks against
+    ref_route, so no reference here depends on how a snapshot stores its
+    shortest-path trees."""
     try:
-        return t.shortest(a, b)
+        latency, hops = route_latency(t, a, b)
+        return latency, hops, tuple(route(t, a, b))
     except NoRouteError:
         return None
 

@@ -333,9 +333,11 @@ def gen_placement_case(rng: random.Random, fractional: bool = False):
     accelerator needs, mem/cpu budgets that sometimes bind, and down,
     cut-off or unreachable nodes. Returns (p, t, w, o, publisher, subscriber).
 
-    With fractional, latencies, bandwidths, cpu capacities and compute costs
-    are drawn over the co-prime denominators 3, 7 and 10 (or 1), so both the
-    numerators and the denominators of those inputs reach the tick unit."""
+    With fractional, latencies, bandwidths, cpu capacities, compute costs and
+    node and stage memory are drawn over the co-prime denominators 3, 7 and
+    10 (or 1), so both the numerators and the denominators of those inputs
+    reach the tick unit and the mem and cpu scales; without it, every draw is
+    the same as before memory was drawn fractional."""
 
     def ratio(n: int) -> Fraction:
         return Fraction(n, rng.choice([1, 3, 7, 10])) if fractional else Fraction(n)
@@ -345,7 +347,7 @@ def gen_placement_case(rng: random.Random, fractional: bool = False):
     nodes = [
         NodeDescriptor(
             nid, "edge", ratio(rng.randint(1, 8)),
-            Fraction(rng.choice([24, 64, 4096, 4096])), rng.random() < 0.4,
+            ratio(rng.choice([24, 64, 4096, 4096])), rng.random() < 0.4,
         )
         for nid in ids
     ]
@@ -376,7 +378,7 @@ def gen_placement_case(rng: random.Random, fractional: bool = False):
 
     def stage(sid: str, kind) -> StageSpec:
         return StageSpec(
-            sid, kind, ratio(rng.randint(0, 20)), Fraction(rng.randint(0, 40)),
+            sid, kind, ratio(rng.randint(0, 20)), ratio(rng.randint(0, 40)),
             Fraction(rng.randint(2, 12), 8), rng.random() < 0.1, pin(),
         )
 
@@ -506,6 +508,62 @@ def test_placement_is_exact_on_fractional_inputs(alpha, beta, seed):
     free = replace(p, stages=tuple(replace(s, compute_cost=0) for s in p.stages))
     outcome(place_upstream, free, t, w, o, pub, sub, memo)
     check_against_reference(rng, p, t, w, o, pub, sub, memo)
+
+
+def _filled_node_case(budget: Fraction, needs: list[tuple[Fraction, Fraction]]):
+    """A chain of one stage per (memory, compute cost) in needs, on a one-node
+    topology whose memory and cpu budgets are both budget. The node is the
+    publisher and the subscriber too. At 1000 publications a second a
+    stage's cpu load equals its compute cost."""
+    topo = Topology.of([NodeDescriptor("n", "edge", budget, budget)], [])
+    stages = tuple(
+        StageSpec(f"s{i}", Mapping("identity"), cost, mem, 1)
+        for i, (mem, cost) in enumerate(needs, 1)
+    )
+    edges = tuple((a.stage_id, b.stage_id) for a, b in zip(stages, stages[1:]))
+    p = PipelineSpec(
+        "fill", stages, edges, {"s1": TopicFilter.parse(BENCH_TOPIC)},
+        stages[-1].stage_id,
+    )
+    w = WorkloadSpec({BENCH_TOPIC: WorkloadEntry(64, 1000)})
+    return p, topo, w
+
+
+@pytest.mark.parametrize("small_first", [False, True], ids=["2/3-first", "1/7-first"])
+@pytest.mark.parametrize("budget", [
+    pytest.param(Fraction(17, 21), id="budget-on-the-scale"),
+    pytest.param(Fraction(5, 6), id="budget-between-scale-steps"),
+])
+def test_a_node_filled_to_a_fractional_budget_admits_and_one_21st_more_does_not(
+    budget, small_first
+):
+    """Budgets are compared as ints in the evaluator's mem and cpu scales.
+    Stages needing 2/3 and 1/7 of memory and of cpu fill 17/21 of each, which
+    both budgets admit; one more 1/21 on the 1/7 stage fits neither, even
+    where the budget times the scale is not whole (5/6 is 17.5/21). Each
+    stage comes first in turn, so every stage's denominator counts."""
+    big, small, more, no = Fraction(2, 3), Fraction(1, 7), Fraction(1, 21), Fraction(0)
+
+    def case(extra_mem: Fraction, extra_cost: Fraction):
+        needs = [(big, big), (small + extra_mem, small + extra_cost)]
+        return _filled_node_case(budget, needs[::-1] if small_first else needs)
+
+    pl, o = Placement({"s1": "n", "s2": "n"}), Objective()
+    p, t, w = case(no, no)
+    assert feasible(pl, p, t, w, "n", "n") == []
+    for place in (place_oracle, place_upstream):
+        assert place(p, t, w, o, "n", "n").assignment == pl.assignment
+
+    for extra_mem, extra_cost, rule in [
+        (more, no, "MemoryExceeded"), (no, more, "CpuExceeded"),
+    ]:
+        p, t, w = case(extra_mem, extra_cost)
+        assert [(v.rule, v.detail) for v in feasible(pl, p, t, w, "n", "n")] == [
+            (rule, f"6/7 > {budget}")
+        ]
+        for place in (place_oracle, place_upstream):
+            with pytest.raises(NoFeasiblePlacementError):
+                place(p, t, w, o, "n", "n")
 
 
 def test_a_memo_of_another_snapshot_is_not_read():
