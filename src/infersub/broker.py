@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Union
@@ -196,11 +197,15 @@ class Broker:
         self.funnel_seqs: dict[str, int] = {}
         self.pending_updates: dict[tuple[str, int], dict[str, ModelUpdate]] = {}
         self.exec_graph = ExecutionGraph()
-        # topic string -> ids of the data subs matching it, in id order
+        # ids of the data subs, sorted; topic string -> those matching it
+        self._data_ids: list[str] = []
         self._data_matches: dict[str, tuple[str, ...]] = {}
-        # (model, k, privacy_split) -> its split chain; peers may declare one
-        # id and version with different layers, so the descriptor is the key
-        self._splits: dict[tuple[ModelDescriptor, int, bool], PipelineSpec] = {}
+        # (id(model), k, privacy_split) -> (model, its split chain); peers may
+        # declare one id and version with different layers, so the descriptor
+        # is the key, by identity: hashing it hashes every layer's Fractions
+        self._splits: dict[
+            tuple[int, int, bool], tuple[ModelDescriptor, PipelineSpec]
+        ] = {}
         self._next_instance = 0
 
     # -- registry ----------------------------------------------------------
@@ -241,8 +246,8 @@ class Broker:
     ) -> tuple[str, list[Action]]:
         """Register sub; an inference sub is placed and merged at once.
 
-        memo shares transfer terms among the placement searches of one
-        compile; the broker keeps no reference to it.
+        memo is what the placement searches of one compile share (see
+        TransferMemo); the broker keeps no reference to it.
         """
         if sub.sub_id in self.subs:
             raise ValueError(f"duplicate sub id {sub.sub_id!r}")
@@ -250,6 +255,7 @@ class Broker:
         actions: list[Action] = []
         if isinstance(kind, DataSub):
             self.subs[sub.sub_id] = sub
+            insort(self._data_ids, sub.sub_id)
             self._data_matches.clear()
         elif isinstance(kind, ModelUpdateSub):
             self.subs[sub.sub_id] = sub
@@ -301,10 +307,12 @@ class Broker:
                 f"{sub.sub_id}: privacy split needs a single publisher, "
                 f"matched {[m[0] for m in matched]}"
             )
-        key = (model, kind.k, kind.privacy_split)
-        chain = self._splits.get(key)
-        if chain is None:
-            chain = self._splits[key] = split_model(*key)
+        key = (id(model), kind.k, kind.privacy_split)
+        got = self._splits.get(key)
+        if got is None or got[0] is not model:
+            got = model, split_model(model, kind.k, kind.privacy_split)
+            self._splits[key] = got
+        chain = got[1]
         chain_entry = chain.entry_ids()[0]
 
         stages = list(chain.stages)
@@ -454,9 +462,8 @@ class Broker:
         got = self._data_matches.get(key)
         if got is None:
             got = tuple(
-                sub_id for sub_id in sorted(self.subs)
-                if isinstance(self.subs[sub_id].kind, DataSub)
-                and match_filter(self.subs[sub_id].kind.filter, topic)
+                sub_id for sub_id in self._data_ids
+                if match_filter(self.subs[sub_id].kind.filter, topic)
             )
             self._data_matches[key] = got
         return got

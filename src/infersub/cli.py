@@ -5,11 +5,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from .errors import InferSubError, ParseError, ValidationError
-from .metrics import emit
+from .metrics import as_dict, emit
 # place_oracle is unused here, but perfbench/spans.py patches cli.place_oracle
 from .placement import TransferMemo, cost, place_oracle
 from .scenario import load_scenario
@@ -53,7 +52,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     sc = _load(args.scenario)
     both = compare(sc, args.seed)
-    payload = {name: asdict(rep) for name, rep in sorted(both.items())}
+    payload = {name: as_dict(rep) for name, rep in sorted(both.items())}
     return _write(json.dumps(payload, indent=2) + "\n", args.out)
 
 
@@ -63,10 +62,13 @@ def _cmd_place(args: argparse.Namespace) -> int:
 
 
 def _placement_rows(sc, algorithm: str) -> list[dict]:
-    """One row per instance, scored through the transfer terms its search
-    computed; the memo and the brokers are freed before the rows are
-    written."""
+    """One row per instance. An upstream or oracle row reads the (ticks,
+    bytes) that its search scored the placement at from the compile's memo;
+    a baseline placement, which no search scores, is scored with cost
+    through the same memo. The memo and the brokers are freed before the
+    rows are written."""
     memo = TransferMemo(sc.topology)
+    memo.keep_scores()
     brokers, _ = compile_scenario(sc, algorithm, memo)
     rows = []
     for domain in sorted(brokers):
@@ -74,7 +76,7 @@ def _placement_rows(sc, algorithm: str) -> list[dict]:
         for iid in sorted(broker.instances):
             inst = broker.instances[iid]
             pl = inst.placement
-            rep = cost(
+            rep = memo.report(pl, sc.objective) or cost(
                 pl, inst.pipeline, sc.topology, sc.workload, sc.objective,
                 inst.publishers, inst.subscriber, memo,
             )

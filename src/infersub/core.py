@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Union
 
@@ -381,6 +382,12 @@ class StageSpec:
             raise ValueError(f"stage {self.stage_id}: mem_mb must be >= 0")
         if self.selectivity <= 0:
             raise ValueError(f"stage {self.stage_id}: selectivity must be > 0")
+
+    @cached_property
+    def _repr(self) -> str:
+        """repr(self), built once per stage object: every instance that runs
+        the stage hashes it into an exec id."""
+        return repr(self)
 
 
 @dataclass(frozen=True, eq=False)

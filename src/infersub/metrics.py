@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,17 @@ class MetricsReport:
     totals: Totals
 
 
+def as_dict(report: MetricsReport) -> dict:
+    """The report as dataclasses.asdict gives it, for json.dumps, without
+    copying: a frozen dataclass's __dict__ holds its fields in declaration
+    order, so each row is its own __dict__. Read it; never write to it."""
+    out = dict(vars(report))
+    for name in ("subscriptions", "links", "nodes", "stages", "instances"):
+        out[name] = [vars(row) for row in out[name]]
+    out["totals"] = vars(report.totals)
+    return out
+
+
 def emit(report: MetricsReport, format: str = "json") -> str:
     """Serialize a report; json round-trips, csv is the flat summary.
 
@@ -88,7 +99,7 @@ def emit(report: MetricsReport, format: str = "json") -> str:
     node plus a single totals row, after a header line.
     """
     if format == "json":
-        return json.dumps(asdict(report), indent=2) + "\n"
+        return json.dumps(as_dict(report), indent=2) + "\n"
     if format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")

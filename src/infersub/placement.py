@@ -208,8 +208,7 @@ def _in_scale(x: Fraction, scale: int) -> int:
 
 
 class TransferMemo:
-    """Transfer terms on one topology snapshot in exact integers, shared by
-    every search of one compile.
+    """What the searches of one compile share, in exact integers.
 
     A search measures time in ticks of 1 / unit ms and traffic in bytes
     counted per hop. unit is the LCM of the snapshot's latency denominators
@@ -218,12 +217,21 @@ class TransferMemo:
     every route latency and per-hop transfer time is a whole number of
     ticks, and so is compute_cost / cpu_capacity for every compute cost whose
     denominator divides unit // cpu. terms maps (source, destination, bytes)
-    to (ticks, bytes counted per hop), or None without a route.
+    to (ticks, bytes counted per hop) on the snapshot t, or None without a
+    route.
+
+    Beside the terms it keeps what depends on no subscriber or node: one
+    _Shape per pipeline shape and workload (see shape) and the integer
+    objective weights per (unit, objective). After keep_scores it also keeps,
+    for each placement a search of snapshot t returns, the (ticks, bytes) it
+    scored that placement at, which report turns into the placement's
+    CostReport.
 
     compile_scenario makes one, hands it to every search of the compile and
-    drops it when it returns, so no snapshot, broker or instance keeps the
-    terms alive. A search given none, or one for another snapshot, makes its
-    own.
+    drops it when it returns, so no snapshot, broker or instance keeps any of
+    it alive. A search given none makes its own memo and derives its shape
+    alone; one given a memo for another snapshot shares its shapes but makes
+    its own memo for the rest.
     """
 
     def __init__(self, t: Topology) -> None:
@@ -236,6 +244,144 @@ class TransferMemo:
             *(1024 * link.bandwidth_kb_per_ms.numerator for link in links),
         )
         self.terms: dict[tuple[str, str, int], tuple[int, int] | None] = {}
+        self._shapes: dict[tuple, _Shape] = {}
+        self._weights: dict[tuple[int, int], tuple[Objective, int, int]] = {}
+        # id(placement) -> (placement, ticks, bytes, unit), after keep_scores
+        self._scores: dict[int, tuple[Placement, int, int, int]] | None = None
+
+    def shape(self, p: PipelineSpec, w: WorkloadSpec) -> _Shape:
+        """The _Shape of p under w, shared by every pipeline built from the
+        same stage objects, edges and entry bindings.
+
+        The key holds the stages by identity, never by value: hashing a
+        StageSpec hashes each of its Fractions. A hit is checked to hold the
+        very same stage objects and workload.
+        """
+        bindings = tuple(p.source_bindings.items())
+        key = (id(w), tuple(map(id, p.stages)), p.edges, bindings)
+        got = self._shapes.get(key)
+        if (
+            got is None
+            or got.w is not w
+            or any(a is not b for a, b in zip(got.p.stages, p.stages))
+        ):
+            got = self._shapes[key] = _Shape(p, w)
+        return got
+
+    def weights(self, unit: int, o: Objective) -> tuple[int, int]:
+        """Integer (a, b) such that a * ticks + b * bytes is o's value of
+        (ticks / unit ms, bytes / 1024 KB) times one positive constant, once
+        per unit and objective object."""
+        got = self._weights.get((unit, id(o)))
+        if got is None or got[0] is not o:
+            a, b = o.alpha / unit, o.beta / 1024
+            d = lcm(a.denominator, b.denominator)
+            wa, wb = (x.numerator * (d // x.denominator) for x in (a, b))
+            got = self._weights[unit, id(o)] = o, wa, wb
+        return got[1], got[2]
+
+    def keep_scores(self) -> None:
+        """Keep the score of every placement a search returns from now on.
+        place reads them; a run does not, and its compile keeps none."""
+        self._scores = {}
+
+    def report(self, pl: Placement, o: Objective) -> CostReport | None:
+        """pl's CostReport from the (ticks, bytes) its search scored it at;
+        None when no search of snapshot t returned pl since keep_scores. A
+        search returns only placements it has checked against every rule of
+        the evaluator's violations, so the report is feasible and lists
+        none."""
+        got = None if self._scores is None else self._scores.get(id(pl))
+        if got is None or got[0] is not pl:
+            return None
+        _, ticks, moved, unit = got
+        return _report(ticks, moved, unit, o, ())
+
+
+def _report(
+    ticks: int, moved: int, unit: int, o: Objective, violations: tuple[Violation, ...]
+) -> CostReport:
+    """The CostReport of a walk's (ticks, bytes) in ticks of 1 / unit ms."""
+    latency, bytes_kb = Fraction(ticks, unit), Fraction(moved, 1024)
+    return CostReport(
+        latency_ms=latency,
+        bytes_kb=bytes_kb,
+        objective_value=o.value(latency, bytes_kb),
+        feasible=not violations,
+        violations=violations,
+    )
+
+
+class _Shape:
+    """What a pipeline's stages, edges and entry bindings derive from the
+    workload, for every subscriber, node and topology: the entry workload,
+    each stage's output size and cpu load, each stage's integer memory and
+    cpu needs, and the compute costs' common denominator. Each is derived on
+    first use."""
+
+    def __init__(self, p: PipelineSpec, w: WorkloadSpec) -> None:
+        self.p = p
+        self.w = w
+
+    @cached_property
+    def workload(
+        self,
+    ) -> tuple[dict[str, int], dict[str, int], dict[str, Fraction], list[Violation]]:
+        """(entry sizes, output size per stage, cpu load per stage, workload
+        violations).
+
+        A stage's load is its compute cost times the publications per 1000 ms
+        it emits, over 1000. Filters count as pass-through in the rates, the
+        conservative bound for cpu budgeting.
+        """
+        p = self.p
+        entry_sizes, entry_rates, violations = entry_workload(p, self.w)
+        sizes: dict[str, int] = {}
+        rates: dict[str, Fraction] = {}
+        loads: dict[str, Fraction] = {}
+        for sid in p.topo_order():
+            stage = p.stage(sid)
+            preds = p.preds(sid)
+            if not preds:
+                incoming = entry_sizes[sid]
+                rates[sid] = entry_rates[sid]
+            elif isinstance(stage.kind, Funnel):
+                incoming = sum(sizes[q] for q in preds)
+                trigger = stage.kind.trigger
+                if isinstance(trigger, Barrier):
+                    rates[sid] = min(rates[q] for q in preds)
+                elif isinstance(trigger, CountWindow):
+                    rates[sid] = sum((rates[q] for q in preds), Fraction(0)) / trigger.n
+                else:
+                    assert isinstance(trigger, TimeWindow)
+                    rates[sid] = Fraction(1000, trigger.delta_ms)
+            else:
+                incoming = max(sizes[q] for q in preds)
+                rates[sid] = sum((rates[q] for q in preds), Fraction(0))
+            sizes[sid] = scaled_size(incoming, stage.selectivity)
+            loads[sid] = stage.compute_cost * rates[sid] / 1000
+        return entry_sizes, sizes, loads, violations
+
+    @cached_property
+    def needs(self) -> tuple[int, int, dict[str, tuple[int, int]]]:
+        """(mem scale, cpu scale, stage -> (memory, cpu load) in those scales).
+
+        The mem scale is the LCM of the stages' mem_mb denominators and the
+        cpu scale that of their load denominators, so every need is an int.
+        """
+        loads = self.workload[2]
+        ms = lcm(*(s.mem_mb.denominator for s in self.p.stages))
+        cs = lcm(*(load.denominator for load in loads.values()))
+        needs = {
+            s.stage_id: (_in_scale(s.mem_mb, ms), _in_scale(loads[s.stage_id], cs))
+            for s in self.p.stages
+        }
+        return ms, cs, needs
+
+    @cached_property
+    def compute_den(self) -> int:
+        """The LCM of the stages' compute_cost denominators."""
+        return lcm(*(s.compute_cost.denominator for s in self.p.stages))
 
 
 class _Evaluator:
@@ -244,8 +390,10 @@ class _Evaluator:
 
     What no assignment changes (each stage's anchor publisher, the pin
     targets, the entry workload and every stage's size and cpu load) is derived
-    on first use and shared by every assignment a search tries. Publisher and
-    subscriber pins are only checkable when that context is given.
+    on first use and shared by every assignment a search tries. The workload
+    part (shape) reads no subscriber, node or topology, so a memo shares it
+    with every search of the compile on the same pipeline shape. Publisher
+    and subscriber pins are only checkable when that context is given.
 
     Every search places stages through the same two rules: admits (with hold
     for the per-node totals it reads) decides whether a node may take a
@@ -287,35 +435,34 @@ class _Evaluator:
         return self._anchors[sid]
 
     @cached_property
-    def _scale(self) -> tuple[int, dict[tuple[str, str, int], tuple[int, int] | None]]:
-        """(unit, transfer terms), made on first use: feasibility needs
-        neither."""
+    def _scale(
+        self,
+    ) -> tuple[int, dict[tuple[str, str, int], tuple[int, int] | None], TransferMemo]:
+        """(unit, transfer terms, the memo of this snapshot), made on first
+        use: feasibility needs none of them."""
         memo = self._memo
         if memo is None or memo.t is not self.t:
             memo = TransferMemo(self.t)
-        free = memo.unit // memo.cpu
-        extra = lcm(*(
-            s.compute_cost.denominator // gcd(s.compute_cost.denominator, free)
-            for s in self.p.stages
-        ))
-        return memo.unit * extra, memo.terms if extra == 1 else {}
+        # the least factor whose product with unit // cpu every compute
+        # cost's denominator divides
+        den = self.shape.compute_den
+        extra = den // gcd(den, memo.unit // memo.cpu)
+        return memo.unit * extra, memo.terms if extra == 1 else {}, memo
 
     @property
     def unit(self) -> int:
         return self._scale[0]
 
     def weights(self, o: Objective) -> tuple[int, int]:
-        """Integer (a, b) such that a * ticks + b * bytes is o's value of
-        (ticks / unit ms, bytes / 1024 KB) times one positive constant."""
-        a, b = o.alpha / self.unit, o.beta / 1024
-        d = lcm(a.denominator, b.denominator)
-        return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+        """TransferMemo.weights of o in this evaluator's unit."""
+        unit, _, memo = self._scale
+        return memo.weights(unit, o)
 
     def transfer(self, a: str, b: str, size_bytes: int) -> tuple[int, int] | None:
         """(ticks, bytes counted per hop) to move size_bytes along
         route(t, a, b), or None when there is no route. Each hop takes its
         latency plus size over bandwidth. Memoized per (a, b, size_bytes)."""
-        unit, terms = self._scale
+        unit, terms, _ = self._scale
         key = (a, b, size_bytes)
         if key not in terms:
             got = _reach(self.t, a, b)
@@ -367,59 +514,10 @@ class _Evaluator:
         return out
 
     @cached_property
-    def workload(
-        self,
-    ) -> tuple[dict[str, int], dict[str, int], dict[str, Fraction], list[Violation]]:
-        """(entry sizes, output size per stage, cpu load per stage, workload
-        violations).
-
-        A stage's load is its compute cost times the publications per 1000 ms
-        it emits, over 1000. Filters count as pass-through in the rates, the
-        conservative bound for cpu budgeting.
-        """
-        p = self.p
-        entry_sizes, entry_rates, violations = entry_workload(p, self.w)
-        sizes: dict[str, int] = {}
-        rates: dict[str, Fraction] = {}
-        loads: dict[str, Fraction] = {}
-        for sid in p.topo_order():
-            stage = p.stage(sid)
-            preds = p.preds(sid)
-            if not preds:
-                incoming = entry_sizes[sid]
-                rates[sid] = entry_rates[sid]
-            elif isinstance(stage.kind, Funnel):
-                incoming = sum(sizes[q] for q in preds)
-                trigger = stage.kind.trigger
-                if isinstance(trigger, Barrier):
-                    rates[sid] = min(rates[q] for q in preds)
-                elif isinstance(trigger, CountWindow):
-                    rates[sid] = sum((rates[q] for q in preds), Fraction(0)) / trigger.n
-                else:
-                    assert isinstance(trigger, TimeWindow)
-                    rates[sid] = Fraction(1000, trigger.delta_ms)
-            else:
-                incoming = max(sizes[q] for q in preds)
-                rates[sid] = sum((rates[q] for q in preds), Fraction(0))
-            sizes[sid] = scaled_size(incoming, stage.selectivity)
-            loads[sid] = stage.compute_cost * rates[sid] / 1000
-        return entry_sizes, sizes, loads, violations
-
-    @cached_property
-    def _needs(self) -> tuple[int, int, dict[str, tuple[int, int]]]:
-        """(mem scale, cpu scale, stage -> (memory, cpu load) in those scales).
-
-        The mem scale is the LCM of the stages' mem_mb denominators and the
-        cpu scale that of their load denominators, so every need is an int.
-        """
-        loads = self.workload[2]
-        ms = lcm(*(s.mem_mb.denominator for s in self.p.stages))
-        cs = lcm(*(load.denominator for load in loads.values()))
-        needs = {
-            s.stage_id: (_in_scale(s.mem_mb, ms), _in_scale(loads[s.stage_id], cs))
-            for s in self.p.stages
-        }
-        return ms, cs, needs
+    def shape(self) -> _Shape:
+        """The pipeline's _Shape, shared through the memo when given one."""
+        memo = self._memo
+        return _Shape(self.p, self.w) if memo is None else memo.shape(self.p, self.w)
 
     def _budget(self, node_id: str) -> tuple[int, int]:
         """node_id's (memory, cpu) budget in the mem and cpu scales, rounded
@@ -427,7 +525,7 @@ class _Evaluator:
         the floor."""
         got = self._budgets.get(node_id)
         if got is None:
-            ms, cs, _ = self._needs
+            ms, cs, _ = self.shape.needs
             node = self.t.node(node_id)
             got = (_in_scale(node.mem_mb, ms), _in_scale(node.cpu_capacity, cs))
             self._budgets[node_id] = got
@@ -442,14 +540,14 @@ class _Evaluator:
         if stage.needs_accelerator and not node.has_accelerator:
             return False
         mem, cpu = totals.get(node_id, (0, 0))
-        need_mem, need_cpu = self._needs[2][sid]
+        need_mem, need_cpu = self.shape.needs[2][sid]
         max_mem, max_cpu = self._budget(node_id)
         return mem + need_mem <= max_mem and cpu + need_cpu <= max_cpu
 
     def hold(self, sid: str, node_id: str, totals: _Totals, add: bool) -> None:
         """Add sid's memory and cpu load to node_id's totals, or remove it."""
         mem, cpu = totals.get(node_id, (0, 0))
-        need_mem, need_cpu = self._needs[2][sid]
+        need_mem, need_cpu = self.shape.needs[2][sid]
         if add:
             totals[node_id] = mem + need_mem, cpu + need_cpu
         else:
@@ -461,7 +559,7 @@ class _Evaluator:
         for s in self.p.stages:
             if s.stage_id in assigned:
                 self.hold(s.stage_id, assigned[s.stage_id], totals, add=True)
-        ms, cs, _ = self._needs
+        ms, cs, _ = self.shape.needs
         out: list[Violation] = []
         for node_id in sorted(totals):
             node = self.t.node(node_id)
@@ -503,7 +601,7 @@ class _Evaluator:
         if any(v.rule == "NodeMissing" for v in out):
             return sorted(out)
 
-        out.extend(self.workload[3])
+        out.extend(self.shape.workload[3])
         out.extend(self.budget_violations(assigned))
 
         hops = [(assigned[a], assigned[b]) for a, b in p.edges]
@@ -530,7 +628,7 @@ class _Evaluator:
         The stage starts when its last input arrives and computes for
         compute_cost / cpu_capacity ms, so finish times only grow along edges.
         """
-        entry_sizes, sizes, _, _ = self.workload
+        entry_sizes, sizes, _, _ = self.shape.workload
         preds = self.p.preds(sid)
         if not preds:
             assert self.pubs is not None
@@ -565,7 +663,7 @@ class _Evaluator:
             assert got is not None
             finish[sid], hop_bytes = got
             moved += hop_bytes
-        sink_size = self.workload[1][p.sink]
+        sink_size = self.shape.workload[1][p.sink]
         term = self.transfer(assigned[p.sink], self.subscriber, sink_size)
         assert term is not None
         return finish[p.sink] + term[0], moved + term[1]
@@ -579,14 +677,17 @@ class _Evaluator:
         if any(v.rule in missing for v in violations):
             return CostReport(None, None, None, False, violations)
         ticks, moved = self.walk(assigned)
-        latency, bytes_kb = Fraction(ticks, self.unit), Fraction(moved, 1024)
-        return CostReport(
-            latency_ms=latency,
-            bytes_kb=bytes_kb,
-            objective_value=o.value(latency, bytes_kb),
-            feasible=not violations,
-            violations=violations,
-        )
+        return _report(ticks, moved, self.unit, o, violations)
+
+    def placed(self, assigned: dict[str, str], ticks: int, moved: int) -> Placement:
+        """Placement(assigned), which a search returns having scored it at
+        (ticks, bytes) by walk. A memo of this snapshot keeps the score for
+        TransferMemo.report, after its keep_scores."""
+        pl = Placement(assigned)
+        memo = self._memo
+        if memo is not None and memo.t is self.t and memo._scores is not None:
+            memo._scores[id(pl)] = (pl, ticks, moved, self.unit)
+        return pl
 
 
 def feasible(
@@ -660,6 +761,7 @@ def place_oracle(
     finish times only grow along edges, so the bound at a leaf is the walk's
     latency. Bounds and leaves are compared as the evaluator's integer
     weighting of (ticks, bytes), which orders them as the objective does.
+    The best leaf's (ticks, bytes) go to ev.placed with its assignment.
     """
     ev = _Evaluator(p, t, w, publisher, subscriber, memo)
     wa, wb = ev.weights(o)
@@ -669,7 +771,7 @@ def place_oracle(
     space = len(candidates) ** len(unpinned) if unpinned else 1
     if space > ORACLE_BOUND:
         raise SearchSpaceTooLargeError(space, ORACLE_BOUND)
-    _, sizes, _, missing = ev.workload
+    _, sizes, _, missing = ev.shape.workload
     if missing:
         raise NoFeasiblePlacementError(p.pipeline_id)
 
@@ -694,13 +796,15 @@ def place_oracle(
     totals: _Totals = {}
     best: tuple | None = None
     best_assignment: dict[str, str] | None = None
+    best_score = (0, 0)  # (latency ticks, bytes) of best_assignment
 
     def search(i: int, latest: int, moved: int) -> None:
-        nonlocal best, best_assignment
+        nonlocal best, best_assignment, best_score
         if i == len(order):
             key = (wa * latest + wb * moved, upstream_key(assigned))
             if best is None or key < best:
                 best, best_assignment = key, dict(assigned)
+                best_score = latest, moved
             return
         sid = order[i]
         for node_id in [pins[sid]] if sid in pins else candidates:
@@ -728,7 +832,7 @@ def place_oracle(
     del search  # it refers to itself: free its state now, not at the next gc
     if best_assignment is None:
         raise NoFeasiblePlacementError(p.pipeline_id)
-    return Placement(best_assignment)
+    return ev.placed(best_assignment, *best_score)
 
 
 def _route_candidates(t: Topology, pubs: dict[str, str], subscriber: str) -> set[str]:
@@ -761,7 +865,8 @@ def _upstream_with_fixed(
     its successors. Its transfers keep their routes, since every candidate
     lies on a publisher->subscriber route and so in the one component that a
     feasible assignment's stages share. A move is scored by ev.walk alone,
-    weighted in integers as the oracle's leaves are.
+    weighted in integers as the oracle's leaves are, and the walk of the
+    assignment returned goes to ev.placed with it.
     """
     p, t, subscriber = ev.p, ev.t, ev.subscriber
     assert ev.pubs is not None and subscriber is not None
@@ -810,8 +915,8 @@ def _upstream_with_fixed(
         raise NoFeasiblePlacementError(
             f"{p.pipeline_id}: {[v.rule for v in violations]}"
         )
-    ticks, moved = ev.walk(assignment)
-    current = wa * ticks + wb * moved
+    score = ev.walk(assignment)
+    current = wa * score[0] + wb * score[1]
 
     max_moves = 100 * len(p.stages)
     moves = 0
@@ -822,23 +927,24 @@ def _upstream_with_fixed(
             if sid not in movable_set or moves >= max_moves:
                 continue
             here = assignment[sid]
-            best: tuple[int, int, str] | None = None
-            for rank, cand in enumerate(ranked):
+            # the first of the lowest values, so the best rank among them
+            best: tuple[int, str, tuple[int, int]] | None = None
+            for cand in ranked:
                 if cand == here or not fits(sid, cand, p.succs(sid)):
                     continue
                 assignment[sid] = cand
-                ticks, moved = ev.walk(assignment)
-                value = wa * ticks + wb * moved
+                got = ev.walk(assignment)
+                value = wa * got[0] + wb * got[1]
                 assignment[sid] = here
-                if value < current and (best is None or (value, rank, cand) < best):
-                    best = value, rank, cand
+                if value < current and (best is None or value < best[0]):
+                    best = value, cand, got
             if best is not None:
-                current, _, assignment[sid] = best
+                current, assignment[sid], score = best
                 ev.hold(sid, here, totals, add=False)
                 ev.hold(sid, assignment[sid], totals, add=True)
                 moves += 1
                 improved = True
-    return Placement(assignment)
+    return ev.placed(assignment, *score)
 
 
 def place_upstream(
@@ -979,7 +1085,8 @@ def _exec_key_id(
     pred_ids: tuple[str, ...],
     entry_binding: tuple[str, str] | None,
 ) -> str:
-    text = repr((stage, node, pred_ids, entry_binding))
+    # the text of repr((stage, node, pred_ids, entry_binding))
+    text = f"({stage._repr}, {node!r}, {pred_ids!r}, {entry_binding!r})"
     return "x" + hashlib.sha1(text.encode()).hexdigest()[:12]
 
 
@@ -1035,7 +1142,12 @@ def merge_shared_prefix(
             elif iid not in prior.instance_ids:
                 ids = list(prior.instance_ids)
                 insort(ids, iid)
-                g.stages[exec_id] = replace(prior, instance_ids=tuple(ids))
+                # what replace(prior, instance_ids=...) builds, without its
+                # per-field introspection
+                g.stages[exec_id] = ExecStage(
+                    exec_id, prior.stage, prior.node, prior.pred_ids,
+                    prior.entry_binding, tuple(ids),
+                )
         g._chains[iid] = local
         edge = DeliveryEdge(local[p.sink], iid, inst.sub_id, inst.subscriber)
         g._edges[iid] = edge

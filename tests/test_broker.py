@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from infersub.core import (
     Topic,
     TopicFilter,
     Topology,
+    match_filter,
 )
 from infersub.errors import (
     AmbiguousPublisherError,
@@ -236,6 +238,41 @@ def test_data_sub_added_later_matches_the_next_publication():
     b.subscribe(data_sub("tap3", flt="d/pub2/x"), topo_line(), workload(), Objective())
     actions = b.on_publish(raw_pub(seq=2), Fraction(1))
     assert [a.sub_id for a in actions] == ["tap1", "tap2"]  # sub id order
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_data_matches_scan_only_data_subs_as_a_full_scan_would(seed):
+    """_data_subs_matching reads a sorted list of the data subs' ids. On a
+    broker that mixes data, inference and model-update subscriptions,
+    subscribed in shuffled id order and with a failed subscribe among them,
+    it names for every topic what a scan of every subscription names."""
+    rng = random.Random(seed)
+    b = fresh(bindings={"d/pub/x": "pub", "d/pub2/x": "pub2"})
+    b.register_model(model())
+    filters = ["d/+/x", "d/pub/x", "d/#", "#", "d/pub2/+", "_models/m"]
+    subs = [data_sub(f"tap{i}", flt=flt) for i, flt in enumerate(filters)]
+    subs += [inf_sub(f"inf{i}", flt=flt) for i, flt in enumerate(["d/pub/x", "d/+/x"])]
+    subs += [Subscription(f"upd{i}", "mon", ModelUpdateSub("m")) for i in range(2)]
+    subs.append(inf_sub("orphan", flt="d/none/x"))  # no publisher: rolled back
+    rng.shuffle(subs)
+    topics = ["d/pub/x", "d/pub2/x", "d/other/y", "_models/m", "_updates/m/t"]
+
+    def full_scan(topic: Topic) -> tuple[str, ...]:
+        return tuple(
+            sub_id for sub_id in sorted(b.subs)
+            if isinstance(b.subs[sub_id].kind, DataSub)
+            and match_filter(b.subs[sub_id].kind.filter, topic)
+        )
+
+    for sub in subs:
+        try:
+            b.subscribe(sub, topo_line(), workload(), Objective())
+        except NoPublisherError:
+            assert sub.sub_id == "orphan"
+        for topic in rng.sample(topics, 3):
+            parsed = Topic.parse(topic)
+            assert b._data_subs_matching(parsed) == full_scan(parsed)
+    assert "orphan" not in b.subs
 
 
 def test_publish_watermark_swallows_replayed_seqs():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import weakref
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import infersub
 from infersub.broker import Broker
 from infersub.cli import main
 from infersub.metrics import emit
-from infersub.placement import TransferMemo
+from infersub.placement import TransferMemo, cost
 from infersub.scenario import load_scenario
 from infersub.simulator import compile_scenario, run
 from oracles import ref_place_oracle
@@ -106,26 +107,73 @@ def test_place_lists_every_instance(algorithm, capsys):
         assert row["objective"] is not None
 
 
+BUNDLED = ("arvr", "federation", "nlp", "nwdaf", "oran")
+
+
 @pytest.mark.parametrize(
     "name, algorithm",
     [
-        # the oracle rows keep the ids they had before upstream was pinned
+        # the oracle rows keep the ids they had before the others were pinned
         pytest.param(
-            name, algorithm, id=name if algorithm == "oracle" else f"{name}-upstream"
+            name, algorithm, id=name if algorithm == "oracle" else f"{name}-{algorithm}"
         )
-        for algorithm in ("oracle", "upstream")
-        for name in ("arvr", "federation", "nlp", "nwdaf", "oran")
+        for algorithm in ("oracle", "upstream", "baseline")
+        for name in BUNDLED
     ],
 )
 def test_place_oracle_matches_golden_bytes(name, algorithm, capsys):
     """The oracle files are frozen from the exhaustive search that scored
     every candidate; the branch-and-bound must print the same bytes. The
-    upstream files are a regression pin written by commit d2d1056, not a hand
-    audit: they hold whatever that heuristic printed then."""
+    upstream files are a regression pin written by commit d2d1056, and the
+    baseline files one written by commit 23c6fde, whose rows were all scored
+    by cost; neither is a hand audit: they hold whatever was printed then."""
     scenario = str(SCENARIO_DIR / f"{name}.json")
     assert main(["place", "--scenario", scenario, "--algorithm", algorithm]) == 0
     golden = GOLDEN_DIR / algorithm / f"{name}.json"
     assert capsys.readouterr().out == golden.read_text()
+
+
+@pytest.mark.parametrize("algorithm", ["upstream", "oracle", "baseline"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_each_place_row_is_what_a_fresh_cost_scores(name, algorithm, capsys):
+    """Upstream and oracle rows read the score their search kept in the
+    compile's memo; baseline rows are scored by cost through that memo.
+    Each must equal placement.cost on a fresh evaluator with no memo."""
+    scenario = str(SCENARIO_DIR / f"{name}.json")
+    assert main(["place", "--scenario", scenario, "--algorithm", algorithm]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    sc = load_scenario(scenario)
+    brokers, _ = compile_scenario(sc, algorithm)
+    want = []
+    for domain in sorted(brokers):
+        for iid, inst in sorted(brokers[domain].instances.items()):
+            rep = cost(
+                inst.placement, inst.pipeline, sc.topology, sc.workload,
+                sc.objective, inst.publishers, inst.subscriber,
+            )
+            want.append((
+                iid, inst.placement.assignment,
+                None if rep.latency_ms is None else float(rep.latency_ms),
+                None if rep.bytes_kb is None else float(rep.bytes_kb),
+                None if rep.objective_value is None else float(rep.objective_value),
+                rep.feasible,
+            ))
+    got = [
+        (r["instance_id"], r["assignment"], r["latency_ms"], r["bytes_kb"],
+         r["objective"], r["feasible"])
+        for r in rows
+    ]
+    assert got == want
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_emit_prints_what_asdict_printed(name):
+    """emit builds the report dict without dataclasses.asdict's deep copy;
+    the json bytes stay those of json.dumps(asdict(report))."""
+    sc = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+    for placer in ("upstream", "baseline"):
+        report = run(sc, placer=placer)
+        assert emit(report, "json") == json.dumps(asdict(report), indent=2) + "\n"
 
 
 def test_place_oracle_vs_upstream_never_worse(capsys):

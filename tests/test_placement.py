@@ -38,6 +38,7 @@ from infersub.placement import (
     TransferMemo,
     WorkloadEntry,
     WorkloadSpec,
+    _Evaluator,
     cost,
     feasible,
     place_baseline_subscriber,
@@ -590,6 +591,59 @@ def test_a_memo_of_another_snapshot_is_not_read():
     down = topo.with_link_state("p", "x", up=False)
     detour = cost(pl, pipeline, down, w, o, "p", "x", memo)
     assert detour.latency_ms == 2 + 3 + 2 * Fraction(1, 100) + compute
+
+
+@given(seed=st.integers(0, 10**9))
+def test_one_memo_shared_by_two_subscriptions_of_one_model_changes_nothing(seed):
+    """Two pipelines over the very same stage objects, as two subscriptions
+    of one model are, bound to topics of different sizes and rates. With one
+    memo they share what their stages and bindings derive, so the memo must
+    tell their bindings apart: each gets the workload, violations and cost
+    of a fresh evaluator, in either order and again on a memo hit. Each
+    search's score, read back through a memo that keeps scores, is the
+    placement's fresh cost; a memo that does not keep them reports none."""
+    rng = random.Random(seed)
+    p1, t, w1, o, pub, sub = gen_placement_case(rng, fractional=rng.random() < 0.5)
+    renamed = {
+        sid: TopicFilter.parse(str(f).replace("/x", "/y"))
+        for sid, f in p1.source_bindings.items()
+    }
+    p2 = replace(p1, pipeline_id="other", source_bindings=renamed)
+    assert all(a is b for a, b in zip(p1.stages, p2.stages))
+    topics = dict(w1.topics)
+    for f in renamed.values():
+        if rng.random() < 0.9:  # else WorkloadMissing on this binding alone
+            topics[str(f)] = WorkloadEntry(
+                rng.randint(1, 8192), Fraction(rng.randint(1, 100), rng.randint(1, 3))
+            )
+    w = WorkloadSpec(topics)
+    ids = sorted(t.nodes)
+    memo, unkept = TransferMemo(t), TransferMemo(t)
+    memo.keep_scores()
+    for p in (p1, p2, p1) if rng.random() < 0.5 else (p2, p1, p2):
+        shared = _Evaluator(p, t, w, pub, sub, memo)
+        fresh = _Evaluator(p, t, w, pub, sub)
+        assert shared.shape.workload == fresh.shape.workload
+        assert shared.shape.needs == fresh.shape.needs
+        assert shared.unit == fresh.unit
+        assert shared.weights(o) == fresh.weights(o)
+        for _ in range(3):
+            assigned = {s.stage_id: rng.choice(ids) for s in p.stages}
+            assert shared.violations(assigned) == fresh.violations(assigned)
+            assert shared.cost(assigned, o) == fresh.cost(assigned, o)
+        searches = [place_upstream]
+        unpinned = sum(not s.pin.is_pinned for s in p.stages)
+        if len(ids) ** unpinned <= 64:
+            searches.append(place_oracle)
+        for place in searches:
+            try:
+                pl = place(p, t, w, o, pub, sub, memo)
+            except NoFeasiblePlacementError:
+                continue
+            assert memo.report(pl, o) == cost(pl, p, t, w, o, pub, sub)
+            assert memo.report(Placement(dict(pl.assignment)), o) is None
+            assert unkept.report(place(p, t, w, o, pub, sub, unkept), o) is None
+    assert len(memo._shapes) == 2
 
 
 # ---------------------------------------------------------------------------
