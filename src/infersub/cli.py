@@ -15,6 +15,14 @@ from .scenario import load_scenario
 from .simulator import compare, compile_scenario, run
 
 
+def u64(text: str) -> int:
+    """A --seed value: an int that fits in u64, as a scenario's sim.seed must."""
+    seed = int(text)
+    if not 0 <= seed < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"seed must fit in u64: {seed}")
+    return seed
+
+
 def _load(path: str):
     try:
         return load_scenario(path)
@@ -68,7 +76,6 @@ def _placement_rows(sc, algorithm: str) -> list[dict]:
     through the same memo. The memo and the brokers are freed before the
     rows are written."""
     memo = TransferMemo(sc.topology)
-    memo.keep_scores()
     brokers, _ = compile_scenario(sc, algorithm, memo)
     rows = []
     for domain in sorted(brokers):
@@ -115,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = subs.add_parser("run", help="simulate a scenario and report metrics")
     p_run.add_argument("--scenario", required=True)
-    p_run.add_argument("--seed", type=int, default=None,
+    p_run.add_argument("--seed", type=u64, default=None,
                        help="override the scenario seed")
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--format", choices=("json", "csv"), default="json")
@@ -132,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="run the same workload under upstream and baseline placement"
     )
     p_cmp.add_argument("--scenario", required=True)
-    p_cmp.add_argument("--seed", type=int, default=None)
+    p_cmp.add_argument("--seed", type=u64, default=None)
     p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(fn=_cmd_compare)
 

@@ -42,8 +42,11 @@ ORACLE_BOUND = 1_000_000
 Publishers = Union[str, dict[str, str]]
 
 # node -> (memory, cpu load) of the stages a search holds there, in the
-# evaluator's mem and cpu scales
+# shape's mem and cpu scales
 _Totals = dict[str, tuple[int, int]]
+
+# transfer terms: see TransferMemo
+_Terms = dict[tuple[str, str, int], Union[tuple[int, int], None]]
 
 
 @dataclass(frozen=True)
@@ -220,18 +223,14 @@ class TransferMemo:
     to (ticks, bytes counted per hop) on the snapshot t, or None without a
     route.
 
-    Beside the terms it keeps what depends on no subscriber or node: one
-    _Shape per pipeline shape and workload (see shape) and the integer
-    objective weights per (unit, objective). After keep_scores it also keeps,
-    for each placement a search of snapshot t returns, the (ticks, bytes) it
-    scored that placement at, which report turns into the placement's
-    CostReport.
+    Beside the terms it keeps one _Shape per pipeline shape and workload (see
+    shape), the integer objective weights per (unit, objective) and, for each
+    placement a search returns, the (ticks, bytes) it scored that placement
+    at, which report turns into the placement's CostReport.
 
     compile_scenario makes one, hands it to every search of the compile and
     drops it when it returns, so no snapshot, broker or instance keeps any of
-    it alive. A search given none makes its own memo and derives its shape
-    alone; one given a memo for another snapshot shares its shapes but makes
-    its own memo for the rest.
+    it alive. A search given none, or one of another snapshot, makes its own.
     """
 
     def __init__(self, t: Topology) -> None:
@@ -243,19 +242,22 @@ class TransferMemo:
             t._scale,
             *(1024 * link.bandwidth_kb_per_ms.numerator for link in links),
         )
-        self.terms: dict[tuple[str, str, int], tuple[int, int] | None] = {}
+        self.terms: _Terms = {}
         self._shapes: dict[tuple, _Shape] = {}
         self._weights: dict[tuple[int, int], tuple[Objective, int, int]] = {}
-        # id(placement) -> (placement, ticks, bytes, unit), after keep_scores
-        self._scores: dict[int, tuple[Placement, int, int, int]] | None = None
+        # id(placement) -> (placement, ticks, bytes, unit)
+        self._scores: dict[int, tuple[Placement, int, int, int]] = {}
 
     def shape(self, p: PipelineSpec, w: WorkloadSpec) -> _Shape:
-        """The _Shape of p under w, shared by every pipeline built from the
-        same stage objects, edges and entry bindings.
+        """The _Shape of p under w on t, shared by every pipeline built from
+        the same stage objects, edges and entry bindings.
 
         The key holds the stages by identity, never by value: hashing a
         StageSpec hashes each of its Fractions. A hit is checked to hold the
-        very same stage objects and workload.
+        very same stage objects and workload. A shape's unit is the memo's
+        times the least factor whose product with unit // cpu every compute
+        cost's denominator divides; it shares the memo's terms when that
+        factor is 1 and keeps its own otherwise.
         """
         bindings = tuple(p.source_bindings.items())
         key = (id(w), tuple(map(id, p.stages)), p.edges, bindings)
@@ -265,7 +267,10 @@ class TransferMemo:
             or got.w is not w
             or any(a is not b for a, b in zip(got.p.stages, p.stages))
         ):
-            got = self._shapes[key] = _Shape(p, w)
+            den = lcm(*(s.compute_cost.denominator for s in p.stages))
+            extra = den // gcd(den, self.unit // self.cpu)
+            terms = self.terms if extra == 1 else {}
+            got = self._shapes[key] = _Shape(p, w, self.t, self.unit * extra, terms)
         return got
 
     def weights(self, unit: int, o: Objective) -> tuple[int, int]:
@@ -280,18 +285,12 @@ class TransferMemo:
             got = self._weights[unit, id(o)] = o, wa, wb
         return got[1], got[2]
 
-    def keep_scores(self) -> None:
-        """Keep the score of every placement a search returns from now on.
-        place reads them; a run does not, and its compile keeps none."""
-        self._scores = {}
-
     def report(self, pl: Placement, o: Objective) -> CostReport | None:
         """pl's CostReport from the (ticks, bytes) its search scored it at;
-        None when no search of snapshot t returned pl since keep_scores. A
-        search returns only placements it has checked against every rule of
-        the evaluator's violations, so the report is feasible and lists
-        none."""
-        got = None if self._scores is None else self._scores.get(id(pl))
+        None when no search of this memo returned pl. A search returns only
+        placements it has checked against every rule of the evaluator's
+        violations, so the report is feasible and lists none."""
+        got = self._scores.get(id(pl))
         if got is None or got[0] is not pl:
             return None
         _, ticks, moved, unit = got
@@ -314,14 +313,22 @@ def _report(
 
 class _Shape:
     """What a pipeline's stages, edges and entry bindings derive from the
-    workload, for every subscriber, node and topology: the entry workload,
+    workload on one snapshot t, for every subscriber: the entry workload,
     each stage's output size and cpu load, each stage's integer memory and
-    cpu needs, and the compute costs' common denominator. Each is derived on
-    first use."""
+    cpu needs, each node's budgets in those needs' scales, and the transfer
+    and compute terms in ticks of 1 / unit ms. Each is derived on first use
+    and shared by every search of the shape."""
 
-    def __init__(self, p: PipelineSpec, w: WorkloadSpec) -> None:
+    def __init__(
+        self, p: PipelineSpec, w: WorkloadSpec, t: Topology, unit: int, terms: _Terms
+    ) -> None:
         self.p = p
         self.w = w
+        self.t = t
+        self.unit = unit
+        self.terms = terms
+        self._compute: dict[tuple[str, str], int] = {}
+        self._budgets: dict[str, tuple[int, int]] = {}
 
     @cached_property
     def workload(
@@ -378,101 +385,33 @@ class _Shape:
         }
         return ms, cs, needs
 
-    @cached_property
-    def compute_den(self) -> int:
-        """The LCM of the stages' compute_cost denominators."""
-        return lcm(*(s.compute_cost.denominator for s in self.p.stages))
-
-
-class _Evaluator:
-    """Feasibility and cost of assignments of one pipeline on one topology,
-    workload, publisher context and subscriber.
-
-    What no assignment changes (each stage's anchor publisher, the pin
-    targets, the entry workload and every stage's size and cpu load) is derived
-    on first use and shared by every assignment a search tries. The workload
-    part (shape) reads no subscriber, node or topology, so a memo shares it
-    with every search of the compile on the same pipeline shape. Publisher
-    and subscriber pins are only checkable when that context is given.
-
-    Every search places stages through the same two rules: admits (with hold
-    for the per-node totals it reads) decides whether a node may take a
-    stage, and timing gives the stage's finish time and incoming bytes there.
-
-    Times are integer ticks of 1 / unit ms and traffic is bytes counted per
-    hop, so a search adds and compares ints; weights turns the objective
-    into integer weights on the two. unit is the memo's, times the least
-    factor that makes every compute term of this pipeline whole; transfer
-    terms are shared through the memo when that factor is 1. Memory and cpu
-    load are ints as well, in one mem and one cpu scale per evaluator, so
-    admission adds and compares ints too.
-    """
-
-    def __init__(
-        self,
-        p: PipelineSpec,
-        t: Topology,
-        w: WorkloadSpec,
-        publisher: Publishers | None = None,
-        subscriber: str | None = None,
-        memo: TransferMemo | None = None,
-    ) -> None:
-        self.p = p
-        self.t = t
-        self.w = w
-        self.pubs = None if publisher is None else _publishers_by_entry(p, publisher)
-        self.subscriber = subscriber
-        self._anchors: dict[str, str] = {}
-        self._memo = memo
-        self._compute: dict[tuple[str, str], int] = {}
-        self._budgets: dict[str, tuple[int, int]] = {}
-
-    def anchor(self, sid: str) -> str:
-        """_anchor_publisher of sid; needs the publisher context."""
-        assert self.pubs is not None
-        if sid not in self._anchors:
-            self._anchors[sid] = _anchor_publisher(self.p, sid, self.pubs)
-        return self._anchors[sid]
-
-    @cached_property
-    def _scale(
-        self,
-    ) -> tuple[int, dict[tuple[str, str, int], tuple[int, int] | None], TransferMemo]:
-        """(unit, transfer terms, the memo of this snapshot), made on first
-        use: feasibility needs none of them."""
-        memo = self._memo
-        if memo is None or memo.t is not self.t:
-            memo = TransferMemo(self.t)
-        # the least factor whose product with unit // cpu every compute
-        # cost's denominator divides
-        den = self.shape.compute_den
-        extra = den // gcd(den, memo.unit // memo.cpu)
-        return memo.unit * extra, memo.terms if extra == 1 else {}, memo
-
-    @property
-    def unit(self) -> int:
-        return self._scale[0]
-
-    def weights(self, o: Objective) -> tuple[int, int]:
-        """TransferMemo.weights of o in this evaluator's unit."""
-        unit, _, memo = self._scale
-        return memo.weights(unit, o)
+    def budget(self, node_id: str) -> tuple[int, int]:
+        """node_id's (memory, cpu) budget in the mem and cpu scales, rounded
+        down: an integer total fits the exact budget exactly when it fits
+        the floor."""
+        got = self._budgets.get(node_id)
+        if got is None:
+            ms, cs, _ = self.needs
+            node = self.t.node(node_id)
+            got = (_in_scale(node.mem_mb, ms), _in_scale(node.cpu_capacity, cs))
+            self._budgets[node_id] = got
+        return got
 
     def transfer(self, a: str, b: str, size_bytes: int) -> tuple[int, int] | None:
         """(ticks, bytes counted per hop) to move size_bytes along
         route(t, a, b), or None when there is no route. Each hop takes its
         latency plus size over bandwidth. Memoized per (a, b, size_bytes)."""
-        unit, terms, _ = self._scale
+        terms, unit, t = self.terms, self.unit, self.t
         key = (a, b, size_bytes)
         if key not in terms:
-            got = _reach(self.t, a, b)
+            got = _reach(t, a, b)
             if got is None:
                 terms[key] = None
             else:
                 lat, hops, path = got
-                ticks = lat * (unit // self.t._scale)
+                ticks = lat * (unit // t._scale)
                 for x, y in zip(path, path[1:]):
-                    link = self.t.link_between(x, y)
+                    link = t.link_between(x, y)
                     assert link is not None
                     bw = link.bandwidth_kb_per_ms
                     per_byte = bw.denominator * (unit // (1024 * bw.numerator))
@@ -484,52 +423,93 @@ class _Evaluator:
         """Ticks sid computes for on node_id: compute_cost / cpu_capacity ms,
         in ints, as unit is a multiple of the capacity's numerator."""
         key = (sid, node_id)
-        if key not in self._compute:
+        got = self._compute.get(key)
+        if got is None:
             cost = self.p.stage(sid).compute_cost
             cpu = self.t.node(node_id).cpu_capacity
             per_cost = cpu.denominator * (self.unit // cpu.numerator)
-            self._compute[key] = cost.numerator * per_cost // cost.denominator
-        return self._compute[key]
+            got = self._compute[key] = cost.numerator * per_cost // cost.denominator
+        return got
+
+
+def _pins(
+    p: PipelineSpec, pubs: dict[str, str] | None, subscriber: str | None
+) -> dict[str, str]:
+    """Stage -> the node its pin holds it to, for every pin checkable with
+    the publishers by entry (pubs) and the subscriber given."""
+    out: dict[str, str] = {}
+    for s in p.stages:
+        if s.pin.kind == "node":
+            assert s.pin.node_id is not None
+            out[s.stage_id] = s.pin.node_id
+        elif s.pin.kind == "publisher" and pubs is not None:
+            out[s.stage_id] = _anchor_publisher(p, s.stage_id, pubs)
+        elif s.pin.kind == "subscriber" and subscriber is not None:
+            out[s.stage_id] = subscriber
+    return out
+
+
+class _Evaluator:
+    """Feasibility and cost of assignments of one pipeline on one topology,
+    workload, publisher context and subscriber.
+
+    What no assignment changes is derived on first use: each stage's anchor
+    publisher and the pin targets here, and everything that reads no
+    publisher or subscriber in the pipeline's _Shape, which the memo shares
+    with every search of the compile on the same pipeline shape. Publisher
+    and subscriber pins are only checkable when that context is given.
+
+    Every search places stages through the same two rules: admits (with hold
+    for the per-node totals it reads) decides whether a node may take a
+    stage, and timing gives the stage's finish time and incoming bytes there.
+
+    Times are integer ticks of 1 / shape.unit ms and traffic is bytes
+    counted per hop, so a search adds and compares ints; weights turns the
+    objective into integer weights on the two. Memory and cpu load are ints
+    as well, in the shape's mem and cpu scales, so admission adds and
+    compares ints too.
+    """
+
+    def __init__(
+        self,
+        p: PipelineSpec,
+        t: Topology,
+        w: WorkloadSpec,
+        publisher: Publishers | None = None,
+        subscriber: str | None = None,
+        memo: TransferMemo | None = None,
+    ) -> None:
+        if memo is None or memo.t is not t:
+            memo = TransferMemo(t)
+        self.p = p
+        self.t = t
+        self.memo = memo
+        self.shape = memo.shape(p, w)
+        self.pubs = None if publisher is None else _publishers_by_entry(p, publisher)
+        self.subscriber = subscriber
+        self._anchors: dict[str, str] = {}
+
+    def anchor(self, sid: str) -> str:
+        """_anchor_publisher of sid; needs the publisher context."""
+        assert self.pubs is not None
+        if sid not in self._anchors:
+            self._anchors[sid] = _anchor_publisher(self.p, sid, self.pubs)
+        return self._anchors[sid]
+
+    def weights(self, o: Objective) -> tuple[int, int]:
+        """TransferMemo.weights of o in the shape's unit."""
+        return self.memo.weights(self.shape.unit, o)
 
     def distance(self, a: str, b: str) -> tuple[int, int, int]:
-        """Totally ordered distance of route(t, a, b): (0, latency ticks,
+        """Totally ordered distance of route(t, a, b): (0, latency * t._scale,
         hops), or (1, 0, 0), farther than any route, when there is none."""
         got = _reach(self.t, a, b)
-        if got is None:
-            return (1, 0, 0)
-        return (0, got[0] * (self.unit // self.t._scale), got[1])
+        return (1, 0, 0) if got is None else (0, got[0], got[1])
 
     @cached_property
     def pins(self) -> dict[str, str]:
         """Stage -> the node its pin holds it to, for every checkable pin."""
-        out: dict[str, str] = {}
-        for s in self.p.stages:
-            if s.pin.kind == "node":
-                assert s.pin.node_id is not None
-                out[s.stage_id] = s.pin.node_id
-            elif s.pin.kind == "publisher" and self.pubs is not None:
-                out[s.stage_id] = self.anchor(s.stage_id)
-            elif s.pin.kind == "subscriber" and self.subscriber is not None:
-                out[s.stage_id] = self.subscriber
-        return out
-
-    @cached_property
-    def shape(self) -> _Shape:
-        """The pipeline's _Shape, shared through the memo when given one."""
-        memo = self._memo
-        return _Shape(self.p, self.w) if memo is None else memo.shape(self.p, self.w)
-
-    def _budget(self, node_id: str) -> tuple[int, int]:
-        """node_id's (memory, cpu) budget in the mem and cpu scales, rounded
-        down: an integer total fits the exact budget exactly when it fits
-        the floor."""
-        got = self._budgets.get(node_id)
-        if got is None:
-            ms, cs, _ = self.shape.needs
-            node = self.t.node(node_id)
-            got = (_in_scale(node.mem_mb, ms), _in_scale(node.cpu_capacity, cs))
-            self._budgets[node_id] = got
-        return got
+        return _pins(self.p, self.pubs, self.subscriber)
 
     def admits(self, sid: str, node_id: str, totals: _Totals) -> bool:
         """Whether node_id is up, has the accelerator sid needs, and has
@@ -541,7 +521,7 @@ class _Evaluator:
             return False
         mem, cpu = totals.get(node_id, (0, 0))
         need_mem, need_cpu = self.shape.needs[2][sid]
-        max_mem, max_cpu = self._budget(node_id)
+        max_mem, max_cpu = self.shape.budget(node_id)
         return mem + need_mem <= max_mem and cpu + need_cpu <= max_cpu
 
     def hold(self, sid: str, node_id: str, totals: _Totals, add: bool) -> None:
@@ -564,7 +544,7 @@ class _Evaluator:
         for node_id in sorted(totals):
             node = self.t.node(node_id)
             mem, cpu = totals[node_id]
-            max_mem, max_cpu = self._budget(node_id)
+            max_mem, max_cpu = self.shape.budget(node_id)
             if mem > max_mem:
                 out.append(Violation(
                     "MemoryExceeded", node_id, f"{Fraction(mem, ms)} > {node.mem_mb}"
@@ -628,23 +608,24 @@ class _Evaluator:
         The stage starts when its last input arrives and computes for
         compute_cost / cpu_capacity ms, so finish times only grow along edges.
         """
-        entry_sizes, sizes, _, _ = self.shape.workload
+        shape = self.shape
+        entry_sizes, sizes, _, _ = shape.workload
         preds = self.p.preds(sid)
         if not preds:
             assert self.pubs is not None
-            term = self.transfer(self.pubs[sid], node_id, entry_sizes[sid])
+            term = shape.transfer(self.pubs[sid], node_id, entry_sizes[sid])
             if term is None:
                 return None
             at, moved = term
         else:
             at = moved = 0
             for q in preds:
-                term = self.transfer(assigned[q], node_id, sizes[q])
+                term = shape.transfer(assigned[q], node_id, sizes[q])
                 if term is None:
                     return None
                 at = max(at, finish[q] + term[0])
                 moved += term[1]
-        return at + self.compute(sid, node_id), moved
+        return at + shape.compute(sid, node_id), moved
 
     def walk(self, assigned: dict[str, str]) -> tuple[int, int]:
         """(latency ticks, bytes) of one publication through a full
@@ -664,7 +645,7 @@ class _Evaluator:
             finish[sid], hop_bytes = got
             moved += hop_bytes
         sink_size = self.shape.workload[1][p.sink]
-        term = self.transfer(assigned[p.sink], self.subscriber, sink_size)
+        term = self.shape.transfer(assigned[p.sink], self.subscriber, sink_size)
         assert term is not None
         return finish[p.sink] + term[0], moved + term[1]
 
@@ -677,16 +658,14 @@ class _Evaluator:
         if any(v.rule in missing for v in violations):
             return CostReport(None, None, None, False, violations)
         ticks, moved = self.walk(assigned)
-        return _report(ticks, moved, self.unit, o, violations)
+        return _report(ticks, moved, self.shape.unit, o, violations)
 
     def placed(self, assigned: dict[str, str], ticks: int, moved: int) -> Placement:
         """Placement(assigned), which a search returns having scored it at
-        (ticks, bytes) by walk. A memo of this snapshot keeps the score for
-        TransferMemo.report, after its keep_scores."""
+        (ticks, bytes) by walk; the memo keeps the score for
+        TransferMemo.report."""
         pl = Placement(assigned)
-        memo = self._memo
-        if memo is not None and memo.t is self.t and memo._scores is not None:
-            memo._scores[id(pl)] = (pl, ticks, moved, self.unit)
+        self.memo._scores[id(pl)] = (pl, ticks, moved, self.shape.unit)
         return pl
 
 
@@ -816,7 +795,7 @@ def place_oracle(
             done, kb = got[0], moved + got[1]
             bound = max(latest, done) if sid in critical else latest
             if sid == p.sink:
-                out = ev.transfer(node_id, subscriber, sizes[sid])
+                out = ev.shape.transfer(node_id, subscriber, sizes[sid])
                 if out is None:
                     continue
                 bound = max(bound, done + out[0])
@@ -970,7 +949,7 @@ def place_baseline_subscriber(
     subscriber: str,
 ) -> Placement:
     """Everything unpinned at the subscriber; feasibility not required."""
-    pins = _Evaluator(p, t, w, publisher, subscriber).pins
+    pins = _pins(p, _publishers_by_entry(p, publisher), subscriber)
     return Placement({s.stage_id: pins.get(s.stage_id, subscriber) for s in p.stages})
 
 

@@ -212,10 +212,12 @@ def compile_scenario(
 
     Returns the brokers by domain and, in sub-id order, the (domain, actions)
     that each subscribe produced, for the caller to carry out or ignore.
-    Every placement search of the compile shares one TransferMemo (transfer
-    terms, workload derivations, objective weights and the score of each
-    placement a search returned); it is freed on return unless the caller
-    passed it in to read the scores from.
+    Every placement search of the compile shares one TransferMemo: the
+    transfer terms, one _Shape per pipeline shape (its workload derivation,
+    compute terms and node budgets, for every subscription of that shape),
+    the objective weights and the score of each placement a search returned.
+    It is freed on return unless the caller passed it in to read the scores
+    from.
     """
     topo = sc.topology
     if memo is None:

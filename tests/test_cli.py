@@ -88,6 +88,18 @@ def test_seed_override_changes_the_run(capsys):
     assert json.loads(second)["seed"] == 999
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_seed_outside_u64_is_a_usage_error(command, capsys):
+    """--seed takes what a scenario's sim.seed may hold: 0 to 2**64 - 1."""
+    for bad in (-1, 2 ** 64):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", NWDAF, "--seed", str(bad)])
+        assert exc.value.code == 2
+        assert f"seed must fit in u64: {bad}" in capsys.readouterr().err
+    assert main([command, "--scenario", NWDAF, "--seed", str(2 ** 64 - 1)]) == 0
+    assert str(2 ** 64 - 1) in capsys.readouterr().out
+
+
 def test_compare_emits_both_reports(capsys):
     assert main(["compare", "--scenario", NWDAF]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -598,10 +598,13 @@ def test_one_memo_shared_by_two_subscriptions_of_one_model_changes_nothing(seed)
     """Two pipelines over the very same stage objects, as two subscriptions
     of one model are, bound to topics of different sizes and rates. With one
     memo they share what their stages and bindings derive, so the memo must
-    tell their bindings apart: each gets the workload, violations and cost
-    of a fresh evaluator, in either order and again on a memo hit. Each
-    search's score, read back through a memo that keeps scores, is the
-    placement's fresh cost; a memo that does not keep them reports none."""
+    tell their bindings apart: each gets the workload, violations, compute
+    terms, budgets and cost of a fresh evaluator, in either order and again
+    on a memo hit, and a pipeline with the same stages and bindings gets the
+    very same shape. Each search's score, read back through the memo, is
+    the placement's fresh cost. Compute costs over 11 on power-of-two
+    bandwidths need a finer unit than the memo's, so their shape keeps its
+    own transfer terms, which both of its pipelines' evaluators read."""
     rng = random.Random(seed)
     p1, t, w1, o, pub, sub = gen_placement_case(rng, fractional=rng.random() < 0.5)
     renamed = {
@@ -618,16 +621,20 @@ def test_one_memo_shared_by_two_subscriptions_of_one_model_changes_nothing(seed)
             )
     w = WorkloadSpec(topics)
     ids = sorted(t.nodes)
-    memo, unkept = TransferMemo(t), TransferMemo(t)
-    memo.keep_scores()
+    memo = TransferMemo(t)
     for p in (p1, p2, p1) if rng.random() < 0.5 else (p2, p1, p2):
         shared = _Evaluator(p, t, w, pub, sub, memo)
         fresh = _Evaluator(p, t, w, pub, sub)
+        again = _Evaluator(replace(p, pipeline_id="again"), t, w, pub, sub, memo)
+        assert again.shape is shared.shape
         assert shared.shape.workload == fresh.shape.workload
         assert shared.shape.needs == fresh.shape.needs
-        assert shared.unit == fresh.unit
+        assert shared.shape.unit == fresh.shape.unit
         assert shared.weights(o) == fresh.weights(o)
         for _ in range(3):
+            sid, node = rng.choice(p.stages).stage_id, rng.choice(ids)
+            assert shared.shape.compute(sid, node) == fresh.shape.compute(sid, node)
+            assert shared.shape.budget(node) == fresh.shape.budget(node)
             assigned = {s.stage_id: rng.choice(ids) for s in p.stages}
             assert shared.violations(assigned) == fresh.violations(assigned)
             assert shared.cost(assigned, o) == fresh.cost(assigned, o)
@@ -642,8 +649,27 @@ def test_one_memo_shared_by_two_subscriptions_of_one_model_changes_nothing(seed)
                 continue
             assert memo.report(pl, o) == cost(pl, p, t, w, o, pub, sub)
             assert memo.report(Placement(dict(pl.assignment)), o) is None
-            assert unkept.report(place(p, t, w, o, pub, sub, unkept), o) is None
     assert len(memo._shapes) == 2
+
+    pow2 = Topology.of(t.nodes.values(), [
+        replace(link, bandwidth_kb_per_ms=2 ** rng.randint(0, 7))
+        for link in t.links.values()
+    ])
+    slow = replace(p1, stages=tuple(
+        replace(s, compute_cost=Fraction(rng.randint(1, 10), 11)) for s in p1.stages
+    ))
+    memo = TransferMemo(pow2)
+    pair = [
+        _Evaluator(q, pow2, w, pub, sub, memo)
+        for q in (slow, replace(slow, pipeline_id="again"))
+    ]
+    fresh = _Evaluator(slow, pow2, w, pub, sub)
+    assert pair[0].shape.unit > memo.unit
+    assert pair[0].shape.terms is pair[1].shape.terms is not memo.terms
+    for _ in range(3):
+        assigned = {s.stage_id: rng.choice(ids) for s in slow.stages}
+        for ev in pair:
+            assert ev.cost(assigned, o) == fresh.cost(assigned, o)
 
 
 # ---------------------------------------------------------------------------
