@@ -202,7 +202,8 @@ class Broker:
         self._data_matches: dict[str, tuple[str, ...]] = {}
         # (id(model), k, privacy_split) -> (model, its split chain); peers may
         # declare one id and version with different layers, so the descriptor
-        # is the key, by identity: hashing it hashes every layer's Fractions
+        # is the key, by identity: hashing it hashes every layer's Fractions.
+        # The entry keeps the model alive, so its id is never reused
         self._splits: dict[
             tuple[int, int, bool], tuple[ModelDescriptor, PipelineSpec]
         ] = {}
@@ -309,7 +310,7 @@ class Broker:
             )
         key = (id(model), kind.k, kind.privacy_split)
         got = self._splits.get(key)
-        if got is None or got[0] is not model:
+        if got is None:
             got = model, split_model(model, kind.k, kind.privacy_split)
             self._splits[key] = got
         chain = got[1]

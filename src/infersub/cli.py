@@ -32,7 +32,7 @@ def _load(path: str):
     except ValidationError as exc:
         print(f"invalid scenario: {exc.path}: {exc.rule}", file=sys.stderr)
         raise SystemExit(1)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         raise SystemExit(1)
 

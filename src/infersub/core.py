@@ -738,21 +738,28 @@ class Topology:
             })
         return self._adjacency
 
-    def shortest_paths(
-        self, source: str
-    ) -> dict[str, tuple[int, int, tuple[str, ...]]]:
-        """Shortest-path tree of source over up links, cached per snapshot:
-        every reachable node -> (latency * _scale, hops, path).
+    def shortest(self, a: str, b: str) -> tuple[int, int, tuple[str, ...]] | None:
+        """(latency * _scale, hops, path) of route(self, a, b), or None when
+        there is no route; route and route_latency raise NoRouteError then.
 
-        Heap keys (latency * _scale, hops, path) are unique ints and tuples,
-        so each node's first pop is its minimum under the (latency, hops,
-        path) order route documents; the popped key is the entry.
+        Answers come from a's shortest-path tree over up links, built on the
+        first query from a and cached per snapshot. A tree holds only the up
+        nodes its up source reaches, so a hit needs no other check. Heap keys
+        (latency * _scale, hops, path) are unique ints and tuples, so each
+        node's first pop is its minimum under the (latency, hops, path) order
+        route documents; the popped key is the entry.
         """
-        tree = self._trees.get(source)
+        tree = self._trees.get(a)
         if tree is None:
+            if a not in self.nodes or b not in self.nodes:
+                return None
+            if a == b:
+                return (0, 0, (a,))
+            if a in self.down_nodes:
+                return None
             adj = self._up_adjacency()
-            tree = {}
-            heap: list[tuple[int, int, tuple[str, ...]]] = [(0, 0, (source,))]
+            tree = self._trees[a] = {}
+            heap: list[tuple[int, int, tuple[str, ...]]] = [(0, 0, (a,))]
             while heap:
                 lat, hops, path = heapq.heappop(heap)
                 here = path[-1]
@@ -762,22 +769,7 @@ class Topology:
                 for nxt, _, w in adj[here]:
                     if nxt not in tree:
                         heapq.heappush(heap, (lat + w, hops + 1, path + (nxt,)))
-            self._trees[source] = tree
-        return tree
-
-    def shortest(self, a: str, b: str) -> tuple[int, int, tuple[str, ...]]:
-        """(latency * _scale, hops, path) of route(self, a, b); raises
-        NoRouteError."""
-        if a not in self.nodes or b not in self.nodes:
-            raise NoRouteError(a, b)
-        if a == b:
-            return (0, 0, (a,))
-        if not self.is_node_up(a) or not self.is_node_up(b):
-            raise NoRouteError(a, b)
-        got = self.shortest_paths(a).get(b)
-        if got is None:
-            raise NoRouteError(a, b)
-        return got
+        return tree.get(b)
 
     def with_node_state(self, node_id: str, up: bool) -> Topology:
         if node_id not in self.nodes:
@@ -816,17 +808,22 @@ def route(t: Topology, a: str, b: str) -> list[str]:
     """Minimum-latency up path from a to b, as a fresh list.
 
     Ties go to fewer hops, then the lexicographically smallest node sequence.
-    route(t, a, a) == [a]. Results come from the snapshot's shortest-path
-    tree of a (Topology.shortest_paths): one Dijkstra per (snapshot, source),
-    then O(path length) per query.
+    route(t, a, a) == [a]. Raises NoRouteError when there is none. Results
+    come from Topology.shortest: one Dijkstra per (snapshot, source), then
+    O(path length) per query.
     """
-    return list(t.shortest(a, b)[2])
+    got = t.shortest(a, b)
+    if got is None:
+        raise NoRouteError(a, b)
+    return list(got[2])
 
 
 def route_latency(t: Topology, a: str, b: str) -> tuple[Fraction, int]:
-    """(total latency, hop count) of route(t, a, b)."""
-    lat, hops, _ = t.shortest(a, b)
-    return Fraction(lat, t._scale), hops
+    """(total latency, hop count) of route(t, a, b); raises NoRouteError."""
+    got = t.shortest(a, b)
+    if got is None:
+        raise NoRouteError(a, b)
+    return Fraction(got[0], t._scale), got[1]
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,10 @@ Publishers = Union[str, dict[str, str]]
 # shape's mem and cpu scales
 _Totals = dict[str, tuple[int, int]]
 
-# transfer terms: see TransferMemo
+# transfer terms, compute terms and node budgets: see TransferMemo
 _Terms = dict[tuple[str, str, int], Union[tuple[int, int], None]]
+_Compute = dict[tuple[int, str], int]
+_Budgets = dict[tuple[int, int, str], tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -189,19 +191,6 @@ def _anchor_publisher(p: PipelineSpec, sid: str, pubs: dict[str, str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Routes, read from the topology snapshot's shortest-path trees
-
-
-def _reach(t: Topology, a: str, b: str) -> tuple[int, int, tuple[str, ...]] | None:
-    """(latency * t._scale, hops, path) of route(t, a, b); None when there is
-    none."""
-    try:
-        return t.shortest(a, b)
-    except NoRouteError:
-        return None
-
-
-# ---------------------------------------------------------------------------
 # Feasibility and cost
 
 
@@ -219,14 +208,18 @@ class TransferMemo:
     bandwidth numerator and cpu, the LCM of the cpu capacity numerators. So
     every route latency and per-hop transfer time is a whole number of
     ticks, and so is compute_cost / cpu_capacity for every compute cost whose
-    denominator divides unit // cpu. terms maps (source, destination, bytes)
-    to (ticks, bytes counted per hop) on the snapshot t, or None without a
-    route.
+    denominator divides unit // cpu; a shape whose costs need more works in
+    a multiple of unit (see shape).
 
-    Beside the terms it keeps one _Shape per pipeline shape and workload (see
-    shape), the integer objective weights per (unit, objective) and, for each
-    placement a search returns, the (ticks, bytes) it scored that placement
-    at, which report turns into the placement's CostReport.
+    Each answer is derived once, keyed by what it depends on. Per tick unit
+    the memo keeps the transfer terms, (source, destination, bytes) ->
+    (ticks, bytes counted per hop) on the snapshot t or None without a
+    route, and the compute terms, (id(stage), node) -> ticks. Beside them it
+    keeps each node's (memory, cpu) budget per (mem scale, cpu scale, node),
+    one _Shape per pipeline shape and workload, the integer objective
+    weights per (unit, objective) and, for each placement a search returns,
+    the (ticks, bytes) it scored that placement at, which report turns into
+    the placement's CostReport.
 
     compile_scenario makes one, hands it to every search of the compile and
     drops it when it returns, so no snapshot, broker or instance keeps any of
@@ -242,43 +235,45 @@ class TransferMemo:
             t._scale,
             *(1024 * link.bandwidth_kb_per_ms.numerator for link in links),
         )
-        self.terms: _Terms = {}
+        # unit -> (transfer terms, compute terms) in ticks of 1 / unit ms
+        self._units: dict[int, tuple[_Terms, _Compute]] = {}
+        self._budgets: _Budgets = {}
         self._shapes: dict[tuple, _Shape] = {}
         self._weights: dict[tuple[int, int], tuple[Objective, int, int]] = {}
-        # id(placement) -> (placement, ticks, bytes, unit)
-        self._scores: dict[int, tuple[Placement, int, int, int]] = {}
+        # placement -> (ticks, bytes, unit)
+        self._scores: dict[Placement, tuple[int, int, int]] = {}
 
     def shape(self, p: PipelineSpec, w: WorkloadSpec) -> _Shape:
         """The _Shape of p under w on t, shared by every pipeline built from
         the same stage objects, edges and entry bindings.
 
-        The key holds the stages by identity, never by value: hashing a
-        StageSpec hashes each of its Fractions. A hit is checked to hold the
-        very same stage objects and workload. A shape's unit is the memo's
-        times the least factor whose product with unit // cpu every compute
-        cost's denominator divides; it shares the memo's terms when that
-        factor is 1 and keeps its own otherwise.
+        The key holds the workload and the stages by identity, never by
+        value: hashing a StageSpec hashes each of its Fractions. The shape
+        keeps those objects alive, so no id in a key is reused while the
+        memo lives. A shape's unit is the memo's times the least factor whose
+        product with unit // cpu every compute cost's denominator divides. It
+        shares that unit's transfer and compute terms with every shape of the
+        unit, and the budgets with every shape of the memo.
         """
         bindings = tuple(p.source_bindings.items())
         key = (id(w), tuple(map(id, p.stages)), p.edges, bindings)
         got = self._shapes.get(key)
-        if (
-            got is None
-            or got.w is not w
-            or any(a is not b for a, b in zip(got.p.stages, p.stages))
-        ):
+        if got is None:
             den = lcm(*(s.compute_cost.denominator for s in p.stages))
-            extra = den // gcd(den, self.unit // self.cpu)
-            terms = self.terms if extra == 1 else {}
-            got = self._shapes[key] = _Shape(p, w, self.t, self.unit * extra, terms)
+            unit = self.unit * (den // gcd(den, self.unit // self.cpu))
+            terms, compute = self._units.setdefault(unit, ({}, {}))
+            got = self._shapes[key] = _Shape(
+                p, w, self.t, unit, terms, compute, self._budgets
+            )
         return got
 
     def weights(self, unit: int, o: Objective) -> tuple[int, int]:
         """Integer (a, b) such that a * ticks + b * bytes is o's value of
         (ticks / unit ms, bytes / 1024 KB) times one positive constant, once
-        per unit and objective object."""
+        per unit and objective object; the entry keeps o alive, so its id is
+        never reused while the memo lives."""
         got = self._weights.get((unit, id(o)))
-        if got is None or got[0] is not o:
+        if got is None:
             a, b = o.alpha / unit, o.beta / 1024
             d = lcm(a.denominator, b.denominator)
             wa, wb = (x.numerator * (d // x.denominator) for x in (a, b))
@@ -290,11 +285,8 @@ class TransferMemo:
         None when no search of this memo returned pl. A search returns only
         placements it has checked against every rule of the evaluator's
         violations, so the report is feasible and lists none."""
-        got = self._scores.get(id(pl))
-        if got is None or got[0] is not pl:
-            return None
-        _, ticks, moved, unit = got
-        return _report(ticks, moved, unit, o, ())
+        got = self._scores.get(pl)
+        return None if got is None else _report(*got, o, ())
 
 
 def _report(
@@ -314,21 +306,24 @@ def _report(
 class _Shape:
     """What a pipeline's stages, edges and entry bindings derive from the
     workload on one snapshot t, for every subscriber: the entry workload,
-    each stage's output size and cpu load, each stage's integer memory and
-    cpu needs, each node's budgets in those needs' scales, and the transfer
-    and compute terms in ticks of 1 / unit ms. Each is derived on first use
-    and shared by every search of the shape."""
+    each stage's output size and cpu load and each stage's integer memory
+    and cpu needs, derived on first use and shared by every search of the
+    shape. Node budgets in those needs' scales, and transfer and compute
+    terms in ticks of 1 / unit ms, live in the memo's dicts, which the shape
+    holds without the memo: it derives each on the first use by any shape
+    that shares the dict."""
 
     def __init__(
-        self, p: PipelineSpec, w: WorkloadSpec, t: Topology, unit: int, terms: _Terms
+        self, p: PipelineSpec, w: WorkloadSpec, t: Topology, unit: int,
+        terms: _Terms, compute: _Compute, budgets: _Budgets,
     ) -> None:
         self.p = p
         self.w = w
         self.t = t
         self.unit = unit
         self.terms = terms
-        self._compute: dict[tuple[str, str], int] = {}
-        self._budgets: dict[str, tuple[int, int]] = {}
+        self._compute = compute
+        self._budgets = budgets
 
     @cached_property
     def workload(
@@ -389,12 +384,13 @@ class _Shape:
         """node_id's (memory, cpu) budget in the mem and cpu scales, rounded
         down: an integer total fits the exact budget exactly when it fits
         the floor."""
-        got = self._budgets.get(node_id)
+        ms, cs, _ = self.needs
+        key = (ms, cs, node_id)
+        got = self._budgets.get(key)
         if got is None:
-            ms, cs, _ = self.needs
             node = self.t.node(node_id)
             got = (_in_scale(node.mem_mb, ms), _in_scale(node.cpu_capacity, cs))
-            self._budgets[node_id] = got
+            self._budgets[key] = got
         return got
 
     def transfer(self, a: str, b: str, size_bytes: int) -> tuple[int, int] | None:
@@ -404,7 +400,7 @@ class _Shape:
         terms, unit, t = self.terms, self.unit, self.t
         key = (a, b, size_bytes)
         if key not in terms:
-            got = _reach(t, a, b)
+            got = t.shortest(a, b)
             if got is None:
                 terms[key] = None
             else:
@@ -422,10 +418,11 @@ class _Shape:
     def compute(self, sid: str, node_id: str) -> int:
         """Ticks sid computes for on node_id: compute_cost / cpu_capacity ms,
         in ints, as unit is a multiple of the capacity's numerator."""
-        key = (sid, node_id)
+        stage = self.p.stage(sid)
+        key = (id(stage), node_id)
         got = self._compute.get(key)
         if got is None:
-            cost = self.p.stage(sid).compute_cost
+            cost = stage.compute_cost
             cpu = self.t.node(node_id).cpu_capacity
             per_cost = cpu.denominator * (self.unit // cpu.numerator)
             got = self._compute[key] = cost.numerator * per_cost // cost.denominator
@@ -503,7 +500,7 @@ class _Evaluator:
     def distance(self, a: str, b: str) -> tuple[int, int, int]:
         """Totally ordered distance of route(t, a, b): (0, latency * t._scale,
         hops), or (1, 0, 0), farther than any route, when there is none."""
-        got = _reach(self.t, a, b)
+        got = self.t.shortest(a, b)
         return (1, 0, 0) if got is None else (0, got[0], got[1])
 
     @cached_property
@@ -590,7 +587,7 @@ class _Evaluator:
         if self.subscriber is not None:
             hops.append((assigned[p.sink], self.subscriber))
         for a, b in dict.fromkeys(hops):
-            if a != b and _reach(t, a, b) is None:
+            if a != b and t.shortest(a, b) is None:
                 out.append(Violation("RouteMissing", f"{a}->{b}"))
         return sorted(set(out))
 
@@ -665,7 +662,7 @@ class _Evaluator:
         (ticks, bytes) by walk; the memo keeps the score for
         TransferMemo.report."""
         pl = Placement(assigned)
-        self.memo._scores[id(pl)] = (pl, ticks, moved, self.shape.unit)
+        self.memo._scores[pl] = (ticks, moved, self.shape.unit)
         return pl
 
 

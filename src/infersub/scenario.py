@@ -618,6 +618,9 @@ def loads_scenario(text: str) -> Scenario:
         obj = json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from exc
+    except RecursionError:
+        # json's decoder recurses once per nested array or object
+        raise ParseError(1, "arrays and objects nested too deeply") from None
     root = _dict(obj, "")
     _keys(root, "", TOP_KEYS)
     topo, brokers, peers = _load_topology(root["topology"])

@@ -213,9 +213,10 @@ def compile_scenario(
     Returns the brokers by domain and, in sub-id order, the (domain, actions)
     that each subscribe produced, for the caller to carry out or ignore.
     Every placement search of the compile shares one TransferMemo: the
-    transfer terms, one _Shape per pipeline shape (its workload derivation,
-    compute terms and node budgets, for every subscription of that shape),
-    the objective weights and the score of each placement a search returned.
+    transfer and compute terms per tick unit, the node budgets, one _Shape
+    per pipeline shape (its workload derivation, for every subscription of
+    that shape), the objective weights and the score of each placement a
+    search returned.
     It is freed on return unless the caller passed it in to read the scores
     from.
     """
@@ -284,9 +285,6 @@ class _World:
         self.latencies: dict[str, list[int]] = {}  # µs
         self.applied: dict[str, list[int]] = {}
         self.seen: dict[tuple[str, tuple[str, str]], _Seqs] = {}
-        # (from, to) -> (µs, path) of an ack on self.topo, None without a
-        # route; every assignment to self.topo goes through _set_topo
-        self._acks: dict[tuple[str, str], tuple[int, tuple[str, ...]] | None] = {}
         self.link_bytes: dict[tuple[str, str], int] = {}
         self.leg_us: dict[tuple[tuple[str, str], int], int] = {}
         self.compute_us: dict[str, int] = {}
@@ -320,7 +318,7 @@ class _World:
                     start_us + _exp_gap_us(rng, entry.rate_per_s),
                 )
             self.topic_state[topic] = st
-            if st.next_us <= self.end_us:
+            if entry.count != 0 and st.next_us <= self.end_us:
                 self._push(st.next_us, PRIO_PUB, self._on_pub_due, topic)
         hb_us = sc.sim.heartbeat_ms * US_PER_MS
         if hb_us <= self.end_us:
@@ -615,28 +613,17 @@ class _World:
                 versions = self.applied.setdefault(sub_id, [])
                 if not versions or pub.seq > versions[-1]:
                     versions.append(pub.seq)
-        ack = self._ack_route(broker.subs[sub_id].subscriber, broker.broker_node)
+        topo = self.topo
+        ack = topo.shortest(broker.subs[sub_id].subscriber, broker.broker_node)
         if ack is None:
             return
-        delay_us, path = ack
+        lat, _, path = ack
+        # lat is the latency in 1 / _scale ms: ceil to whole µs in ints
+        delay_us = -(-lat * US_PER_MS // topo._scale)
         self._push(
             self.now_us + delay_us, PRIO_ACK,
-            self._on_ack_due, domain, sub_id, stream, pub.seq, path, self.topo,
+            self._on_ack_due, domain, sub_id, stream, pub.seq, path, topo,
         )
-
-    def _ack_route(self, src: str, dst: str) -> tuple[int, tuple[str, ...]] | None:
-        """(µs, path) of route(self.topo, src, dst), None when there is none."""
-        key = (src, dst)
-        if key in self._acks:
-            return self._acks[key]
-        try:
-            lat, _, path = self.topo.shortest(src, dst)
-            # lat is the latency in 1 / _scale ms: ceil to whole µs in ints
-            got = (-(-lat * US_PER_MS // self.topo._scale), path)
-        except NoRouteError:
-            got = None
-        self._acks[key] = got
-        return got
 
     def _on_ack_due(
         self, domain: str, sub_id: str, stream: tuple[str, str], seq: int,
@@ -699,14 +686,10 @@ class _World:
 
     # -- faults and repair -------------------------------------------------
 
-    def _set_topo(self, topo: Topology) -> None:
-        self.topo = topo
-        self._acks.clear()
-
     def _on_node_down(self, node: str) -> None:
         if not self.topo.is_node_up(node):
             return
-        self._set_topo(self.topo.with_node_state(node, False))
+        self.topo = self.topo.with_node_state(node, False)
         self.failure_us[node] = self.now_us
         q = self.nodeq[node]
         if q.running is not None:
@@ -723,7 +706,7 @@ class _World:
     def _on_node_up(self, node: str) -> None:
         if self.topo.is_node_up(node):
             return
-        self._set_topo(self.topo.with_node_state(node, True))
+        self.topo = self.topo.with_node_state(node, True)
         self.miss_count.pop(node, None)
         self.handled.discard(node)
         self.failure_us.pop(node, None)
@@ -734,7 +717,7 @@ class _World:
                 self._run_repair(domain, failed, fail_us)
 
     def _on_link(self, ends: tuple[str, str], up: bool) -> None:
-        self._set_topo(self.topo.with_link_state(*ends, up))
+        self.topo = self.topo.with_link_state(*ends, up)
 
     def _on_heartbeat(self) -> None:
         misses = self.sc.sim.heartbeat_misses

@@ -7,6 +7,7 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 # ten times the suite's examples; CI runs tests/test_core.py,
-# tests/test_placement.py and tests/test_simulator.py under it
+# tests/test_placement.py, tests/test_simulator.py, tests/test_exec_graph.py
+# and tests/test_operators.py under it
 settings.register_profile("ci", settings.get_profile("suite"), max_examples=1000)
 settings.load_profile("suite")

@@ -52,6 +52,25 @@ def test_missing_file_exits_1(tmp_path, capsys):
     assert "cannot read scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe{}", "cannot read scenario: 'utf-8' codec can't decode"),
+    (b"[" * 100000 + b"\n", "parse error: line 1: arrays and objects nested too deeply"),
+], ids=["not-utf-8", "nested-too-deep"])
+def test_a_malformed_scenario_file_exits_1_with_one_line(data, message, tmp_path, capsys):
+    """Text that is not UTF-8, and nesting deeper than json's decoder
+    recurses, are bad input like any other parse error: exit 1 and one
+    stderr line, no traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    for command in ("validate", "run", "place"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", str(bad)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 def test_run_stdout_matches_library(capsys):
     assert main(["run", "--scenario", NWDAF]) == 0
     out = capsys.readouterr().out

@@ -471,18 +471,28 @@ def _outcome(fn, t, a, b):
         return NoRouteError
 
 
-@given(flaky_topology_chains())
-def test_route_matches_the_per_call_dijkstra_reference(chain):
+@given(flaky_topology_chains(), st.data())
+def test_route_matches_the_per_call_dijkstra_reference(chain, data):
     ends = sorted(chain[0].nodes) + ["ghost"]  # "ghost" is not a node
+    pairs = [(a, b) for a in ends for b in ends]
     # every snapshot is queried in turn, so a later one starts from the
-    # cached trees of the earlier ones still alive
+    # cached trees of the earlier ones still alive; each takes its queries
+    # in a drawn order, so no answer can depend on which trees exist yet.
+    # Topology.shortest answers first, None exactly where the reference raises
     for t in chain:
-        for a in ends:
-            for b in ends:
-                assert _outcome(route, t, a, b) == _outcome(ref_route, t, a, b)
-                assert _outcome(route_latency, t, a, b) == _outcome(
-                    ref_route_latency, t, a, b
-                )
+        for a, b in data.draw(st.permutations(pairs)):
+            got = t.shortest(a, b)
+            want = _outcome(ref_route, t, a, b)
+            if want is NoRouteError:
+                assert got is None
+            else:
+                lat, hops, path = got
+                assert list(path) == want
+                assert (Fraction(lat, t._scale), hops) == ref_route_latency(t, a, b)
+            assert _outcome(route, t, a, b) == want
+            assert _outcome(route_latency, t, a, b) == _outcome(
+                ref_route_latency, t, a, b
+            )
 
 
 def _diamond() -> Topology:

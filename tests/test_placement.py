@@ -665,7 +665,7 @@ def test_one_memo_shared_by_two_subscriptions_of_one_model_changes_nothing(seed)
     ]
     fresh = _Evaluator(slow, pow2, w, pub, sub)
     assert pair[0].shape.unit > memo.unit
-    assert pair[0].shape.terms is pair[1].shape.terms is not memo.terms
+    assert pair[0].shape.terms is pair[1].shape.terms is memo._units[pair[1].shape.unit][0]
     for _ in range(3):
         assigned = {s.stage_id: rng.choice(ids) for s in slow.stages}
         for ev in pair:

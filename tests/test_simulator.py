@@ -19,6 +19,7 @@ from infersub import simulator
 from infersub.broker import Broker
 from infersub.core import Publication, Topic
 from infersub.metrics import emit, report_from_json
+from infersub.placement import WorkloadSpec
 from infersub.scenario import FaultEvent, load_scenario
 from infersub.simulator import (
     _exp_gap_us,
@@ -97,6 +98,19 @@ def test_arvr_report_matches_golden_bytes():
 
 # ---------------------------------------------------------------------------
 # Synthetic scenarios with closed-form outcomes.
+
+
+@pytest.mark.parametrize("topic", ["net/nf1/kpi", "net/nf3/kpi"])  # Poisson, periodic
+def test_a_topic_with_count_zero_publishes_nothing(topic):
+    """WorkloadEntry accepts count=0 (a scenario file asks for >= 1): the
+    topic is never scheduled, and the other topics publish as before."""
+    sc = bundled("nwdaf")
+    topics = dict(sc.workload.topics)
+    topics[topic] = dataclasses.replace(topics[topic], count=0)
+    world = simulate(dataclasses.replace(sc, workload=WorkloadSpec(topics)))
+    assert topic not in world.pub_seq
+    full = simulate(sc).pub_seq
+    assert world.pub_seq == {t: n for t, n in full.items() if t != topic}
 
 
 def test_disjoint_publishers_do_not_perturb_each_other():
