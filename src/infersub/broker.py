@@ -187,8 +187,8 @@ class Broker:
         self.initial_versions: dict[str, int] = {}
         self.subs: dict[str, Subscription] = {}
         self.instances: dict[str, PipelineInstance] = {}
-        self.peers: list[PeerLink] = []
-        self.peer_brokers: dict[str, "Broker"] = {}
+        # peer domain -> (the bridge to it, its broker)
+        self.peers: dict[str, tuple[PeerLink, "Broker"]] = {}
         self.buffers: dict[str, list[BufferEntry]] = {}
         self.drop_counts: dict[str, int] = {}
         self.accept_counts: dict[str, int] = {}
@@ -363,8 +363,6 @@ class Broker:
             for rid in relay_ids:
                 edges.insert(0, (rid, join.stage_id))
             edges.append((join.stage_id, head))
-            # re-sort edges deterministically; order carries no meaning
-            edges = sorted(set(edges))
         else:
             topic, node = matched[0]
             bindings[head] = TopicFilter.parse(topic)
@@ -579,10 +577,9 @@ class Broker:
     # -- peering -----------------------------------------------------------
 
     def link_peer(self, peer: PeerLink, broker: "Broker") -> None:
-        if any(pl.peer_domain == peer.peer_domain for pl in self.peers):
+        if peer.peer_domain in self.peers:
             raise DuplicatePeerError(peer.peer_domain)
-        self.peers.append(peer)
-        self.peer_brokers[peer.peer_domain] = broker
+        self.peers[peer.peer_domain] = (peer, broker)
 
     def resolve_remote(
         self,
@@ -598,20 +595,18 @@ class Broker:
         assert isinstance(kind, InferenceSub)
         if kind.model_id in self.models:
             raise ValueError(f"{kind.model_id} is local; nothing to resolve")
-        for peer in sorted(self.peers, key=lambda pl: pl.peer_domain):
+        for domain in sorted(self.peers):
+            peer, remote = self.peers[domain]
             ends = peer.bridge.ends
             if not t.is_link_up(*ends):
                 continue
-            remote = self.peer_brokers[peer.peer_domain]
             model = remote.models.get(kind.model_id)
             if model is None:
                 continue
-            inst = self._instantiate(
-                sub, model, t, w, o, f"cross:{peer.peer_domain}", memo
-            )
+            inst = self._instantiate(sub, model, t, w, o, f"cross:{domain}", memo)
             inst.status = "pending"
             kb = remote.artifact_kb.get(kind.model_id, 64 * len(model.layers))
-            return inst, ModelFetch(inst.instance_id, peer.peer_domain, kb, ends)
+            return inst, ModelFetch(inst.instance_id, domain, kb, ends)
         raise UnknownModelError(kind.model_id)
 
     def activate_instance(self, instance_id: str) -> None:
@@ -739,8 +734,6 @@ class Broker:
         dispatched: set[tuple[str, Stream, int]] = set()
         origin = self.broker_node
         for sub_id in sorted(self.buffers):
-            if sub_id not in self.subs:
-                continue
             subscriber = self.subs[sub_id].subscriber
             keep: list[BufferEntry] = []
             for e in self.buffers[sub_id]:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -612,15 +614,57 @@ def _load_sim(obj: Any) -> SimParams:
     return SimParams(duration, seed, hb, misses)
 
 
+# one JSON token: a string, a bracket, a colon or a bare literal
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}:]|[^][{}:,\s"]+')
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError("duplicate key")  # _json_fault finds which, and where
+    return obj
+
+
+def _json_fault(text: str) -> ParseError:
+    """The first duplicate key or number too long to convert in text, which
+    json.loads read up to one of them."""
+    keys: list[set | None] = []  # per open object its keys, per array None
+    prev = None
+    for m in _JSON_TOKEN.finditer(text):
+        tok = m.group()
+        if tok in ("{", "["):
+            keys.append(set() if tok == "{" else None)
+        elif tok in ("}", "]"):
+            keys.pop()
+        elif tok == ":":
+            key = json.loads(prev.group())
+            if key in keys[-1]:
+                line = text.count("\n", 0, prev.start()) + 1
+                return ParseError(line, f"duplicate key {key!r}")
+            keys[-1].add(key)
+        elif tok[-1].isdigit():
+            try:
+                Fraction(tok)
+            except ValueError:
+                limit = sys.get_int_max_str_digits()
+                line = text.count("\n", 0, m.start()) + 1
+                return ParseError(line, f"number longer than {limit} digits")
+        prev = m
+    raise AssertionError("json.loads rejected a document with neither")
+
+
 def loads_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document."""
     try:
-        obj = json.loads(text, parse_float=Fraction)
+        obj = json.loads(text, parse_float=Fraction, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from exc
     except RecursionError:
         # json's decoder recurses once per nested array or object
         raise ParseError(1, "arrays and objects nested too deeply") from None
+    except ValueError:
+        # a duplicate key, or a number past Python's int conversion limit
+        raise _json_fault(text) from None
     root = _dict(obj, "")
     _keys(root, "", TOP_KEYS)
     topo, brokers, peers = _load_topology(root["topology"])

@@ -189,10 +189,9 @@ class _Transfer:
 
 @dataclass
 class _NodeQ:
-    running: int | None = None
+    # a job is (µs, (domain, ex, pub)): one run of exec stage ex on pub
+    running: tuple | None = None
     started_us: int = 0
-    duration_us: int = 0
-    effect: tuple | None = None  # (handler, args) of the running job
     waiting: deque = field(default_factory=deque)
 
 
@@ -272,13 +271,11 @@ class _World:
         self.heap: list[tuple] = []  # (t_us, prio, seq, handler, args)
         self._ev_seq = 0
         self.nodeq: dict[str, _NodeQ] = {n: _NodeQ() for n in sc.topology.nodes}
-        self._job_seq = 0
         self.funnels: dict[tuple[str, str], FunnelState] = {}
 
         self.pub_seq: dict[str, int] = {}
         self.topic_state: dict[str, _TopicState] = {}
 
-        self.published = 0
         self.delivered: dict[str, int] = {}
         self.dups: dict[str, int] = {}
         self.filtered: dict[str, int] = {}
@@ -294,9 +291,9 @@ class _World:
         self.raw_crossings = 0
         self.lost_transfers = 0
 
-        self.failure_us: dict[str, int] = {}
-        self.miss_count: dict[str, int] = {}
-        self.handled: set[str] = set()
+        # down node -> [failed at µs, heartbeats missed]; keys are exactly
+        # topo.down_nodes, as every node starts up
+        self.down: dict[str, list[int]] = {}
         self.pending_repairs: dict[str, list[tuple[str, int]]] = {}
         self.recovery_us: dict[str, list[int]] = {}
 
@@ -434,7 +431,7 @@ class _World:
         elif isinstance(ex.stage.kind, Funnel):
             self._offer(domain, ex, pub, via)
         else:
-            self._enqueue(self._on_stage_done, domain, ex, pub)
+            self._enqueue(domain, ex, pub)
 
     def _arrive_submit(self, domain: str, pub: Publication) -> None:
         actions = self.brokers[domain].on_publish(pub, _ms(self.now_us))
@@ -451,65 +448,53 @@ class _World:
             dur = self.compute_us[ex.exec_id] = _ceil_us(ex.stage.compute_cost / cap)
         return dur
 
-    def _enqueue(self, done, domain: str, ex, pub: Publication) -> None:
-        """Queue one run of ex on its node; done(domain, ex, pub) follows it."""
+    def _enqueue(self, domain: str, ex, pub: Publication) -> None:
+        """Queue one run of ex on pub on its node; _on_run_done follows it."""
         q = self.nodeq[ex.node]
-        self._job_seq += 1
-        job = (self._job_seq, self._duration_us(ex), (done, (domain, ex, pub)))
+        job = (self._duration_us(ex), (domain, ex, pub))
         if q.running is None:
-            self._start_job(ex.node, *job)
+            self._start_job(ex.node, job)
         else:
             q.waiting.append(job)
 
-    def _start_job(self, node: str, jid: int, dur_us: int, effect: tuple) -> None:
+    def _start_job(self, node: str, job: tuple) -> None:
         q = self.nodeq[node]
-        q.running = jid
+        q.running = job
         q.started_us = self.now_us
-        q.duration_us = dur_us
-        q.effect = effect
-        self._push(self.now_us + dur_us, PRIO_JOB, self._on_job_done, node, jid)
+        self._push(self.now_us + job[0], PRIO_JOB, self._on_job_done, node, job)
 
-    def _on_job_done(self, node: str, job_id: int) -> None:
+    def _on_job_done(self, node: str, job: tuple) -> None:
         q = self.nodeq[node]
-        if q.running != job_id:
-            return  # the node went down while this job was queued or running
-        self.busy_us[node] += q.duration_us
-        effect = q.effect
+        if q.running is not job:
+            return  # the node went down while this job ran
+        self.busy_us[node] += job[0]
         q.running = None
-        q.effect = None
         if q.waiting:
-            self._start_job(node, *q.waiting.popleft())
-        assert effect is not None
-        handler, args = effect
-        handler(*args)
+            self._start_job(node, q.waiting.popleft())
+        self._on_run_done(*job[1])
 
-    def _count_execution(self, domain: str, ex):
-        """Count one finished run of ex; the exec stage now in the graph, or
-        None when repair removed it mid-compute (replay covers the stream)."""
+    def _on_run_done(self, domain: str, ex, pub: Publication) -> None:
+        """Count one finished run of ex, then pass its output on: a mapping
+        applies to pub, a filter passes or settles it, and a funnel's pub is
+        the emission it ran on. Nothing follows when repair removed ex
+        mid-compute; replay covers the stream."""
         self.exec_counts[ex.exec_id] = self.exec_counts.get(ex.exec_id, 0) + 1
         self.exec_meta[ex.exec_id] = (ex.stage.stage_id, ex.node)
-        return self.brokers[domain].exec_graph.stages.get(ex.exec_id)
-
-    def _on_stage_done(self, domain: str, ex, pub: Publication) -> None:
-        ex = self._count_execution(domain, ex)
+        broker = self.brokers[domain]
+        ex = broker.exec_graph.stages.get(ex.exec_id)
         if ex is None:
             return
         stage = ex.stage
         if isinstance(stage.kind, Mapping):
-            self._fan_out(domain, ex, apply_mapping(stage, pub))
-            return
-        assert isinstance(stage.kind, Filter)
-        out = inference_filter(stage, pub)
-        if out is None:
-            for sub_id in self.brokers[domain].consume_buffered(ex.instance_ids, [pub]):
-                self.filtered[sub_id] = self.filtered.get(sub_id, 0) + 1
-            return
-        self._fan_out(domain, ex, out)
-
-    def _on_emit_done(self, domain: str, ex, emission: Publication) -> None:
-        ex = self._count_execution(domain, ex)
-        if ex is not None:
-            self._fan_out(domain, ex, emission)
+            pub = apply_mapping(stage, pub)
+        elif isinstance(stage.kind, Filter):
+            out = inference_filter(stage, pub)
+            if out is None:
+                for sub_id in broker.consume_buffered(ex.instance_ids, [pub]):
+                    self.filtered[sub_id] = self.filtered.get(sub_id, 0) + 1
+                return
+            pub = out
+        self._fan_out(domain, ex, pub)
 
     def _fan_out(self, domain: str, ex, pub: Publication) -> None:
         graph = self.brokers[domain].exec_graph
@@ -586,7 +571,7 @@ class _World:
 
     def _emit(self, domain: str, ex, emission: Publication) -> None:
         self.brokers[domain].buffer_emission(ex, emission)
-        self._enqueue(self._on_emit_done, domain, ex, emission)
+        self._enqueue(domain, ex, emission)
 
     # -- subscriber side ---------------------------------------------------
 
@@ -594,8 +579,6 @@ class _World:
         self, domain: str, sub_id: str, stream: tuple[str, str], pub: Publication
     ) -> None:
         broker = self.brokers[domain]
-        if sub_id not in broker.subs:
-            return
         key = (sub_id, stream)
         seen = self.seen.get(key)
         if seen is None:
@@ -637,10 +620,7 @@ class _World:
             or not all(map(self.topo.is_link_up, path, path[1:]))
         ):
             return
-        broker = self.brokers[domain]
-        if sub_id not in broker.subs:
-            return
-        broker.on_ack(sub_id, seq, stream)
+        self.brokers[domain].on_ack(sub_id, seq, stream)
 
     # -- workload ----------------------------------------------------------
 
@@ -662,7 +642,6 @@ class _World:
                 tag="raw",
                 semantic_tag=entry.semantic_tag,
             )
-            self.published += 1
             domain = self.topo.node(publisher).domain_id
             if st.topic.segments[0] == UPDATE_TOPIC_ROOT:
                 broker = self.brokers[domain]
@@ -690,12 +669,11 @@ class _World:
         if not self.topo.is_node_up(node):
             return
         self.topo = self.topo.with_node_state(node, False)
-        self.failure_us[node] = self.now_us
+        self.down[node] = [self.now_us, 0]
         q = self.nodeq[node]
         if q.running is not None:
             self.busy_us[node] += self.now_us - q.started_us
         q.running = None
-        q.effect = None
         q.waiting.clear()
         for key in sorted(self.funnels):
             domain, exec_id = key
@@ -707,9 +685,7 @@ class _World:
         if self.topo.is_node_up(node):
             return
         self.topo = self.topo.with_node_state(node, True)
-        self.miss_count.pop(node, None)
-        self.handled.discard(node)
-        self.failure_us.pop(node, None)
+        del self.down[node]
         for domain in sorted(self.brokers):
             if self.brokers[domain].broker_node != node:
                 continue
@@ -721,12 +697,11 @@ class _World:
 
     def _on_heartbeat(self) -> None:
         misses = self.sc.sim.heartbeat_misses
-        for node in sorted(self.topo.down_nodes):
-            self.miss_count[node] = self.miss_count.get(node, 0) + 1
-            if self.miss_count[node] < misses or node in self.handled:
-                continue
-            self.handled.add(node)
-            fail_us = self.failure_us.get(node, self.now_us)
+        for node, record in sorted(self.down.items()):
+            record[1] += 1
+            if record[1] != misses:
+                continue  # not yet detected, or detected on an earlier tick
+            fail_us = record[0]
             for domain in sorted(self.brokers):
                 broker = self.brokers[domain]
                 if not self.topo.is_node_up(broker.broker_node):
@@ -752,13 +727,10 @@ class _World:
     def report(self) -> MetricsReport:
         sc = self.sc
         subs_out = []
-        all_subs: list[tuple[str, Broker]] = []
-        for domain in sorted(self.brokers):
-            broker = self.brokers[domain]
-            for sub_id in sorted(broker.subs):
-                all_subs.append((sub_id, broker))
-        all_subs.sort(key=lambda x: x[0])
-        for sub_id, broker in all_subs:
+        # sub ids are unique across domains
+        owners = {s: b for b in self.brokers.values() for s in b.subs}
+        for sub_id in sorted(owners):
+            broker = owners[sub_id]
             mean, p95 = _latency_stats(self.latencies.get(sub_id, []))
             subs_out.append(SubscriptionMetrics(
                 sub_id=sub_id,
@@ -820,7 +792,7 @@ class _World:
                     ),
                 ))
         totals = Totals(
-            published=self.published,
+            published=sum(self.pub_seq.values()),
             delivered=sum(s.delivered for s in subs_out),
             dup_suppressed=sum(s.dup_suppressed for s in subs_out),
             dropped=sum(s.dropped for s in subs_out),

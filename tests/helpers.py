@@ -505,5 +505,91 @@ def two_publisher_scenario(extra_topic: bool, *, seed: int = 37) -> Scenario:
     )
 
 
+def blip_scenario(
+    faults=(), *, prefilter: bool = False, seed: int = 3
+) -> Scenario:
+    """Two device streams whose two-stage chains both run on the cloud node
+    g, with the broker on its twin h; faults on g or h hit a busy node.
+
+    With prefilter, a threshold gate heads each chain: a's passes every
+    publication and b's drops every one.
+    """
+    subs = [
+        {
+            "sub_id": sub_id,
+            "subscriber": "m",
+            "kind": "inference",
+            "model_id": "deep",
+            "filter": topic,
+            "k": 2,
+        }
+        for sub_id, topic in (("a", "d/p/x"), ("b", "d/q/x"))
+    ]
+    if prefilter:
+        for sub, floor in zip(subs, (1, 2)):
+            sub["prefilter"] = {"predicate": "threshold", "args": {"min": floor}}
+    return build_scenario(
+        nodes=[
+            node("p", "device", 1, 256, "d"),
+            node("q", "device", 1, 256, "d"),
+            node("e", "edge", 4, 256, "d"),
+            node("h", "cloud", 16, 4096, "d"),
+            node("g", "cloud", 16, 4096, "d"),
+            node("m", "device", 4, 256, "d"),
+        ],
+        links=[
+            link(a, b, 1, 1000)
+            for a, b in (
+                ("p", "e"), ("q", "e"), ("e", "h"),
+                ("e", "g"), ("h", "m"), ("g", "m"),
+            )
+        ],
+        brokers={"d": "h"},
+        models=[
+            {
+                "model_id": "deep",
+                "version": 1,
+                "task_tag": "telemetry",
+                "domain_id": "d",
+                "layers": [
+                    {"compute_cost": 1, "mem_mb": 512, "selectivity": 1},
+                    {"compute_cost": 50, "mem_mb": 512, "selectivity": 1},
+                ],
+            }
+        ],
+        bindings={"d/p/x": "p", "d/q/x": "q"},
+        subscriptions=subs,
+        workload={
+            "d/p/x": {
+                "size_bytes": 1024, "rate_per_s": 100, "periodic": True,
+                "count": 80,
+            },
+            "d/q/x": {
+                "size_bytes": 1024, "rate_per_s": 100, "periodic": True,
+                "start_ms": 2, "count": 80,
+            },
+        },
+        faults=list(faults),
+        sim={"duration_ms": 2000, "seed": seed},
+    )
+
+
+def _node_fault(at_ms, kind, node_id):
+    return {"at_ms": at_ms, "kind": kind, "node": node_id}
+
+
+# blip_scenario faults. G_BLIP: g goes down mid-job and comes back before
+# the next heartbeat
+G_BLIP = (_node_fault(2.2, "node_down", "g"), _node_fault(2.4, "node_up", "g"))
+# g fails while the broker node h is down; its repair waits for h
+BROKER_DOWN = (
+    _node_fault(300, "node_down", "h"),
+    _node_fault(310, "node_down", "g"),
+    _node_fault(600, "node_up", "h"),
+)
+# as BROKER_DOWN, but g is back before h, so the waiting repair is moot
+BROKER_DOWN_G_BACK = BROKER_DOWN + (_node_fault(500, "node_up", "g"),)
+
+
 def fraction_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"

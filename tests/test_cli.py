@@ -52,13 +52,23 @@ def test_missing_file_exits_1(tmp_path, capsys):
     assert "cannot read scenario" in capsys.readouterr().err
 
 
+# nwdaf.json with a second "sim" key, on line 55, closing its top-level object
+NWDAF_TWO_SIMS = (
+    Path(NWDAF).read_text().rstrip()[:-1].rstrip()
+    + ',\n  "sim": {"duration_ms": 5, "seed": 3}\n}\n'
+).encode()
+
+
 @pytest.mark.parametrize("data, message", [
     (b"\xff\xfe{}", "cannot read scenario: 'utf-8' codec can't decode"),
     (b"[" * 100000 + b"\n", "parse error: line 1: arrays and objects nested too deeply"),
-], ids=["not-utf-8", "nested-too-deep"])
+    (b'{\n  "a": ' + b"1" * 5000 + b"\n}\n", "parse error: line 2: number longer than 4300 digits"),
+    (NWDAF_TWO_SIMS, "parse error: line 55: duplicate key 'sim'"),
+], ids=["not-utf-8", "nested-too-deep", "int-too-long", "duplicate-key"])
 def test_a_malformed_scenario_file_exits_1_with_one_line(data, message, tmp_path, capsys):
-    """Text that is not UTF-8, and nesting deeper than json's decoder
-    recurses, are bad input like any other parse error: exit 1 and one
+    """Text that is not UTF-8, nesting deeper than json's decoder recurses,
+    an integer past Python's string-conversion limit and a key repeated in
+    one object are bad input like any other parse error: exit 1 and one
     stderr line, no traceback."""
     bad = tmp_path / "bad.json"
     bad.write_bytes(data)

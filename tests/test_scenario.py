@@ -126,6 +126,21 @@ def test_parse_error_carries_line_number():
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("text, line, message", [
+    # the same key in two objects is no repeat; the second "b" of one is
+    ('{"a": [{"b": 1}, {"b": 2,\n "c": "{\\"b\\": 1}",\n "b": 3}]}',
+     3, "duplicate key 'b'"),
+    # digits in a string, or in an exponent, are not a long integer literal
+    ('{"a": "' + "1" * 5000 + '", "e": 1e5000,\n "n": [-' + "1" * 5000 + ']}',
+     2, "number longer than 4300 digits"),
+    ('{"a": 1.' + "1" * 5000 + '}', 1, "number longer than 4300 digits"),
+], ids=["nested-duplicate-key", "negative-int", "long-fraction"])
+def test_a_duplicate_key_or_an_over_long_number_is_a_parse_error(text, line, message):
+    with pytest.raises(ParseError) as err:
+        loads_scenario(text)
+    assert (err.value.line, err.value.message) == (line, message)
+
+
 def test_booleans_are_not_numbers():
     doc = base_doc()
     doc["topology"]["links"][0]["latency_ms"] = True

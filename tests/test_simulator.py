@@ -6,7 +6,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +35,11 @@ from infersub.simulator import (
 )
 
 from helpers import (
+    BROKER_DOWN,
+    BROKER_DOWN_G_BACK,
+    G_BLIP,
     barrier_scenario,
+    blip_scenario,
     build_scenario,
     count_window_scenario,
     link,
@@ -273,6 +280,46 @@ def test_last_heartbeat_tick_falls_at_duration():
 
     assert repairs(at_ms) == 1
     assert repairs(at_ms + hb_ms) == 0
+
+
+# ---------------------------------------------------------------------------
+# Node faults mid-job and while the broker node is down, on blip_scenario:
+# both chains run on g (two stages of 63 µs and 3125 µs per publication),
+# and the broker sits on h.
+
+
+def _busy_ms(rep, node_id):
+    return next(n.busy_ms for n in rep.nodes if n.node_id == node_id)
+
+
+def test_both_chains_of_the_blip_scenario_run_on_g():
+    rep = run(blip_scenario())
+    assert {st.node for st in rep.stages} == {"g"}
+    assert _busy_ms(rep, "g") == pytest.approx(510.080, abs=1e-9)
+    assert rep.totals.executions == 320
+
+
+def test_a_job_killed_by_a_node_blip_is_billed_to_the_blip_and_never_counted():
+    """The 3125 µs job g started at 2.065 ms is killed at 2.2 ms. Its
+    completion event still fires at 5.19 ms, while a newer job runs on g: it
+    must not end that job or count an execution. g is billed the 0.135 ms
+    the killed job ran: 510.080 - 3.125 + 0.135 ms."""
+    rep = run(blip_scenario(G_BLIP))
+    assert _busy_ms(rep, "g") == pytest.approx(507.090, abs=1e-9)
+    assert rep.totals.executions == 319
+    assert rep.totals.repairs == 0
+
+
+def test_a_repair_waits_for_the_broker_node_and_runs_when_it_is_back():
+    rep = run(blip_scenario(BROKER_DOWN))
+    assert rep.totals.repairs == 2
+    assert [i.recovery_ms for i in rep.instances] == [(290.0,), (290.0,)]
+
+
+def test_a_waiting_repair_is_dropped_when_the_failed_node_is_back_first():
+    rep = run(blip_scenario(BROKER_DOWN_G_BACK))
+    assert rep.totals.repairs == 0
+    assert [i.recovery_ms for i in rep.instances] == [(), ()]
 
 
 # ---------------------------------------------------------------------------
@@ -562,3 +609,45 @@ def test_emit_rejects_unknown_format():
 def test_runs_are_reproducible():
     sc = bundled("oran")
     assert emit(run(sc, seed=7), "json") == emit(run(sc, seed=7), "json")
+
+
+# ---------------------------------------------------------------------------
+# Hash-seed independence on paths the bundled scenarios never run: trainer
+# update rounds, filter stages, time-window fires and broker-node failure.
+
+HASH_SEED_CASES = {
+    "trainer": "trainer_scenario()",
+    "time-window": "time_window_scenario(pubs=8, delta_ms=40)",
+    "barrier": "barrier_scenario(count_a=10, count_b=7)",
+    "prefilter": "blip_scenario(prefilter=True)",
+    "g-blip": "blip_scenario(G_BLIP)",
+    "broker-down": "blip_scenario(BROKER_DOWN)",
+    "broker-down-g-back": "blip_scenario(BROKER_DOWN_G_BACK)",
+}
+
+_EMIT_CASE = """
+import sys
+from helpers import *
+from infersub.metrics import emit
+from infersub.simulator import run
+sys.stdout.write(emit(run(eval(sys.argv[1]))))
+"""
+
+
+@pytest.mark.parametrize("case", sorted(HASH_SEED_CASES))
+def test_reports_do_not_depend_on_the_hash_seed(case):
+    tests_dir = Path(__file__).parent
+    src_dir = Path(infersub.__file__).parent.parent
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(
+            os.environ, PYTHONHASHSEED=hash_seed,
+            PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]),
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _EMIT_CASE, HASH_SEED_CASES[case]],
+            env=env, capture_output=True, check=True,
+        )
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith(b"{")
