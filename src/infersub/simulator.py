@@ -3,6 +3,26 @@
 Internally the clock is an integer count of simulated microseconds; every
 publication timestamp and latency is derived from it exactly, so a run is a
 pure function of (scenario, seed, placer) down to the emitted bytes.
+
+Links have no queue and every fault is scheduled at start, so a transfer's
+arrival µs and fate are known when it is sent: `_World._send` pushes one
+event per transfer, at its arrival, and the run is the one that forwarding
+hop by hop gives.
+
+* Fate: a transfer drops at the first node j it reaches where, after every
+  fault up to that µs, j, the link to the next node or that node is down.
+  Faults set states, never toggle them, so replaying the pending ones onto
+  the down nodes decides this; a route is up when taken, so a transfer
+  with no fault in its span needs no check.
+* Order: events run by (µs, prio, key), the key being the push counter n
+  except for arrivals. At µs t the events below PRIO_HOP run first (all
+  pushed before t, save fetches, which push nothing), then the hops pushed
+  before t in key order, then the rest. So a push made while handling an
+  event at t gets the key (t, 0, n) from the first kind, (t, 1) + key + (n,)
+  from an arrival with that key pushed before t, and (t, 2, n) from the
+  rest, and a hop skipped at t turns a key into (t, 1) + key + (0,). As a
+  leg lasts at least 1 µs (a publication has at least 1 byte, a link finite
+  bandwidth), a skipped hop is always among the hops pushed before its µs.
 """
 
 from __future__ import annotations
@@ -12,7 +32,6 @@ import heapq
 import math
 import random
 from collections import deque
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -179,15 +198,6 @@ class _Seqs:
 
 
 @dataclass
-class _Transfer:
-    pub: Publication
-    path: tuple[str, ...]
-    pos: int  # index of the node the pending hop arrives at
-    arrive: Callable[..., None]  # called as arrive(*args, pub) at the last hop
-    args: tuple
-
-
-@dataclass
 class _NodeQ:
     # a job is (µs, (domain, ex, pub)): one run of exec stage ex on pub
     running: tuple | None = None
@@ -268,8 +278,12 @@ class _World:
         self.topo: Topology = sc.topology
         self.end_us = sc.sim.duration_ms * US_PER_MS
         self.now_us = 0
-        self.heap: list[tuple] = []  # (t_us, prio, seq, handler, args)
+        self.heap: list[tuple] = []  # (t_us, prio, key, handler, args)
         self._ev_seq = 0
+        # prio and key of the event being handled, at now_us; start() pushes
+        # as an event at 0 µs that runs before every other
+        self._prio = -1
+        self._key: int | tuple = 0
         self.nodeq: dict[str, _NodeQ] = {n: _NodeQ() for n in sc.topology.nodes}
         self.funnels: dict[tuple[str, str], FunnelState] = {}
 
@@ -294,6 +308,10 @@ class _World:
         # down node -> [failed at µs, heartbeats missed]; keys are exactly
         # topo.down_nodes, as every node starts up
         self.down: dict[str, list[int]] = {}
+        # faults not yet handled, in handling order: (µs, up, index in
+        # sc.faults, node id or link ends)
+        self.pending_faults: deque[tuple] = deque()
+        self._next_fault_us = math.inf
         self.pending_repairs: dict[str, list[tuple[str, int]]] = {}
         self.recovery_us: dict[str, list[int]] = {}
 
@@ -301,6 +319,20 @@ class _World:
 
     def start(self) -> None:
         sc = self.sc
+        # faults first: transfers sent here meet those in their flight
+        faults = []
+        for i, fault in enumerate(sc.faults):
+            at = _ceil_us(fault.at_ms)
+            if at <= self.end_us:
+                target = fault.node if fault.link is None else tuple(sorted(fault.link))
+                faults.append((at, fault.kind.endswith("_up"), i, target))
+        # the order the heap hands them out in: (µs, down before up, file order)
+        faults.sort()
+        self.pending_faults.extend(faults)
+        for at, up, *_ in faults:
+            self._push(at, PRIO_FAULT_UP if up else PRIO_FAULT_DOWN, self._on_fault)
+        if faults:
+            self._next_fault_us = faults[0][0]
         for domain, actions in self._subscribe_actions:
             self._do_actions(domain, actions)
         for topic in sorted(sc.workload.topics):
@@ -320,18 +352,6 @@ class _World:
         hb_us = sc.sim.heartbeat_ms * US_PER_MS
         if hb_us <= self.end_us:
             self._push(hb_us, PRIO_HEARTBEAT, self._on_heartbeat)
-        for fault in sc.faults:
-            at = _ceil_us(fault.at_ms)
-            if at > self.end_us:
-                continue
-            down = fault.kind.endswith("_down")
-            prio = PRIO_FAULT_DOWN if down else PRIO_FAULT_UP
-            if fault.link is not None:
-                self._push(at, prio, self._on_link, fault.link, not down)
-            elif down:
-                self._push(at, prio, self._on_node_down, fault.node)
-            else:
-                self._push(at, prio, self._on_node_up, fault.node)
 
     # -- event plumbing ----------------------------------------------------
 
@@ -341,11 +361,12 @@ class _World:
         heapq.heappush(self.heap, (t_us, prio, self._ev_seq, handler, args))
 
     def run_loop(self) -> None:
-        while self.heap:
-            t, _, _, handler, args = heapq.heappop(self.heap)
+        heap = self.heap
+        while heap:
+            t, prio, key, handler, args = heapq.heappop(heap)
             if t > self.end_us:
                 break
-            self.now_us = t
+            self.now_us, self._prio, self._key = t, prio, key
             handler(*args)
 
     # -- actions and transfers ---------------------------------------------
@@ -363,9 +384,8 @@ class _World:
                     self._arrive_stage, domain, act.exec_id, act.via_stage,
                 )
             elif isinstance(act, ModelFetch):
-                link = self.topo.link_between(*act.bridge)
-                assert link is not None
-                dur = self._carry(link, act.artifact_kb * 1024)
+                ends = self.topo.link_between(*act.bridge).ends
+                dur = self._carry(ends, act.artifact_kb * 1024)
                 self._push(self.now_us + dur, PRIO_FETCH,
                            self.brokers[domain].activate_instance, act.instance_id)
             else:  # pragma: no cover
@@ -374,53 +394,89 @@ class _World:
     def _send(
         self, origin: str, dest: str, pub: Publication, arrive, *args
     ) -> None:
-        """Carry pub from origin to dest hop by hop, then call arrive(*args, pub)."""
+        """Carry pub from origin to dest, and call arrive(*args, pub) there.
+
+        The legs are summed, counted and decided now; the heap gets one
+        event, at the arrival µs. A leg counts its bytes if it starts by the
+        run's end. The transfer is lost when there is no route, or at the
+        first node j it reaches by the end where, after every fault up to
+        that µs, j, the link to the next node or that node is down. The
+        arrival's key is that of a push from the event being handled, turned
+        into (t, 1) + key + (0,) at each hop skipped at µs t: every leg
+        lasts at least 1 µs, so such a hop ran among the hops pushed before
+        t, in key order (see the module docstring).
+        """
         try:
-            path = tuple(route(self.topo, origin, dest))
+            path = route(self.topo, origin, dest)
         except NoRouteError:
             self.lost_transfers += 1
             return
-        tr = _Transfer(pub, path, 0, arrive, args)
-        if len(path) == 1:
-            self._push(self.now_us, PRIO_HOP, self._on_hop, tr)
+        t, prio, key = self.now_us, self._prio, self._key
+        self._ev_seq += 1
+        if prio == PRIO_HOP and key[0] < t:
+            key = (t, 1) + key + (self._ev_seq,)
         else:
-            self._start_leg(tr)
-
-    def _start_leg(self, tr: _Transfer) -> None:
-        a, b = tr.path[tr.pos], tr.path[tr.pos + 1]
-        # Topology.is_link_up in one lookup: a route's nodes are all known
-        link = self.topo.link_between(a, b)
-        down = self.topo.down_nodes
-        if link is None or link.state != "up" or a in down or b in down:
+            key = (t, 0 if prio < PRIO_HOP else 2, self._ev_seq)
+        next_fault_us = self._next_fault_us
+        a = path[0]
+        for j, b in enumerate(path[1:]):
+            if j:  # the skipped hop at a
+                key = (t, 1) + key + (0,)
+                if t >= next_fault_us and self._cut((a, b), t):
+                    self.lost_transfers += 1
+                    return
+            t = self._leg(t, a, b, pub)
+            if t > self.end_us:
+                return
+            a = b
+        if self._cut((a,), t) if t >= next_fault_us else a in self.down:
             self.lost_transfers += 1
             return
-        dur = self._carry(link, tr.pub.size_bytes)
-        if tr.pub.tag == "raw":
-            self.raw_crossings += 1
-        tr.pos += 1
-        self._push(self.now_us + dur, PRIO_HOP, self._on_hop, tr)
+        heapq.heappush(self.heap, (t, PRIO_HOP, key, arrive, (*args, pub)))
 
-    def _carry(self, link, nbytes: int) -> int:
-        """Count nbytes on link; the µs they take to cross it, cached per
-        (link, nbytes): only latency and bandwidth set it, never the state."""
-        ends = link.ends
+    def _leg(self, t_us: int, a: str, b: str, pub: Publication) -> int:
+        """Count pub's bytes on link a-b, and a raw crossing, for the leg
+        that leaves a at t_us; the µs it reaches b."""
+        if pub.tag == "raw":
+            self.raw_crossings += 1
+        return t_us + self._carry((a, b) if a < b else (b, a), pub.size_bytes)
+
+    def _carry(self, ends: tuple[str, str], nbytes: int) -> int:
+        """Count nbytes on link ends; the µs they take to cross it, cached
+        per (ends, nbytes): only latency and bandwidth set it, never the
+        state."""
         self.link_bytes[ends] = self.link_bytes.get(ends, 0) + nbytes
         key = (ends, nbytes)
         dur = self.leg_us.get(key)
         if dur is None:
+            link = self.topo.links[ends]
             dur = self.leg_us[key] = _ceil_us(
                 link.latency_ms + Fraction(nbytes, 1024) / link.bandwidth_kb_per_ms
             )
         return dur
 
-    def _on_hop(self, tr: _Transfer) -> None:
-        if tr.path[tr.pos] in self.topo.down_nodes:
-            self.lost_transfers += 1
-            return
-        if tr.pos < len(tr.path) - 1:
-            self._start_leg(tr)
-            return
-        tr.arrive(*tr.args, tr.pub)
+    def _cut(self, path: tuple[str, ...], t_us: int) -> bool:
+        """Whether a node of path, or a link between two nodes next to each
+        other on it, is down after every fault at or before t_us.
+
+        Replays the pending faults onto the down nodes. Of links only pending
+        faults count: callers ask about a route taken on the current
+        snapshot, whose links are all up.
+        """
+        down = set(self.down)
+        for at, up, _, target in self.pending_faults:
+            if at > t_us:
+                break
+            if up:
+                down.discard(target)
+            else:
+                down.add(target)
+        # a link's ends are sorted, so they lie on path one way or the other
+        return not (
+            down.isdisjoint(path)
+            and down.isdisjoint(zip(path, path[1:]))
+            and down.isdisjoint(zip(path[1:], path))
+        )
 
     def _arrive_stage(
         self, domain: str, exec_id: str, via: str | None, pub: Publication
@@ -596,31 +652,20 @@ class _World:
                 versions = self.applied.setdefault(sub_id, [])
                 if not versions or pub.seq > versions[-1]:
                     versions.append(pub.seq)
+        # the ack takes the route of the current snapshot, and arrives if
+        # that route is still up when it is due, by the rule of _send
         topo = self.topo
         ack = topo.shortest(broker.subs[sub_id].subscriber, broker.broker_node)
         if ack is None:
             return
         lat, _, path = ack
         # lat is the latency in 1 / _scale ms: ceil to whole µs in ints
-        delay_us = -(-lat * US_PER_MS // topo._scale)
-        self._push(
-            self.now_us + delay_us, PRIO_ACK,
-            self._on_ack_due, domain, sub_id, stream, pub.seq, path, topo,
-        )
-
-    def _on_ack_due(
-        self, domain: str, sub_id: str, stream: tuple[str, str], seq: int,
-        path: tuple[str, ...], routed_on: Topology,
-    ) -> None:
-        # routed_on, the snapshot the ack was routed on, had the whole path up
-        # (the subscriber had just received); snapshots are immutable, so only
-        # a changed topology needs the walk
-        if routed_on is not self.topo and (
-            not self.topo.is_node_up(path[0])
-            or not all(map(self.topo.is_link_up, path, path[1:]))
+        due_us = self.now_us - (-lat * US_PER_MS // topo._scale)
+        if due_us > self.end_us or (
+            due_us >= self._next_fault_us and self._cut(path, due_us)
         ):
             return
-        self.brokers[domain].on_ack(sub_id, seq, stream)
+        self._push(due_us, PRIO_ACK, broker.on_ack, sub_id, pub.seq, stream)
 
     # -- workload ----------------------------------------------------------
 
@@ -665,35 +710,37 @@ class _World:
 
     # -- faults and repair -------------------------------------------------
 
-    def _on_node_down(self, node: str) -> None:
-        if not self.topo.is_node_up(node):
+    def _on_fault(self) -> None:
+        """Apply the first pending fault; the heap hands faults out in the
+        order pending_faults keeps them. A fault sets its node's or link's
+        state, so one that finds it in that state changes nothing."""
+        faults = self.pending_faults
+        _, up, _, target = faults.popleft()
+        self._next_fault_us = faults[0][0] if faults else math.inf
+        if isinstance(target, tuple):
+            self.topo = self.topo.with_link_state(*target, up)
             return
-        self.topo = self.topo.with_node_state(node, False)
-        self.down[node] = [self.now_us, 0]
-        q = self.nodeq[node]
+        if self.topo.is_node_up(target) == up:
+            return
+        self.topo = self.topo.with_node_state(target, up)
+        if up:
+            del self.down[target]
+            for domain in sorted(self.brokers):
+                if self.brokers[domain].broker_node == target:
+                    for failed, fail_us in self.pending_repairs.pop(domain, []):
+                        self._run_repair(domain, failed, fail_us)
+            return
+        self.down[target] = [self.now_us, 0]
+        q = self.nodeq[target]
         if q.running is not None:
-            self.busy_us[node] += self.now_us - q.started_us
+            self.busy_us[target] += self.now_us - q.started_us
         q.running = None
         q.waiting.clear()
         for key in sorted(self.funnels):
             domain, exec_id = key
             ex = self.brokers[domain].exec_graph.stages.get(exec_id)
-            if ex is not None and ex.node == node:
+            if ex is not None and ex.node == target:
                 del self.funnels[key]
-
-    def _on_node_up(self, node: str) -> None:
-        if self.topo.is_node_up(node):
-            return
-        self.topo = self.topo.with_node_state(node, True)
-        del self.down[node]
-        for domain in sorted(self.brokers):
-            if self.brokers[domain].broker_node != node:
-                continue
-            for failed, fail_us in self.pending_repairs.pop(domain, []):
-                self._run_repair(domain, failed, fail_us)
-
-    def _on_link(self, ends: tuple[str, str], up: bool) -> None:
-        self.topo = self.topo.with_link_state(*ends, up)
 
     def _on_heartbeat(self) -> None:
         misses = self.sc.sim.heartbeat_misses

@@ -1,9 +1,12 @@
-"""Shared fixtures-in-code: instance bridging, scenario JSON builders and a
-hop recorder for simulator runs."""
+"""Shared fixtures-in-code: instance bridging, scenario JSON builders, a
+hop recorder for simulator runs and seeded random fault schedules."""
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 from infersub.core import (
@@ -17,9 +20,16 @@ from infersub.core import (
     Topology,
     TopicFilter,
 )
+from infersub.metrics import emit
 from infersub.placement import Objective, WorkloadEntry, WorkloadSpec
-from infersub.scenario import Scenario, loads_scenario
-from infersub.simulator import _World, simulate
+from infersub.scenario import FaultEvent, Scenario, loads_scenario
+from infersub.simulator import (
+    _World,
+    _exp_gap_us,
+    _periodic_us,
+    _topic_rng,
+    simulate,
+)
 
 from oracles import LineInstance
 
@@ -30,26 +40,98 @@ def simulate_recording_legs(
     sc: Scenario,
 ) -> tuple[_World, list[tuple[int, str, str, Publication]]]:
     """Run sc to completion like simulate, and return the world with every
-    hop that left a node, as (µs, from, to, publication) in start order.
+    hop that left a node, as (µs, from, to, publication) by µs.
 
-    Wraps _World._start_leg for the run: a leg counts only when the call
-    advanced the transfer, so a hop dropped on a down link is not recorded.
+    Wraps _World._leg, which accounts each leg a transfer starts, for the
+    run. A transfer's legs are accounted when it is sent, so they are
+    sorted, stably, by the µs they start at. A hop dropped on a down link is
+    never accounted, so it is not recorded.
     """
     legs: list[tuple[int, str, str, Publication]] = []
-    start_leg = _World._start_leg
+    leg = _World._leg
 
-    def recording(world: _World, tr) -> None:
-        pos = tr.pos
-        start_leg(world, tr)
-        if tr.pos > pos:
-            legs.append((world.now_us, tr.path[pos], tr.path[tr.pos], tr.pub))
+    def recording(world: _World, t_us: int, a: str, b: str, pub: Publication) -> int:
+        legs.append((t_us, a, b, pub))
+        return leg(world, t_us, a, b, pub)
 
-    _World._start_leg = recording
+    _World._leg = recording
     try:
         world = simulate(sc)
     finally:
-        _World._start_leg = start_leg
+        _World._leg = leg
+    legs.sort(key=lambda rec: rec[0])
     return world, legs
+
+
+def random_faults(sc: Scenario, seed: int) -> Scenario:
+    """sc with two to six seeded fault blips added after its own faults.
+
+    Each blip takes down a node, a link or a broker node and brings it back
+    after 0.01 ms to 3 s, or never. It starts at the µs of an earlier fault,
+    or within 8 ms after one of a topic's first 40 publications, when its
+    transfers are likely in flight, or anywhere in the run, in half µs.
+    Blips may overlap, also on one target, so a fault may find its target
+    already in that state.
+    """
+    rng = random.Random(seed)
+    nodes = sorted(sc.topology.nodes)
+    links = sorted(sc.topology.links)
+    brokers = sorted(set(sc.brokers.values()))
+    topics = sorted(sc.workload.topics.items())
+    faults = list(sc.faults)
+    times: list[Fraction] = []
+    for _ in range(rng.randint(2, 6)):
+        draw = rng.random()
+        if times and draw < 0.25:
+            at = rng.choice(times)
+        elif draw < 0.75:
+            at = _publication_ms(sc, *rng.choice(topics), rng.randrange(40))
+            at += Fraction(rng.randrange(16000), 2000)
+        else:
+            at = Fraction(rng.randrange(sc.sim.duration_ms * 2000), 2000)
+        kind = rng.choice(("node", "link", "broker"))
+        if kind == "link":
+            target = {"link": rng.choice(links)}
+        else:
+            target = {"node": rng.choice(brokers if kind == "broker" else nodes)}
+            kind = "node"
+        faults.append(FaultEvent(at_ms=at, kind=f"{kind}_down", **target))
+        times.append(at)
+        if rng.random() < 0.85:
+            ms = rng.choice((Fraction(rng.randrange(10, 2000), 1000),
+                             Fraction(rng.randrange(2, 200)),
+                             Fraction(rng.randrange(200, 3000))))
+            faults.append(FaultEvent(at_ms=at + ms, kind=f"{kind}_up", **target))
+            times.append(at + ms)
+    return dataclasses.replace(sc, faults=tuple(faults))
+
+
+def _publication_ms(
+    sc: Scenario, topic: str, entry: WorkloadEntry, k: int
+) -> Fraction:
+    """ms of topic's k-th publication (from 0) in a run of sc without faults."""
+    start_us = entry.start_ms * 1000
+    if entry.periodic:
+        return Fraction(start_us + _periodic_us(k, entry.rate_per_s), 1000)
+    rng = _topic_rng(sc.sim.seed, topic)
+    for _ in range(k + 1):
+        start_us += _exp_gap_us(rng, entry.rate_per_s)
+    return Fraction(start_us, 1000)
+
+
+def run_digest(sc: Scenario) -> str:
+    """sha256 of a run of sc: its json report, its lost transfers and every
+    leg that left a node, as a sorted list, so that the order in which legs
+    of one µs are recorded does not count."""
+    world, legs = simulate_recording_legs(sc)
+    h = hashlib.sha256(emit(world.report()).encode())
+    h.update(f"lost {world.lost_transfers}\n".encode())
+    for leg in sorted(
+        (t, a, b, str(p.topic), p.source, p.seq, p.tag, p.size_bytes)
+        for t, a, b, p in legs
+    ):
+        h.update(f"{leg}\n".encode())
+    return h.hexdigest()
 
 
 def line_to_core(

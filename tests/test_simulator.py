@@ -44,6 +44,8 @@ from helpers import (
     count_window_scenario,
     link,
     node,
+    random_faults,
+    run_digest,
     simulate_recording_legs,
     time_window_scenario,
     trainer_scenario,
@@ -323,6 +325,167 @@ def test_a_waiting_repair_is_dropped_when_the_failed_node_is_back_first():
 
 
 # ---------------------------------------------------------------------------
+# One event per transfer: the fate and the equal-µs order of every transfer
+# are those of forwarding hop by hop.
+
+# run_digest(random_faults(bundled(name), seed)) for seeds 0-7, taken when
+# transfers were still forwarded one heap event per hop
+FAULT_SCHEDULE_DIGESTS = {
+    "arvr": (
+        "3a64174a9efb02c6e146dabbcd5a07d62504d26c194fbfeb47fcb939295d4af0",
+        "3a64174a9efb02c6e146dabbcd5a07d62504d26c194fbfeb47fcb939295d4af0",
+        "3a64174a9efb02c6e146dabbcd5a07d62504d26c194fbfeb47fcb939295d4af0",
+        "3a64174a9efb02c6e146dabbcd5a07d62504d26c194fbfeb47fcb939295d4af0",
+        "4d2d3687dac96de29fd239f6945fd7c0c960c5334bf9bcc6c5cc209b3997eb27",
+        "e11cf4cf122695cc897eee686053133a51fc37413d7a63d270082c7a5fc4f57c",
+        "8633b90c15265ce80e352a38aa34182f345bb68c4ac291e07a0ce13bc83f083d",
+        "3a64174a9efb02c6e146dabbcd5a07d62504d26c194fbfeb47fcb939295d4af0",
+    ),
+    "federation": (
+        "cca1f3b8ae217cac24b56100d45ca82f0aa82ab2c87572b4ef2a5586536f5a28",
+        "5d78cd8b7488ea1a97a06d222711ffe7a0424051807ba733d64f8ef3a2a0f1c1",
+        "0a40d5345a22775284468429d90f0c14687ba3758d7cb835f90ae61df5fe00ff",
+        "0a40d5345a22775284468429d90f0c14687ba3758d7cb835f90ae61df5fe00ff",
+        "ef156ec309c692c4778a436d6192b4448d765b996772ad59bfb5386ab3205652",
+        "aa57628be3f50e2547573e4363f8e713ad278283d07c1934987fa8e00c12f6aa",
+        "43408b57e12121922a58ba7ef2614f3557b84fc2ae312f05e92b93f01defabee",
+        "0a40d5345a22775284468429d90f0c14687ba3758d7cb835f90ae61df5fe00ff",
+    ),
+    "nlp": (
+        "6c6348b893864e5c4e73ae4e7ba9b27346632d3d6e5a1cdf881aaca6e0f6bf7b",
+        "8e64d7b0676dbc232aacf5e27c49c86a76f36f9842421b75c9547cbab0f02384",
+        "84986736a70f0101c9d6dd48fceea6e87fda6e65f306c9fe2768d0394bae8a18",
+        "4376036bf8a1478e8345616dda4af4be4f25b819d0b948a848925ef006d42e31",
+        "4b047a46ba178a081e03324511898e022346afdab0d03bbe5b130ed59f94e01f",
+        "ee3650782aef4d484dce94ceba25a32bd5bb7182311bb7e8cef91048850adf8b",
+        "529c7a0cf7b91e895f9cc2a8bb18dcd977b1ff9a5c1e8dc2980d9515c01693b8",
+        "439395c770ac3e8411a6c7229617d515db0ffa37bfdb91fc24f7588f7ee6c55e",
+    ),
+    "nwdaf": (
+        "1e1027ebde5ab822a94fbf687e79bd465dd9cf89ba8b18ce7a098c32c5d215bb",
+        "9a7c744e6ea2247ee70a1da2528d83fcbe0c451673e1dfef2a7702933a78ae3a",
+        "f96dd1c7835023c260e17b64798e716a9a8b36465e16f439eb5bbead3e0154db",
+        "69219d57d3252287cd2c080ba55bf8a5940765b2f611039240b2bb70754de1e2",
+        "d2a509202a686a8c58e95406eb57b3b4c72c41d2f8d6358bdd3eded9cebff798",
+        "87d65eb4e41679db44a81c517247df62c004c25f7362069993a3de70e8ec0127",
+        "0a2b92033da53021d7db6f99b938ebf781be57831ff1759d0e0bd3f1d310f30c",
+        "541092f5eda88e62fddb29fa5e8753990848d864f044e13bb2e397763957a5ce",
+    ),
+    "oran": (
+        "0cc33f08c8de416df3606b20c7db6cc355aaaf3dd2a7ab66cd65993dcc22a2d4",
+        "fa132b399256b123035dc179ff32fbf3122e562f5fd07d0ccb95557e1d6ef9d1",
+        "e5b8ecb5ef4783cc720eb12eee318753537401d11faebcbe0241a6336292256a",
+        "31f9fc07b702d1b46338ae7ead6723cf87d6df56d14e203b3f7072087c11b131",
+        "f2c623901d575fad2074363ad03fd1cd81a615b5c9f7ac5dd8686e7622df210d",
+        "c9f760c83d466525b0ca0868e515c71353ad10f1d4d0fb1399d62693429e5902",
+        "5e3a7dfa4a6cc15e3eba0e4ab0610501e648378b4cc7cbf68f5591783f68a2ad",
+        "c6bf083947f8716303aad3abe8f5655486d03baec85c625c2206d123dc23186d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULT_SCHEDULE_DIGESTS))
+def test_random_fault_schedules_run_as_pinned(name):
+    """Node, link and broker-node blips, overlapping and in one µs, several
+    of them cutting transfers and acks in flight: report, lost transfers and
+    legs as forwarding hop by hop gave them."""
+    sc = bundled(name)
+    got = tuple(run_digest(random_faults(sc, seed)) for seed in range(8))
+    assert got == FAULT_SCHEDULE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("fault_at_ms", [0, 0.5, 1])
+def test_a_model_snapshot_sent_at_subscribe_meets_the_faults_in_its_flight(fault_at_ms):
+    """upd-s subscribes at 0 ms, and the broker b sends it the snapshot of
+    version 1 over b-m-s, reaching m at 1.001 ms: m down by then loses it."""
+    w = simulate(trainer_scenario(fault_at_ms=fault_at_ms))
+    assert w.lost_transfers == 1
+    assert by_sub(w.report())["upd-s"].applied_versions == (2, 3, 4)
+
+
+def _line_world(faults=()):
+    """A started world on the line a-b-c-n-x, every leg 1001 µs, and a
+    send(origin, dest, label, arrive=None) that records (µs, label) in
+    arrived when the transfer arrives, unless arrive is given."""
+    sc = build_scenario(
+        nodes=[node(n, "edge", 8, 256, "d") for n in ("a", "b", "c", "n", "x")],
+        # 1 ms plus 1024 bytes at 1024 KB/ms: 1001 µs a leg
+        links=[
+            link(a, b, 1, 1024)
+            for a, b in (("a", "b"), ("b", "c"), ("c", "n"), ("n", "x"))
+        ],
+        brokers={"d": "n"},
+        faults=list(faults),
+        sim={"duration_ms": 10, "seed": 1},
+    )
+    w = _World(sc, sc.sim.seed, "upstream")
+    w.start()
+    arrived: list[tuple[int, str]] = []
+
+    def record(label):
+        return lambda pub: arrived.append((w.now_us, label))
+
+    def send(origin, dest, label, arrive=None):
+        pub = Publication(Topic(("t", label)), origin, 1, Fraction(0), 1024)
+        w._send(origin, dest, pub, arrive or record(label))
+
+    return w, arrived, send
+
+
+def test_a_transfer_that_stays_on_a_down_node_is_lost():
+    """A send from a node to itself takes no leg and arrives in its own µs,
+    unless its node is down after every fault up to that µs: b's, which
+    ran at 1 ms, or c's at 0 ms, which is still pending when sends are made
+    at start, as the run's first events."""
+    w, arrived, send = _line_world([
+        {"at_ms": 0, "kind": "node_down", "node": "c"},
+        {"at_ms": 1, "kind": "node_down", "node": "b"},
+    ])
+    send("a", "a", "on a")
+    send("c", "c", "on c")
+    w._push(2000, simulator.PRIO_PUB, send, "b", "b", "on b")
+    w._push(2000, simulator.PRIO_PUB, send, "a", "a", "on a later")
+    w.run_loop()
+    assert arrived == [(0, "on a"), (2000, "on a later")]
+    assert w.lost_transfers == 2
+
+
+def test_transfers_that_arrive_in_one_us_keep_the_order_of_hop_by_hop_forwarding():
+    """Six transfers arrive at 3003 µs, each on its last leg since 2002 µs;
+    every leg takes 1001 µs.
+
+    An arrival's key is the key forwarding hop by hop gave the push of its
+    last hop. A push made while handling an event at t gets (t, 0, n) from
+    an event that runs before the hops at t (a fetch), (t, 1) + key + (n,)
+    from an arrival of that key pushed before t, and (t, 2, n) from any
+    other event, n counting pushes; a skipped hop at t turns key into
+    (t, 1) + key + (0,). So the fetch's leg at 2002 µs comes first. Then
+    come the legs of the three hops pushed at 1001 µs, by the order of
+    their pushers there: a fetch, whose transfer is relayed at 2002 µs, a
+    skipped hop, and a publication. Then the leg of the publication at
+    2002 µs, and last that of the job the publication pushed for its own
+    µs, although a job outranks a publication at one µs.
+    """
+    w, arrived, send = _line_world()
+
+    def publication():
+        send("x", "n", "publication")
+        w._push(w.now_us, simulator.PRIO_JOB, send, "x", "n", "job")
+
+    w._push(0, simulator.PRIO_PUB, send, "a", "n", "3 legs")
+    w._push(1001, simulator.PRIO_FETCH, send, "c", "n", "to relay",
+            lambda pub: send("n", "x", "relayed"))
+    w._push(1001, simulator.PRIO_PUB, send, "b", "n", "2 legs")
+    w._push(2002, simulator.PRIO_PUB, publication)
+    w._push(2002, simulator.PRIO_FETCH, send, "c", "n", "fetch")
+    w.run_loop()
+    assert arrived == [
+        (3003, label)
+        for label in ("fetch", "relayed", "3 legs", "2 legs", "publication", "job")
+    ]
+
+
+# ---------------------------------------------------------------------------
 # The integer-µs event path against the Fraction formulas it replaced.
 
 # rates per s with denominators 1, 3, 7 and 10, e.g. 7/3
@@ -502,40 +665,43 @@ def _ack_detour_scenario(count: int = 30, more_faults: tuple[dict, ...] = ()):
 def test_acks_take_the_route_of_the_topology_at_delivery(monkeypatch):
     """s acks to the broker on c over s-c (1 ms), over s-x-c (4 ms) while
     s-c is down, not at all while x-c is down too, and over s-c again once
-    it is back up, while the data keeps arriving over p-s."""
+    it is back up, while the data keeps arriving over p-s. An ack's delay
+    from delivery names its route."""
     sc = _ack_detour_scenario()
+    w = _World(sc, sc.sim.seed, "upstream")
     delivered: dict[int, int] = {}
-    acked: dict[int, tuple[int, tuple[str, ...]]] = {}
-    deliver, ack_due = _World._deliver_local, _World._on_ack_due
+    acked: dict[int, int] = {}
+    deliver, on_ack = _World._deliver_local, Broker.on_ack
 
     def recording_deliver(world, domain, sub_id, stream, pub):
         delivered[pub.seq] = world.now_us
         deliver(world, domain, sub_id, stream, pub)
 
-    def recording_ack(world, domain, sub_id, stream, seq, path, *routed_on):
-        acked[seq] = (world.now_us - delivered[seq], path)
-        ack_due(world, domain, sub_id, stream, seq, path, *routed_on)
+    def recording_on_ack(broker, sub_id, seq, stream):
+        acked[seq] = w.now_us - delivered[seq]
+        return on_ack(broker, sub_id, seq, stream)
 
     monkeypatch.setattr(_World, "_deliver_local", recording_deliver)
-    monkeypatch.setattr(_World, "_on_ack_due", recording_ack)
-    simulate(sc)
+    monkeypatch.setattr(Broker, "on_ack", recording_on_ack)
+    w.start()
+    w.run_loop()
     assert sorted(delivered) == list(range(1, 31))
     for seq, t in delivered.items():
         if t < 1_050_000 or t >= 2_550_000:
-            assert acked[seq] == (1000, ("s", "c")), seq
+            assert acked[seq] == 1000, seq
         elif t < 2_050_000:
-            assert acked[seq] == (4000, ("s", "x", "c")), seq
+            assert acked[seq] == 4000, seq
         else:
             assert seq not in acked, seq
 
 
-def test_an_ack_on_its_routing_snapshot_would_pass_the_full_path_check(monkeypatch):
-    """An ack still due on the snapshot it was routed on skips the walk over
-    its path; on runs that change the topology under acks in flight, every
-    such ack would have passed the walk, and an ack on another snapshot
-    takes the walk. x-c comes back at 3000 ms, which restores the loaded
-    snapshot itself; then s-c and node x blip, each back to that snapshot,
-    and each of the four blip edges falls while one ack is in flight."""
+def test_an_ack_is_pushed_only_if_its_route_is_still_up_when_it_is_due(monkeypatch):
+    """An ack takes the route of the topology at delivery. When a fault
+    falls between delivery and the ack's due µs, the delivery replays the
+    faults up to that µs and pushes the ack only if its route is still up;
+    an ack with no fault in its span needs no replay. x-c comes back at
+    3000 ms; then s-c and node x blip, and each of the four blip edges falls
+    while one ack is in flight."""
     blips = (
         {"at_ms": 3000, "kind": "link_up", "link": ["c", "x"]},
         {"at_ms": 3201.5, "kind": "link_down", "link": ["c", "s"]},
@@ -544,36 +710,29 @@ def test_an_ack_on_its_routing_snapshot_would_pass_the_full_path_check(monkeypat
         {"at_ms": 3601.5, "kind": "node_up", "node": "x"},
     )
     sc = _ack_detour_scenario(count=40, more_faults=blips)
-    shortcut: list[bool] = []  # the walk's verdict on each skipped walk
-    walked: list[int] = []
-    on_root = 0
+    replayed: list[tuple[int, bool]] = []  # (due µs, route cut) per replay
     acked: list[int] = []
-    ack_due, on_ack = _World._on_ack_due, Broker.on_ack
+    cut, on_ack = _World._cut, Broker.on_ack
 
-    def recording_ack(world, domain, sub_id, stream, seq, path, routed_on):
-        nonlocal on_root
-        topo = world.topo
-        if routed_on is topo:
-            up = topo.is_node_up(path[0]) and all(map(topo.is_link_up, path, path[1:]))
-            shortcut.append(up)
-            on_root += topo is sc.topology and world.now_us > 3_000_000
-        else:
-            walked.append(world.now_us)
-        ack_due(world, domain, sub_id, stream, seq, path, routed_on)
+    def recording_cut(world, path, t_us):
+        got = cut(world, path, t_us)
+        if path[-1] == "c":  # an ack's route, which ends at the broker
+            replayed.append((t_us, got))
+        return got
 
     def recording_on_ack(broker, sub_id, seq, stream):
         acked.append(seq)
         return on_ack(broker, sub_id, seq, stream)
 
-    monkeypatch.setattr(_World, "_on_ack_due", recording_ack)
+    monkeypatch.setattr(_World, "_cut", recording_cut)
     monkeypatch.setattr(Broker, "on_ack", recording_on_ack)
     simulate(sc)
-    assert shortcut and all(shortcut)
-    assert on_root > 0
-    # the ack due at 3305 ms went over s-x-c, 4 ms
-    assert walked == [3_202_001, 3_305_001, 3_502_001, 3_602_001]
-    # no route while x-c was down (seqs 22-26); the walk drops seq 33's ack,
-    # whose s-c went down under it, and passes the other three
+    # seq 33's ack is due at 3202.001 ms over s-c, which fell at 3201.5; the
+    # ack due at 3305.001 ms goes over s-x-c, 4 ms, and the other two over s-c
+    assert replayed == [
+        (3_202_001, True), (3_305_001, False), (3_502_001, False), (3_602_001, False)
+    ]
+    # no route while x-c was down (seqs 22-26)
     assert sorted(set(range(1, 41)) - set(acked)) == [22, 23, 24, 25, 26, 33]
 
 
