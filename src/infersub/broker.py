@@ -29,6 +29,7 @@ from .core import (
     TriggerPolicy,
     UPDATE_TOPIC_ROOT,
     as_ratio,
+    inference_inputs,
     match_filter,
     split_model,
 )
@@ -298,8 +299,7 @@ class Broker:
         assert isinstance(kind, InferenceSub)
         matched = [
             (topic, self.bindings[topic])
-            for topic in self._bound.matching(kind.filter)
-            if not topic.startswith(UPDATE_TOPIC_ROOT + "/")
+            for topic in inference_inputs(self._bound, kind.filter)
         ]
         if not matched:
             raise NoPublisherError(f"{sub.sub_id}: no bound topic matches {kind.filter}")

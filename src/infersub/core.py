@@ -163,6 +163,13 @@ class TopicIndex:
         return sorted(found)
 
 
+def inference_inputs(bound: TopicIndex, filter: TopicFilter) -> list[str]:
+    """The bound topics that feed an inference subscription with filter,
+    sorted: every match but a model-update submission."""
+    updates = UPDATE_TOPIC_ROOT + "/"
+    return [topic for topic in bound.matching(filter) if not topic.startswith(updates)]
+
+
 # ---------------------------------------------------------------------------
 # Publications
 

@@ -62,9 +62,9 @@ class Objective:
         object.__setattr__(self, "alpha", as_ratio(self.alpha))
         object.__setattr__(self, "beta", as_ratio(self.beta))
         if self.alpha < 0 or self.beta < 0:
-            raise ValueError("objective: weights must be >= 0")
+            raise ValueError("objective: alpha and beta must be >= 0")
         if self.alpha == 0 and self.beta == 0:
-            raise ValueError("objective: weights cannot both be zero")
+            raise ValueError("objective: alpha and beta cannot both be zero")
 
     def value(self, latency_ms: Fraction, bytes_kb: Fraction) -> Fraction:
         return self.alpha * latency_ms + self.beta * bytes_kb

@@ -7,7 +7,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, NoReturn, TypeVar
 
 from .core import (
     CountWindow,
@@ -19,8 +19,6 @@ from .core import (
     ModelUpdateSub,
     NodeDescriptor,
     Subscription,
-    TASK_TAGS,
-    TIERS,
     TimeWindow,
     Topic,
     TopicFilter,
@@ -29,6 +27,7 @@ from .core import (
     TriggerPolicy,
     UPDATE_TOPIC_ROOT,
     fn_args,
+    inference_inputs,
 )
 from .errors import ParseError, ValidationError
 from .operators import COMBINE_FNS, PREDICATES
@@ -40,6 +39,8 @@ TOP_KEYS = (
 )
 
 FAULT_KINDS = ("node_down", "node_up", "link_down", "link_up")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,17 @@ class Scenario:
 # -- field readers ---------------------------------------------------------
 
 
-def _fail(path: str, rule: str) -> None:
+def _fail(path: str, rule: str) -> NoReturn:
     raise ValidationError(path, rule)
+
+
+def _make(path: str, build: Callable[..., T], *args: Any, **kwargs: Any) -> T:
+    """build(*args, **kwargs), with the ValueError of the built type's own
+    checks reported at path: those rules live in the domain types alone."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def _dict(v: Any, path: str) -> dict:
@@ -123,6 +133,13 @@ def _num(v: Any, path: str) -> Fraction:
     return Fraction(v)
 
 
+def _float(v: Any, path: str) -> float:
+    try:
+        return float(_num(v, path))
+    except OverflowError:
+        _fail(path, "number too large for a float")
+
+
 def _bool(v: Any, path: str) -> bool:
     if not isinstance(v, bool):
         _fail(path, "expected a boolean")
@@ -139,21 +156,11 @@ def _keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple[str, 
 
 
 def _topic(v: Any, path: str) -> Topic:
-    s = _str(v, path)
-    try:
-        t = Topic.parse(s)
-    except ValueError as exc:
-        _fail(path, f"bad topic: {exc}")
-    return t
+    return _make(path, Topic.parse, _str(v, path))
 
 
 def _filter(v: Any, path: str) -> TopicFilter:
-    s = _str(v, path)
-    try:
-        return TopicFilter.parse(s)
-    except ValueError as exc:
-        _fail(path, f"bad filter: {exc}")
-        raise AssertionError  # unreachable
+    return _make(path, TopicFilter.parse, _str(v, path))
 
 
 # -- section loaders -------------------------------------------------------
@@ -173,18 +180,12 @@ def _load_topology(obj: Any) -> tuple[Topology, dict[str, str], tuple[PeerSpec, 
         if nid in ids:
             _fail(f"{path}.node_id", f"duplicate node {nid!r}")
         ids.add(nid)
-        tier = _str(nd["tier"], f"{path}.tier")
-        if tier not in TIERS:
-            _fail(f"{path}.tier", f"tier must be one of {TIERS}")
-        cpu = _num(nd["cpu_capacity"], f"{path}.cpu_capacity")
-        mem = _num(nd["mem_mb"], f"{path}.mem_mb")
-        if cpu <= 0 or mem < 0:
-            _fail(path, "cpu_capacity must be > 0 and mem_mb >= 0")
-        nodes.append(NodeDescriptor(
+        nodes.append(_make(
+            path, NodeDescriptor,
             node_id=nid,
-            tier=tier,
-            cpu_capacity=cpu,
-            mem_mb=mem,
+            tier=_str(nd["tier"], f"{path}.tier"),
+            cpu_capacity=_num(nd["cpu_capacity"], f"{path}.cpu_capacity"),
+            mem_mb=_num(nd["mem_mb"], f"{path}.mem_mb"),
             has_accelerator=_bool(nd.get("has_accelerator", False), f"{path}.has_accelerator"),
             domain_id=_str(nd.get("domain_id", "d0"), f"{path}.domain_id"),
         ))
@@ -202,17 +203,15 @@ def _load_topology(obj: Any) -> tuple[Topology, dict[str, str], tuple[PeerSpec, 
         for end, key in ((a, "a"), (b, "b")):
             if end not in ids:
                 _fail(f"{path}.{key}", f"unknown node {end!r}")
-        if a == b:
-            _fail(path, "self links are not allowed")
         pair = (min(a, b), max(a, b))
         if pair in pairs:
             _fail(path, f"duplicate link {pair}")
         pairs.add(pair)
-        lat = _num(ld["latency_ms"], f"{path}.latency_ms")
-        bw = _num(ld["bandwidth_kb_per_ms"], f"{path}.bandwidth_kb_per_ms")
-        if lat < 0 or bw <= 0:
-            _fail(path, "latency_ms must be >= 0 and bandwidth_kb_per_ms > 0")
-        links.append(LinkDescriptor(a, b, lat, bw))
+        links.append(_make(
+            path, LinkDescriptor, a, b,
+            _num(ld["latency_ms"], f"{path}.latency_ms"),
+            _num(ld["bandwidth_kb_per_ms"], f"{path}.bandwidth_kb_per_ms"),
+        ))
 
     topo = Topology.of(nodes, links)
 
@@ -289,24 +288,18 @@ def _load_models(obj: Any, topo: Topology) -> tuple[ScenarioModel, ...]:
         if version < 1:
             _fail(f"{path}.version", "version must be >= 1")
         tag = _str(md["task_tag"], f"{path}.task_tag")
-        if tag not in TASK_TAGS:
-            _fail(f"{path}.task_tag", f"task_tag must be one of {TASK_TAGS}")
         layers: list[LayerSpec] = []
         for j, lraw in enumerate(_list(md["layers"], f"{path}.layers")):
             lpath = f"{path}.layers[{j}]"
             ld = _dict(lraw, lpath)
             _keys(ld, lpath, ("compute_cost", "mem_mb", "selectivity"), ("needs_accelerator",))
-            cost = _num(ld["compute_cost"], f"{lpath}.compute_cost")
-            mem = _num(ld["mem_mb"], f"{lpath}.mem_mb")
-            sel = _num(ld["selectivity"], f"{lpath}.selectivity")
-            if cost < 0 or mem < 0 or sel <= 0:
-                _fail(lpath, "compute_cost and mem_mb must be >= 0, selectivity > 0")
-            layers.append(LayerSpec(
-                cost, mem, sel,
+            layers.append(_make(
+                lpath, LayerSpec,
+                _num(ld["compute_cost"], f"{lpath}.compute_cost"),
+                _num(ld["mem_mb"], f"{lpath}.mem_mb"),
+                _num(ld["selectivity"], f"{lpath}.selectivity"),
                 _bool(ld.get("needs_accelerator", False), f"{lpath}.needs_accelerator"),
             ))
-        if not layers:
-            _fail(f"{path}.layers", "at least one layer required")
         dom = _str(md.get("domain_id", "d0"), f"{path}.domain_id")
         if dom not in topo.domains():
             _fail(f"{path}.domain_id", f"unknown domain {dom!r}")
@@ -314,7 +307,7 @@ def _load_models(obj: Any, topo: Topology) -> tuple[ScenarioModel, ...]:
             _fail(path, f"model {mid!r} declared twice in domain {dom!r}")
         seen.add((mid, dom))
         params = tuple(
-            float(_num(v, f"{path}.params[{k}]"))
+            _float(v, f"{path}.params[{k}]")
             for k, v in enumerate(_list(md.get("params", []), f"{path}.params"))
         )
         trainers = []
@@ -333,7 +326,7 @@ def _load_models(obj: Any, topo: Topology) -> tuple[ScenarioModel, ...]:
             if akb < 1:
                 _fail(f"{path}.artifact_kb", "artifact_kb must be >= 1")
         out.append(ScenarioModel(
-            ModelDescriptor(mid, version, tag, tuple(layers), params),
+            _make(path, ModelDescriptor, mid, version, tag, tuple(layers), params),
             dom, tuple(trainers), akb,
         ))
     return tuple(out)
@@ -359,18 +352,11 @@ def _load_trigger(raw: Any, path: str) -> TriggerPolicy:
     kind = _str(td.get("kind"), f"{path}.kind")
     if kind == "count":
         _keys(td, path, ("kind", "n"))
-        n = _int(td["n"], f"{path}.n")
-        if n < 1:
-            _fail(f"{path}.n", "n must be >= 1")
-        return CountWindow(n)
+        return _make(path, CountWindow, _int(td["n"], f"{path}.n"))
     if kind == "time":
         _keys(td, path, ("kind", "delta_ms"))
-        delta = _int(td["delta_ms"], f"{path}.delta_ms")
-        if delta < 1:
-            _fail(f"{path}.delta_ms", "delta_ms must be >= 1")
-        return TimeWindow(delta)
+        return _make(path, TimeWindow, _int(td["delta_ms"], f"{path}.delta_ms"))
     _fail(f"{path}.kind", "trigger kind must be count or time")
-    raise AssertionError
 
 
 def _load_subscriptions(
@@ -425,10 +411,7 @@ def _load_subscriptions(
                     _fail(f"{path}.model_id",
                           f"model {mid!r} is not reachable from domain {sub_domain!r}")
             flt = _filter(sd["filter"], f"{path}.filter")
-            matched = [
-                topic for topic in bound.matching(flt)
-                if not topic.startswith(UPDATE_TOPIC_ROOT + "/")
-            ]
+            matched = inference_inputs(bound, flt)
             if not matched:
                 _fail(f"{path}.filter", "no bound topic matches")
             for topic in matched:
@@ -459,14 +442,14 @@ def _load_subscriptions(
                 prefilter = _str(pf["predicate"], f"{path}.prefilter.predicate")
                 if prefilter not in PREDICATES:
                     _fail(f"{path}.prefilter.predicate", f"unknown predicate {prefilter!r}")
-                raw_args = _dict(pf.get("args", {}), f"{path}.prefilter.args")
-                for key, val in raw_args.items():
-                    if isinstance(val, bool) or not isinstance(val, (int, Fraction, str)):
-                        _fail(f"{path}.prefilter.args.{key}", "expected number or string")
-                pargs = fn_args(**{
-                    key: (float(val) if isinstance(val, Fraction) else val)
-                    for key, val in raw_args.items()
-                })
+                args = _dict(pf.get("args", {}), f"{path}.prefilter.args")
+                for key, val in args.items():
+                    apath = f"{path}.prefilter.args.{key}"
+                    if isinstance(val, Fraction):
+                        args[key] = _float(val, apath)
+                    elif isinstance(val, bool) or not isinstance(val, (int, str)):
+                        _fail(apath, "expected number or string")
+                pargs = fn_args(**args)
             out.append(Subscription(sub_id, subscriber, InferenceSub(
                 model_id=mid, filter=flt, privacy_split=privacy, k=k,
                 combine_fn=combine, trigger=trigger,
@@ -480,9 +463,9 @@ def _load_subscriptions(
             if sub_domain not in model_domains.get(mid, set()):
                 _fail(f"{path}.model_id", f"model {mid!r} is not in domain {sub_domain!r}")
             minv = _int(sd.get("min_version", 0), f"{path}.min_version")
-            if minv < 0:
-                _fail(f"{path}.min_version", "min_version must be >= 0")
-            out.append(Subscription(sub_id, subscriber, ModelUpdateSub(mid, minv)))
+            out.append(Subscription(
+                sub_id, subscriber, _make(path, ModelUpdateSub, mid, minv)
+            ))
             continue
 
         _fail(f"{path}.kind", "kind must be data, inference or model_update")
@@ -508,22 +491,13 @@ def _load_workload(
         wd = _dict(spec, path)
         _keys(wd, path, ("size_bytes", "rate_per_s"),
               ("periodic", "payload", "start_ms", "count", "semantic_tag"))
-        size = _int(wd["size_bytes"], f"{path}.size_bytes")
-        if size < 1:
-            _fail(f"{path}.size_bytes", "size_bytes must be >= 1")
-        rate = _num(wd["rate_per_s"], f"{path}.rate_per_s")
-        if rate <= 0:
-            _fail(f"{path}.rate_per_s", "rate_per_s must be > 0")
-        start = _int(wd.get("start_ms", 0), f"{path}.start_ms")
-        if start < 0:
-            _fail(f"{path}.start_ms", "start_ms must be >= 0")
         count = wd.get("count")
         if count is not None:
             count = _int(count, f"{path}.count")
             if count < 1:
                 _fail(f"{path}.count", "count must be >= 1")
         payload = tuple(
-            float(_num(v, f"{path}.payload[{k}]"))
+            _float(v, f"{path}.payload[{k}]")
             for k, v in enumerate(_list(wd.get("payload", [1]), f"{path}.payload"))
         )
         tag = wd.get("semantic_tag")
@@ -546,12 +520,13 @@ def _load_workload(
                       f"delta length must equal params length {len(sm.model.params)}")
             if not wd.get("periodic", False):
                 _fail(f"{path}.periodic", "trainer rounds must be periodic")
-        topics[topic] = WorkloadEntry(
-            size_bytes=size,
-            rate_per_s=rate,
+        topics[topic] = _make(
+            path, WorkloadEntry,
+            size_bytes=_int(wd["size_bytes"], f"{path}.size_bytes"),
+            rate_per_s=_num(wd["rate_per_s"], f"{path}.rate_per_s"),
             periodic=_bool(wd.get("periodic", False), f"{path}.periodic"),
             payload=payload,
-            start_ms=start,
+            start_ms=_int(wd.get("start_ms", 0), f"{path}.start_ms"),
             count=count,
             semantic_tag=tag,
         )
@@ -591,11 +566,11 @@ def _load_faults(obj: Any, topo: Topology) -> tuple[FaultEvent, ...]:
 def _load_objective(obj: Any) -> Objective:
     od = _dict(obj, "objective")
     _keys(od, "objective", (), ("alpha", "beta"))
-    alpha = _num(od.get("alpha", 1), "objective.alpha")
-    beta = _num(od.get("beta", Fraction(1, 10)), "objective.beta")
-    if alpha < 0 or beta < 0:
-        _fail("objective", "alpha and beta must be >= 0")
-    return Objective(alpha, beta)
+    return _make(
+        "objective", Objective,
+        _num(od.get("alpha", 1), "objective.alpha"),
+        _num(od.get("beta", Fraction(1, 10)), "objective.beta"),
+    )
 
 
 def _load_sim(obj: Any) -> SimParams:

@@ -81,6 +81,40 @@ def test_a_malformed_scenario_file_exits_1_with_one_line(data, message, tmp_path
         assert captured.out == ""
 
 
+def _nwdaf_with(edit) -> bytes:
+    """nwdaf.json after edit(doc), with every "HUGE" string made the literal
+    1e400, a number json reads exactly but no float can hold."""
+    doc = json.loads(Path(NWDAF).read_text())
+    edit(doc)
+    return json.dumps(doc, indent=2).replace('"HUGE"', "1e400").encode()
+
+
+@pytest.mark.parametrize("data, message", [
+    (_nwdaf_with(lambda d: d.update(objective={"alpha": 0, "beta": 0})),
+     "invalid scenario: objective: "),
+    (_nwdaf_with(lambda d: d["workload"]["net/nf1/kpi"].update(payload=[1, "HUGE"])),
+     "invalid scenario: workload.net/nf1/kpi.payload[1]: "),
+    (_nwdaf_with(lambda d: d["models"][0].update(params=["HUGE"])),
+     "invalid scenario: models[0].params[0]: "),
+    (_nwdaf_with(lambda d: d["subscriptions"][0].update(
+        prefilter={"predicate": "threshold", "args": {"cutoff": "HUGE", "index": 0}})),
+     "invalid scenario: subscriptions[0].prefilter.args.cutoff: "),
+], ids=["zero-weights", "huge-payload", "huge-params", "huge-prefilter-arg"])
+def test_an_invalid_value_exits_1_with_one_line(data, message, tmp_path, capsys):
+    """An objective whose weights are both zero, and a number too large for a
+    float where the scenario stores floats, are invalid scenarios: exit 1 and
+    one stderr line naming the item, no traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    for command in ("validate", "run", "place"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", str(bad)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 def test_run_stdout_matches_library(capsys):
     assert main(["run", "--scenario", NWDAF]) == 0
     out = capsys.readouterr().out

@@ -24,6 +24,7 @@ from infersub.core import (
     TopicIndex,
     Topology,
     UPDATE_TOPIC_ROOT,
+    inference_inputs,
     match_filter,
     route,
     route_latency,
@@ -134,6 +135,14 @@ def test_topic_index_hash_takes_the_parent_and_skips_siblings():
     assert index.matching(TopicFilter.parse("+/+")) == ["a/b", "ab/x"]
     assert index.matching(TopicFilter.parse("a/+/c/#")) == ["a/b/c"]
     assert index.matching(TopicFilter.parse("c")) == []
+
+
+def test_inference_inputs_are_the_matches_but_update_submissions():
+    topics = ["a/x", f"{UPDATE_TOPIC_ROOT}/m/p", "a/y", "b"]
+    index = TopicIndex(Topic.parse(t) for t in topics)
+    assert inference_inputs(index, MATCH_ALL) == ["a/x", "a/y", "b"]
+    assert inference_inputs(index, TopicFilter.parse("+/+/p")) == []
+    assert inference_inputs(index, TopicFilter.parse("a/+")) == ["a/x", "a/y"]
 
 
 # ---------------------------------------------------------------------------

@@ -303,3 +303,54 @@ def test_objective_rejects_negative_weights():
     doc = base_doc()
     doc["objective"]["alpha"] = -1
     rejects(doc, "alpha")
+
+
+# ---------------------------------------------------------------------------
+# Rules the domain types check, reported at the item's position
+
+
+MODEL_UPDATE_SUB = {"sub_id": "tap", "subscriber": "s", "kind": "model_update",
+                    "model_id": "m", "min_version": -1}
+
+
+@pytest.mark.parametrize("keys, value, path, field", [
+    (("topology", "nodes", 0, "tier"), "fog", "topology.nodes[0]", "tier"),
+    (("topology", "nodes", 0, "cpu_capacity"), 0, "topology.nodes[0]", "cpu_capacity"),
+    (("topology", "nodes", 0, "mem_mb"), -1, "topology.nodes[0]", "mem_mb"),
+    (("topology", "links", 0, "b"), "p", "topology.links[0]", "self"),
+    (("topology", "links", 0, "latency_ms"), -1, "topology.links[0]", "latency_ms"),
+    (("topology", "links", 0, "bandwidth_kb_per_ms"), 0, "topology.links[0]",
+     "bandwidth_kb_per_ms"),
+    (("models", 0, "task_tag"), "astrology", "models[0]", "task_tag"),
+    (("models", 0, "layers"), [], "models[0]", "layer"),
+    (("models", 0, "layers", 0, "compute_cost"), -1, "models[0].layers[0]", "compute_cost"),
+    (("models", 0, "layers", 0, "mem_mb"), -1, "models[0].layers[0]", "mem_mb"),
+    (("models", 0, "layers", 0, "selectivity"), 0, "models[0].layers[0]", "selectivity"),
+    (("subscriptions", 1, "trigger"), {"kind": "count", "n": 0},
+     "subscriptions[1].trigger", "n must be >= 1"),
+    (("subscriptions", 1, "trigger"), {"kind": "time", "delta_ms": 0},
+     "subscriptions[1].trigger", "delta_ms"),
+    (("subscriptions", 0), MODEL_UPDATE_SUB, "subscriptions[0]", "min_version"),
+    (("workload", "d/p/x", "size_bytes"), 0, "workload.d/p/x", "size_bytes"),
+    (("workload", "d/p/x", "rate_per_s"), 0, "workload.d/p/x", "rate_per_s"),
+    (("workload", "d/p/x", "start_ms"), -1, "workload.d/p/x", "start_ms"),
+    (("objective", "alpha"), -1, "objective", "alpha"),
+    (("objective", "beta"), -1, "objective", "beta"),
+], ids=[
+    "node-tier", "node-cpu", "node-mem", "self-link", "link-latency",
+    "link-bandwidth", "task-tag", "no-layers", "layer-cost", "layer-mem",
+    "layer-selectivity", "count-window", "time-window", "min-version",
+    "size-bytes", "rate", "start-ms", "alpha", "beta",
+])
+def test_a_domain_rule_is_reported_at_the_items_path(keys, value, path, field):
+    """Each range or enum rule a domain type checks when it is built fails
+    the load with a ValidationError at the position of the item."""
+    doc = base_doc()
+    obj = doc
+    for key in keys[:-1]:
+        obj = obj[key]
+    obj[keys[-1]] = value
+    with pytest.raises(ValidationError) as err:
+        loads(doc)
+    assert err.value.path.startswith(path), str(err.value)
+    assert field in err.value.rule, str(err.value)
