@@ -689,7 +689,6 @@ class Broker:
         t: Topology,
         w: WorkloadSpec,
         o: Objective,
-        now: Fraction = Fraction(0),
     ) -> RepairPlan:
         """Replan instances touching the failed node; return the replays.
 

@@ -37,6 +37,9 @@ TOP_KEYS = (
     "topology", "models", "bindings", "subscriptions",
     "workload", "faults", "objective", "sim",
 )
+# the path of a rule broken by the document as a whole; its keys are the
+# paths of their own values
+ROOT = "top level"
 
 FAULT_KINDS = ("node_down", "node_up", "link_down", "link_up")
 
@@ -134,10 +137,14 @@ def _num(v: Any, path: str) -> Fraction:
 
 
 def _float(v: Any, path: str) -> float:
+    x = _num(v, path)
     try:
-        return float(_num(v, path))
+        f = float(x)
     except OverflowError:
         _fail(path, "number too large for a float")
+    if x and not f:  # nonzero, but rounds to 0.0
+        _fail(path, "number too small for a float")
+    return f
 
 
 def _bool(v: Any, path: str) -> bool:
@@ -149,10 +156,10 @@ def _bool(v: Any, path: str) -> bool:
 def _keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
     for k in required:
         if k not in obj:
-            _fail(path, f"missing key {k!r}")
+            _fail(path or ROOT, f"missing key {k!r}")
     for k in obj:
         if k not in required and k not in optional:
-            _fail(f"{path}.{k}", "unexpected key")
+            _fail(f"{path}.{k}" if path else k, "unexpected key")
 
 
 def _topic(v: Any, path: str) -> Topic:
@@ -640,7 +647,7 @@ def loads_scenario(text: str) -> Scenario:
     except ValueError:
         # a duplicate key, or a number past Python's int conversion limit
         raise _json_fault(text) from None
-    root = _dict(obj, "")
+    root = _dict(obj, ROOT)
     _keys(root, "", TOP_KEYS)
     topo, brokers, peers = _load_topology(root["topology"])
     models = _load_models(root["models"], topo)

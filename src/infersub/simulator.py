@@ -66,7 +66,6 @@ from .metrics import (
 from .operators import (
     Barrier,
     FunnelState,
-    TimeWindow,
     apply_mapping,
     funnel_offer,
     funnel_tick,
@@ -198,11 +197,18 @@ class _Seqs:
 
 
 @dataclass
-class _NodeQ:
+class _Node:
+    """What a node holds, all of it lost when the node fails: its running
+    and waiting jobs, its funnel states, and while it is down, the µs it
+    failed at and the heartbeats it has missed since."""
+
     # a job is (µs, (domain, ex, pub)): one run of exec stage ex on pub
     running: tuple | None = None
     started_us: int = 0
     waiting: deque = field(default_factory=deque)
+    funnels: dict[tuple[str, str], FunnelState] = field(default_factory=dict)
+    failed_us: int = 0
+    missed: int = 0
 
 
 @dataclass
@@ -284,8 +290,7 @@ class _World:
         # as an event at 0 µs that runs before every other
         self._prio = -1
         self._key: int | tuple = 0
-        self.nodeq: dict[str, _NodeQ] = {n: _NodeQ() for n in sc.topology.nodes}
-        self.funnels: dict[tuple[str, str], FunnelState] = {}
+        self.nodes: dict[str, _Node] = {n: _Node() for n in sc.topology.nodes}
 
         self.pub_seq: dict[str, int] = {}
         self.topic_state: dict[str, _TopicState] = {}
@@ -305,9 +310,6 @@ class _World:
         self.raw_crossings = 0
         self.lost_transfers = 0
 
-        # down node -> [failed at µs, heartbeats missed]; keys are exactly
-        # topo.down_nodes, as every node starts up
-        self.down: dict[str, list[int]] = {}
         # faults not yet handled, in handling order: (µs, up, index in
         # sc.faults, node id or link ends)
         self.pending_faults: deque[tuple] = deque()
@@ -429,7 +431,7 @@ class _World:
             if t > self.end_us:
                 return
             a = b
-        if self._cut((a,), t) if t >= next_fault_us else a in self.down:
+        if self._cut((a,), t) if t >= next_fault_us else a in self.topo.down_nodes:
             self.lost_transfers += 1
             return
         heapq.heappush(self.heap, (t, PRIO_HOP, key, arrive, (*args, pub)))
@@ -463,7 +465,7 @@ class _World:
         faults count: callers ask about a route taken on the current
         snapshot, whose links are all up.
         """
-        down = set(self.down)
+        down = set(self.topo.down_nodes)
         for at, up, _, target in self.pending_faults:
             if at > t_us:
                 break
@@ -506,7 +508,7 @@ class _World:
 
     def _enqueue(self, domain: str, ex, pub: Publication) -> None:
         """Queue one run of ex on pub on its node; _on_run_done follows it."""
-        q = self.nodeq[ex.node]
+        q = self.nodes[ex.node]
         job = (self._duration_us(ex), (domain, ex, pub))
         if q.running is None:
             self._start_job(ex.node, job)
@@ -514,13 +516,13 @@ class _World:
             q.waiting.append(job)
 
     def _start_job(self, node: str, job: tuple) -> None:
-        q = self.nodeq[node]
+        q = self.nodes[node]
         q.running = job
         q.started_us = self.now_us
         self._push(self.now_us + job[0], PRIO_JOB, self._on_job_done, node, job)
 
     def _on_job_done(self, node: str, job: tuple) -> None:
-        q = self.nodeq[node]
+        q = self.nodes[node]
         if q.running is not job:
             return  # the node went down while this job ran
         self.busy_us[node] += job[0]
@@ -567,60 +569,48 @@ class _World:
 
     # -- funnels -----------------------------------------------------------
 
-    def _funnel_state(self, broker: Broker, ex) -> FunnelState:
-        key = (broker.domain_id, ex.exec_id)
-        st = self.funnels.get(key)
-        if st is None:
-            st = FunnelState(
-                stage=ex.stage,
-                out_topic=Topic(("pipe", ex.stage.stage_id)),
-                next_seq=broker.funnel_seed(ex.exec_id),
-            )
-            self.funnels[key] = st
-        return st
-
     def _offer(self, domain: str, ex, pub: Publication, via: str | None) -> None:
+        """Offer pub to funnel ex's state on its node, a fresh one numbering
+        its emissions from the broker's counter if the node holds none."""
         broker = self.brokers[domain]
-        st = self._funnel_state(broker, ex)
-        input_id = via if via is not None else pub.source
-        superseded = None
-        if isinstance(st.policy, Barrier):
-            for iid, old in st.pending:
-                if iid == input_id:
-                    superseded = old
-                    break
-        before = st.pending
-        st2, emission = funnel_offer(st, pub, _ms(self.now_us), input_id=input_id)
+        funnels = self.nodes[ex.node].funnels
         key = (domain, ex.exec_id)
-        if (
-            isinstance(st.policy, TimeWindow)
-            and st.window_open_ts is None
-            and st2.window_open_ts is not None
-        ):
+        st = funnels.get(key)
+        if st is None:
+            st = FunnelState(ex.stage, Topic(("pipe", ex.stage.stage_id)),
+                             next_seq=broker.funnel_seed(ex.exec_id))
+        input_id = via if via is not None else pub.source
+        # a barrier keeps one slot per input: pub supersedes what it held
+        superseded = dict(st.pending).get(input_id) if isinstance(st.policy, Barrier) else None
+        st2, emission = funnel_offer(st, pub, _ms(self.now_us), input_id=input_id)
+        funnels[key] = st2
+        if st.window_open_ts is None and st2.window_open_ts is not None:
             self._push(
                 self.now_us + st.policy.delta_ms * US_PER_MS, PRIO_FUNNEL,
                 self._on_funnel_fire, domain, ex.exec_id, self.now_us,
             )
-        self.funnels[key] = st2
         if superseded is not None:
             for sub_id in broker.consume_buffered(ex.instance_ids, [superseded]):
                 self.filtered[sub_id] = self.filtered.get(sub_id, 0) + 1
         if emission is not None:
-            consumed = [p for _, p in before if p is not superseded] + [pub]
+            consumed = [p for _, p in st.pending if p is not superseded] + [pub]
             broker.consume_buffered(ex.instance_ids, consumed)
             self._emit(domain, ex, emission)
 
     def _on_funnel_fire(self, domain: str, exec_id: str, open_us: int) -> None:
+        """Close the time window opened at open_us, unless it already closed
+        or its node failed since: then the node holds a newer state or none."""
         broker = self.brokers[domain]
         ex = broker.exec_graph.stages.get(exec_id)
-        if ex is None or not self.topo.is_node_up(ex.node):
+        if ex is None:
             return
+        funnels = self.nodes[ex.node].funnels
         key = (domain, exec_id)
-        st = self.funnels.get(key)
+        st = funnels.get(key)
         if st is None or st.window_open_ts != _ms(open_us):
-            return  # stale timer from a window that already closed
+            return
         st2, emission = funnel_tick(st, _ms(self.now_us))
-        self.funnels[key] = st2
+        funnels[key] = st2
         if emission is not None:
             broker.consume_buffered(ex.instance_ids, [c for _, c in st.pending])
             self._emit(domain, ex, emission)
@@ -724,31 +714,24 @@ class _World:
             return
         self.topo = self.topo.with_node_state(target, up)
         if up:
-            del self.down[target]
             for domain in sorted(self.brokers):
                 if self.brokers[domain].broker_node == target:
                     for failed, fail_us in self.pending_repairs.pop(domain, []):
                         self._run_repair(domain, failed, fail_us)
             return
-        self.down[target] = [self.now_us, 0]
-        q = self.nodeq[target]
+        q = self.nodes[target]
         if q.running is not None:
             self.busy_us[target] += self.now_us - q.started_us
-        q.running = None
-        q.waiting.clear()
-        for key in sorted(self.funnels):
-            domain, exec_id = key
-            ex = self.brokers[domain].exec_graph.stages.get(exec_id)
-            if ex is not None and ex.node == target:
-                del self.funnels[key]
+        self.nodes[target] = _Node(failed_us=self.now_us)
 
     def _on_heartbeat(self) -> None:
         misses = self.sc.sim.heartbeat_misses
-        for node, record in sorted(self.down.items()):
-            record[1] += 1
-            if record[1] != misses:
+        for node in sorted(self.topo.down_nodes):
+            record = self.nodes[node]
+            record.missed += 1
+            if record.missed != misses:
                 continue  # not yet detected, or detected on an earlier tick
-            fail_us = record[0]
+            fail_us = record.failed_us
             for domain in sorted(self.brokers):
                 broker = self.brokers[domain]
                 if not self.topo.is_node_up(broker.broker_node):
@@ -763,7 +746,7 @@ class _World:
         if self.topo.is_node_up(failed):
             return  # blip ended before detection completed
         plan = self.brokers[domain].on_node_failure(
-            failed, self.topo, self.sc.workload, self.sc.objective, _ms(self.now_us)
+            failed, self.topo, self.sc.workload, self.sc.objective
         )
         for iid in plan.affected:
             self.recovery_us.setdefault(iid, []).append(self.now_us - fail_us)
@@ -819,20 +802,15 @@ class _World:
                 executions=self.exec_counts.get(exec_id, 0),
             ))
         instances_out = []
-        repairs_total = 0
-        suspended_total = 0
         for domain in sorted(self.brokers):
             broker = self.brokers[domain]
             for iid in sorted(broker.instances):
                 inst = broker.instances[iid]
-                repairs_total += inst.repairs
-                suspended = inst.status == "suspended"
-                suspended_total += int(suspended)
                 instances_out.append(InstanceMetrics(
                     instance_id=iid,
                     sub_id=inst.sub_id,
                     repairs=inst.repairs,
-                    suspended=suspended,
+                    suspended=inst.status == "suspended",
                     recovery_ms=tuple(
                         float(Fraction(us, 1000))
                         for us in self.recovery_us.get(iid, [])
@@ -846,8 +824,8 @@ class _World:
             filtered=sum(s.filtered for s in subs_out),
             kb=float(Fraction(sum(self.link_bytes.values()), 1024)),
             executions=sum(self.exec_counts.values()),
-            repairs=repairs_total,
-            suspended=suspended_total,
+            repairs=sum(i.repairs for i in instances_out),
+            suspended=sum(i.suspended for i in instances_out),
             raw_link_crossings=self.raw_crossings,
         )
         return MetricsReport(

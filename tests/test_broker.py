@@ -356,7 +356,7 @@ def test_failure_replays_exactly_the_unacked_entries():
         b.on_publish(raw_pub(seq=seq), Fraction(seq))
     b.on_ack("tap", 2)
     t = topo_line().with_node_state("hub", up=False)
-    plan = b.on_node_failure("hub", t, workload(), Objective(), Fraction(9))
+    plan = b.on_node_failure("hub", t, workload(), Objective())
     assert plan.affected == () and plan.suspended == ()
     assert [(a.sub_id, a.pub.seq) for a in plan.replays] == [
         ("tap", 3), ("tap", 4), ("tap", 5)
@@ -379,7 +379,7 @@ def test_failure_replays_a_shared_prefix_once_per_stream_seq():
     assert entry.instance_ids == ("d-i1", "d-i2")
 
     t = topo_line().with_node_state("pub2", up=False)
-    plan = b.on_node_failure("pub2", t, workload(), Objective(), Fraction(9))
+    plan = b.on_node_failure("pub2", t, workload(), Objective())
     tasks = [a for a in plan.replays if isinstance(a, StageTask)]
     deliveries = [a for a in plan.replays if isinstance(a, Delivery)]
     assert len(tasks) + len(deliveries) == len(plan.replays)
@@ -399,7 +399,7 @@ def test_failure_of_subscriber_suspends_and_drops_entries():
     b.subscribe(inf_sub(), topo_line(), workload(), Objective())
     b.on_publish(raw_pub(), Fraction(0))
     t = topo_line().with_node_state("mon", up=False)
-    plan = b.on_node_failure("mon", t, workload(), Objective(), Fraction(1))
+    plan = b.on_node_failure("mon", t, workload(), Objective())
     assert plan.suspended == ("d-i1",)
     assert plan.replays == ()
     assert b.instances["d-i1"].status == "suspended"
@@ -430,7 +430,7 @@ def test_failure_replans_stages_off_the_dead_node():
     hosts = set(inst.placement.assignment.values())
     assert "hub" in hosts  # the fast middle pulls at least one stage
     down = t.with_node_state("hub", up=False)
-    plan = b.on_node_failure("hub", down, workload(), Objective(), Fraction(1))
+    plan = b.on_node_failure("hub", down, workload(), Objective())
     assert plan.affected == ("d-i1",)
     assert inst.repairs == 1
     assert "hub" not in set(inst.placement.assignment.values())

@@ -89,6 +89,12 @@ def _nwdaf_with(edit) -> bytes:
     return json.dumps(doc, indent=2).replace('"HUGE"', "1e400").encode()
 
 
+def _nwdaf_tiny(edit) -> bytes:
+    """_nwdaf_with(edit), with every "TINY" string made the literal 1e-400:
+    json reads it exactly, but the nearest float is 0.0."""
+    return _nwdaf_with(edit).replace(b'"TINY"', b"1e-400")
+
+
 @pytest.mark.parametrize("data, message", [
     (_nwdaf_with(lambda d: d.update(objective={"alpha": 0, "beta": 0})),
      "invalid scenario: objective: "),
@@ -99,11 +105,19 @@ def _nwdaf_with(edit) -> bytes:
     (_nwdaf_with(lambda d: d["subscriptions"][0].update(
         prefilter={"predicate": "threshold", "args": {"cutoff": "HUGE", "index": 0}})),
      "invalid scenario: subscriptions[0].prefilter.args.cutoff: "),
-], ids=["zero-weights", "huge-payload", "huge-params", "huge-prefilter-arg"])
+    (_nwdaf_tiny(lambda d: d["workload"]["net/nf1/kpi"].update(payload=[1, "TINY"])),
+     "invalid scenario: workload.net/nf1/kpi.payload[1]: number too small for a float"),
+    (_nwdaf_tiny(lambda d: d["models"][0].update(params=["TINY"])),
+     "invalid scenario: models[0].params[0]: number too small for a float"),
+    (_nwdaf_tiny(lambda d: d["subscriptions"][0].update(
+        prefilter={"predicate": "threshold", "args": {"cutoff": "TINY", "index": 0}})),
+     "invalid scenario: subscriptions[0].prefilter.args.cutoff: number too small for a float"),
+], ids=["zero-weights", "huge-payload", "huge-params", "huge-prefilter-arg",
+        "tiny-payload", "tiny-params", "tiny-prefilter-arg"])
 def test_an_invalid_value_exits_1_with_one_line(data, message, tmp_path, capsys):
     """An objective whose weights are both zero, and a number too large for a
-    float where the scenario stores floats, are invalid scenarios: exit 1 and
-    one stderr line naming the item, no traceback."""
+    float or too small for one where the scenario stores floats, are invalid
+    scenarios: exit 1 and one stderr line naming the item, no traceback."""
     bad = tmp_path / "bad.json"
     bad.write_bytes(data)
     for command in ("validate", "run", "place"):
@@ -113,6 +127,22 @@ def test_an_invalid_value_exits_1_with_one_line(data, message, tmp_path, capsys)
         captured = capsys.readouterr()
         assert captured.err.startswith(message) and captured.err.count("\n") == 1
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("data, line", [
+    (b'{"topology": {}}', "invalid scenario: top level: missing key 'models'"),
+    (b"[1]", "invalid scenario: top level: expected an object"),
+    (_nwdaf_with(lambda d: d.update(extra=1)), "invalid scenario: extra: unexpected key"),
+], ids=["missing-key", "not-an-object", "extra-key"])
+def test_a_rule_broken_at_the_top_level_names_it(data, line, tmp_path, capsys):
+    """The document's own rules name the top level, and an unexpected key
+    its own name: never an empty path or one with a leading dot."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--scenario", str(bad)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_run_stdout_matches_library(capsys):
