@@ -682,13 +682,14 @@ class Topology:
             if nid != node.node_id:
                 raise ValueError(f"topology: node keyed {nid!r} vs {node.node_id!r}")
         # routing index, built on first use; a snapshot never changes, so
-        # neither needs invalidating. _root: the snapshot this one derives from.
-        # _scale, the LCM of the link latency denominators, makes every route
-        # latency an int, that of a route staying on its node included
+        # none of it needs invalidating. _root: the snapshot this one derives
+        # from. _scale, the LCM of the link latency denominators, makes every
+        # route latency an int, that of a route staying on its node included
         scale = lcm(*(l.latency_ms.denominator for l in self.links.values()))
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_adjacency", None)
-        object.__setattr__(self, "_trees", {})
+        object.__setattr__(self, "_routes", {})
+        object.__setattr__(self, "_searches", {})
         object.__setattr__(self, "_root", None)
 
     @classmethod
@@ -749,34 +750,62 @@ class Topology:
         """(latency * _scale, hops, path) of route(self, a, b), or None when
         there is no route; route and route_latency raise NoRouteError then.
 
-        Answers come from a's shortest-path tree over up links, built on the
-        first query from a and cached per snapshot. A tree holds only the up
-        nodes its up source reaches, so a hit needs no other check. Heap keys
+        Each answer is kept per snapshot, so a repeated query is one lookup.
+        A leaf, a node with one up neighbour, is never searched from or
+        through: every route from or to it takes that one link, which shifts
+        latency and hops by a constant and keeps the path order, so its
+        answer is its neighbour's plus one hop. Routes between other nodes
+        come from a Dijkstra per source over the non-leaf core that stops
+        once the target is settled and resumes from the same heap for a later
+        target, so it settles nodes in the order a full run would. Heap keys
         (latency * _scale, hops, path) are unique ints and tuples, so each
         node's first pop is its minimum under the (latency, hops, path) order
-        route documents; the popped key is the entry.
+        route documents; the popped key is the answer.
         """
-        tree = self._trees.get(a)
-        if tree is None:
-            if a not in self.nodes or b not in self.nodes:
-                return None
-            if a == b:
-                return (0, 0, (a,))
-            if a in self.down_nodes:
-                return None
-            adj = self._up_adjacency()
-            tree = self._trees[a] = {}
-            heap: list[tuple[int, int, tuple[str, ...]]] = [(0, 0, (a,))]
-            while heap:
-                lat, hops, path = heapq.heappop(heap)
-                here = path[-1]
-                if here in tree:
-                    continue
-                tree[here] = (lat, hops, path)
-                for nxt, _, w in adj[here]:
-                    if nxt not in tree:
-                        heapq.heappush(heap, (lat + w, hops + 1, path + (nxt,)))
-        return tree.get(b)
+        try:
+            return self._routes[a, b]
+        except KeyError:
+            pass
+        got = self._routes[a, b] = self._solve(a, b)
+        return got
+
+    def _solve(self, a: str, b: str) -> tuple[int, int, tuple[str, ...]] | None:
+        if a not in self.nodes or b not in self.nodes:
+            return None
+        if a == b:
+            return (0, 0, (a,))
+        if a in self.down_nodes or b in self.down_nodes:
+            return None
+        adj = self._up_adjacency()
+        if len(adj[a]) == 1:
+            hub, _, w = adj[a][0]
+            if hub == b:
+                return (w, 1, (a, b))
+            # two leaves joined only to each other reach nothing else
+            got = None if len(adj[hub]) == 1 else self.shortest(hub, b)
+            return got and (got[0] + w, got[1] + 1, (a,) + got[2])
+        if len(adj[b]) == 1:
+            hub, _, w = adj[b][0]
+            if hub == a:
+                return (w, 1, (a, b))
+            got = None if len(adj[hub]) == 1 else self.shortest(a, hub)
+            return got and (got[0] + w, got[1] + 1, got[2] + (b,))
+        if not adj[b]:  # an isolated target: no need to exhaust a's search
+            return None
+        search = self._searches.get(a)
+        if search is None:
+            search = self._searches[a] = ({}, [(0, 0, (a,))])
+        settled, heap = search
+        while b not in settled and heap:
+            lat, hops, path = entry = heapq.heappop(heap)
+            here = path[-1]
+            if here in settled:
+                continue
+            settled[here] = entry
+            for nxt, _, w in adj[here]:
+                if nxt not in settled and len(adj[nxt]) != 1:
+                    heapq.heappush(heap, (lat + w, hops + 1, path + (nxt,)))
+        return settled.get(b)
 
     def with_node_state(self, node_id: str, up: bool) -> Topology:
         if node_id not in self.nodes:
@@ -799,7 +828,7 @@ class Topology:
     def _derive(self, links: dict[tuple[str, str], LinkDescriptor],
                 down: frozenset[str]) -> Topology:
         """The snapshot with these links and down nodes: its root itself, and
-        so the root's trees, when back in the root's state."""
+        so the root's routes, when back in the root's state."""
         root = self._root or self
         if down == root.down_nodes and links == root.links:
             return root
@@ -816,8 +845,9 @@ def route(t: Topology, a: str, b: str) -> list[str]:
 
     Ties go to fewer hops, then the lexicographically smallest node sequence.
     route(t, a, a) == [a]. Raises NoRouteError when there is none. Results
-    come from Topology.shortest: one Dijkstra per (snapshot, source), then
-    O(path length) per query.
+    come from Topology.shortest: one lookup per repeated (snapshot, a, b);
+    a new one extends a resumable Dijkstra over the snapshot's non-leaf
+    nodes, once per (snapshot, source), by the nodes it still has to settle.
     """
     got = t.shortest(a, b)
     if got is None:

@@ -204,7 +204,7 @@ class TransferMemo:
 
     A search measures time in ticks of 1 / unit ms and traffic in bytes
     counted per hop. unit is the LCM of the snapshot's latency denominators
-    (its _scale, in which its routing trees keep latencies), 1024 times each
+    (its _scale, in which its routing keeps latencies), 1024 times each
     bandwidth numerator and cpu, the LCM of the cpu capacity numerators. So
     every route latency and per-hop transfer time is a whole number of
     ticks, and so is compute_cost / cpu_capacity for every compute cost whose

@@ -68,8 +68,9 @@ def random_faults(sc: Scenario, seed: int) -> Scenario:
 
     Each blip takes down a node, a link or a broker node and brings it back
     after 0.01 ms to 3 s, or never. It starts at the µs of an earlier fault,
-    or within 8 ms after one of a topic's first 40 publications, when its
-    transfers are likely in flight, or anywhere in the run, in half µs.
+    or within 8 ms after one of a topic's first 40 publications (of all of
+    them when it publishes fewer), when its transfers are likely in flight,
+    or anywhere in the run, in half µs.
     Blips may overlap, also on one target, so a fault may find its target
     already in that state.
     """
@@ -85,7 +86,9 @@ def random_faults(sc: Scenario, seed: int) -> Scenario:
         if times and draw < 0.25:
             at = rng.choice(times)
         elif draw < 0.75:
-            at = _publication_ms(sc, *rng.choice(topics), rng.randrange(40))
+            topic, entry = rng.choice(topics)
+            k = rng.randrange(min(entry.count or 40, 40))
+            at = _publication_ms(sc, topic, entry, k)
             at += Fraction(rng.randrange(16000), 2000)
         else:
             at = Fraction(rng.randrange(sc.sim.duration_ms * 2000), 2000)

@@ -308,7 +308,7 @@ def _ref_reach(t: Topology, a: str, b: str) -> tuple[Fraction, int, tuple[str, .
     Read through the public route and route_latency, which
     test_route_matches_the_per_call_dijkstra_reference checks against
     ref_route, so no reference here depends on how a snapshot stores its
-    shortest-path trees."""
+    routes."""
     try:
         latency, hops = route_latency(t, a, b)
         return latency, hops, tuple(route(t, a, b))

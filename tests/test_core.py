@@ -419,33 +419,25 @@ def test_route_errors_when_endpoint_down_or_disconnected():
             route_latency(t, a, b)
 
 
-@st.composite
-def flaky_topology_chains(draw):
-    """A random topology and a chain of node/link state flips on it.
+# integers, decimals and thirds (unlike denominators), so equal-latency routes
+# are common and the hop and path tie-breaks decide
+LATENCIES = st.sampled_from((0, 1, 2, 0.1, 0.25, 0.5, 2.5, "1/3"))
 
-    Latencies mix integers with decimals and thirds (unlike denominators), so
-    equal-latency routes are common and the hop and path tie-breaks decide;
-    links may start down, and the graph need not be connected. A step is
-    either one flip or an excursion: overlapping node and link faults, then
-    their undoing in a random order, which brings the chain back to the state
-    the excursion left (the loaded one when it starts at the first snapshot).
+
+def _flip_chain(draw, ids, ends, states, steps=4):
+    """The topology of nodes ids and links ends, loaded with links in the
+    drawn states, then a chain of up to steps node/link state flips on it.
+
+    A step is either one flip or an excursion: overlapping node and link
+    faults, then their undoing in a random order, which brings the chain back
+    to the state the excursion left (the loaded one when it starts at the
+    first snapshot).
     """
-    n = draw(st.integers(2, 7))
-    ids = [f"n{i}" for i in range(n)]
     nodes = [NodeDescriptor(i, "edge", Fraction(4), Fraction(256)) for i in ids]
-    pairs = draw(st.sets(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-        .filter(lambda ij: ij[0] < ij[1]),
-        max_size=n * (n - 1) // 2,
-    ))
     links = [
-        LinkDescriptor(
-            ids[i], ids[j],
-            latency_ms=draw(st.sampled_from((0, 1, 2, 0.1, 0.25, 0.5, 2.5, "1/3"))),
-            bandwidth_kb_per_ms=100,
-            state=draw(st.sampled_from(("up", "up", "down"))),
-        )
-        for i, j in sorted(pairs)
+        LinkDescriptor(x, y, latency_ms=draw(LATENCIES), bandwidth_kb_per_ms=100,
+                       state=draw(states))
+        for x, y in ends
     ]
     chain = [Topology.of(nodes, links)]
     targets = [("node", i) for i in ids] + [("link", e) for e in sorted(chain[0].links)]
@@ -460,7 +452,7 @@ def flaky_topology_chains(draw):
             return t.with_link_state(*what, up)
         return t.with_node_state(what, up)
 
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, steps))):
         faults = draw(st.lists(st.sampled_from(targets), min_size=1, max_size=3))
         if draw(st.booleans()):
             chain.append(set_state(chain[-1], faults[0], draw(st.booleans())))
@@ -473,6 +465,54 @@ def flaky_topology_chains(draw):
     return chain
 
 
+def _draw_links(draw, ids, min_size=0):
+    """A drawn set of links among ids, as sorted end pairs."""
+    n = len(ids)
+    pairs = draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda ij: ij[0] < ij[1]),
+        min_size=min_size, max_size=n * (n - 1) // 2,
+    ))
+    return [(ids[i], ids[j]) for i, j in sorted(pairs)]
+
+
+@st.composite
+def flaky_topology_chains(draw):
+    """A random topology and a chain of node/link state flips on it.
+
+    Links may start down, and the graph need not be connected.
+    """
+    ids = [f"n{i}" for i in range(draw(st.integers(2, 7)))]
+    ends = _draw_links(draw, ids)
+    return _flip_chain(draw, ids, ends, st.sampled_from(("up", "up", "down")))
+
+
+@st.composite
+def pendant_topology_chains(draw):
+    """A core of 2-4 nodes, each with 1-3 leaves and up to two two-node
+    pendant chains, and a chain of up to two steps of node/link state flips
+    on it.
+
+    Most nodes have one link, as devices do; a fault on a core node or link
+    can leave a hub with one link or none, and a fault on a pendant chain's
+    middle node or inner link leaves its tip isolated or its middle a leaf.
+    The core need not be connected.
+    """
+    core = [f"c{i}" for i in range(draw(st.integers(2, 4)))]
+    ids = list(core)
+    ends = _draw_links(draw, core, min_size=1)
+    for hub in core:
+        for k in range(draw(st.integers(1, 3))):
+            ids.append(f"{hub}l{k}")
+            ends.append((hub, ids[-1]))
+        for k in range(draw(st.integers(0, 2))):
+            ids += [f"{hub}p{k}", f"{hub}q{k}"]
+            ends += [(hub, ids[-2]), (ids[-2], ids[-1])]
+    return _flip_chain(
+        draw, ids, ends, st.sampled_from(("up", "up", "up", "down")), steps=2
+    )
+
+
 def _outcome(fn, t, a, b):
     try:
         return fn(t, a, b)
@@ -480,28 +520,150 @@ def _outcome(fn, t, a, b):
         return NoRouteError
 
 
-@given(flaky_topology_chains(), st.data())
-def test_route_matches_the_per_call_dijkstra_reference(chain, data):
+def _assert_answers_like_the_reference(t, a, b):
+    """Topology.shortest answers first, None exactly where the reference
+    raises; route and route_latency then agree with the reference."""
+    got = t.shortest(a, b)
+    want = want_latency = _outcome(ref_route, t, a, b)
+    if want is NoRouteError:
+        assert got is None
+    else:
+        want_latency = ref_route_latency(t, a, b)
+        lat, hops, path = got
+        assert list(path) == want
+        assert (Fraction(lat, t._scale), hops) == want_latency
+    assert _outcome(route, t, a, b) == want
+    assert _outcome(route_latency, t, a, b) == want_latency
+
+
+def _assert_chain_answers_like_the_reference(chain, data):
     ends = sorted(chain[0].nodes) + ["ghost"]  # "ghost" is not a node
     pairs = [(a, b) for a in ends for b in ends]
     # every snapshot is queried in turn, so a later one starts from the
-    # cached trees of the earlier ones still alive; each takes its queries
-    # in a drawn order, so no answer can depend on which trees exist yet.
-    # Topology.shortest answers first, None exactly where the reference raises
+    # cached answers of the earlier ones still alive; each takes its queries
+    # in a drawn order, so no answer can depend on which are cached yet
     for t in chain:
         for a, b in data.draw(st.permutations(pairs)):
-            got = t.shortest(a, b)
-            want = _outcome(ref_route, t, a, b)
-            if want is NoRouteError:
-                assert got is None
-            else:
-                lat, hops, path = got
-                assert list(path) == want
-                assert (Fraction(lat, t._scale), hops) == ref_route_latency(t, a, b)
-            assert _outcome(route, t, a, b) == want
-            assert _outcome(route_latency, t, a, b) == _outcome(
-                ref_route_latency, t, a, b
-            )
+            _assert_answers_like_the_reference(t, a, b)
+
+
+@given(flaky_topology_chains(), st.data())
+def test_route_matches_the_per_call_dijkstra_reference(chain, data):
+    _assert_chain_answers_like_the_reference(chain, data)
+
+
+@given(pendant_topology_chains(), st.data())
+def test_route_on_pendant_heavy_topologies_matches_the_reference(chain, data):
+    _assert_chain_answers_like_the_reference(chain, data)
+
+
+def _star_pair_and_island() -> Topology:
+    """Hub h with leaves l1, l2 and a two-hop tail h-m-t (t a leaf), h-k and
+    k-m closing a cycle; p and q are joined only to each other; z has no
+    link at all."""
+    return Topology.of(
+        [NodeDescriptor(i, "edge", 4, 64)
+         for i in ("h", "k", "l1", "l2", "m", "p", "q", "t", "z")],
+        [
+            LinkDescriptor("h", "l1", 1, 100), LinkDescriptor("h", "l2", 2, 100),
+            LinkDescriptor("h", "m", 1, 100), LinkDescriptor("m", "t", 1, 100),
+            LinkDescriptor("h", "k", 1, 100), LinkDescriptor("k", "m", 1, 100),
+            LinkDescriptor("p", "q", 3, 100),
+        ],
+    )
+
+
+def _assert_every_pair_answers_like_the_reference(make):
+    """Every ordered pair of make()'s nodes and an unknown one, asked in
+    sorted and in reverse order of a fresh snapshot each."""
+    ends = sorted(make().nodes) + ["ghost"]
+    pairs = [(a, b) for a in ends for b in ends]
+    for order in (pairs, pairs[::-1]):
+        t = make()
+        for a, b in order:
+            _assert_answers_like_the_reference(t, a, b)
+
+
+def test_two_leaves_joined_only_to_each_other_reach_each_other_and_nothing_else():
+    t = _star_pair_and_island()
+    assert route(t, "p", "q") == ["p", "q"]
+    assert route_latency(t, "q", "p") == (Fraction(3), 1)
+    for a, b in [("p", "h"), ("h", "q"), ("p", "l1"), ("l2", "q"), ("q", "z")]:
+        assert t.shortest(a, b) is None
+    _assert_every_pair_answers_like_the_reference(_star_pair_and_island)
+
+
+def test_a_leaf_next_to_the_target_and_leaves_through_one_hub():
+    t = _star_pair_and_island()
+    assert route(t, "l1", "h") == ["l1", "h"]
+    assert route(t, "h", "l2") == ["h", "l2"]
+    assert route(t, "l1", "l2") == ["l1", "h", "l2"]
+    assert route_latency(t, "l2", "l1") == (Fraction(3), 2)
+    # h-m (1 ms) beats h-k-m (2 ms) on the way to the tail's leaf
+    assert route(t, "l1", "t") == ["l1", "h", "m", "t"]
+    assert route(t, "t", "l2") == ["t", "m", "h", "l2"]
+    for a, b in [("l1", "h"), ("h", "l2"), ("l1", "l2"), ("l2", "l1"),
+                 ("l1", "t"), ("t", "l2"), ("m", "t"), ("t", "k")]:
+        _assert_answers_like_the_reference(t, a, b)
+
+
+def test_an_isolated_up_node_reaches_only_itself():
+    t = _star_pair_and_island()
+    assert route(t, "z", "z") == ["z"]
+    for other in ("h", "l1", "p"):
+        assert t.shortest("z", other) is None
+        assert t.shortest(other, "z") is None
+        _assert_answers_like_the_reference(t, "z", other)
+        _assert_answers_like_the_reference(t, other, "z")
+
+
+def test_a_route_to_itself_needs_a_known_node_but_not_an_up_one():
+    t = _star_pair_and_island().with_node_state("l1", up=False)
+    assert t.shortest("l1", "l1") == (0, 0, ("l1",))
+    assert route(t, "l1", "l1") == ["l1"]
+    assert route_latency(t, "l1", "l1") == (Fraction(0), 0)
+    assert t.shortest("ghost", "ghost") is None
+    with pytest.raises(NoRouteError):
+        route(t, "ghost", "ghost")
+    for a, b in [("l1", "l1"), ("ghost", "ghost"), ("l1", "h"), ("h", "l1")]:
+        _assert_answers_like_the_reference(t, a, b)
+
+
+def _dual_homed() -> Topology:
+    """d is dual-homed on hubs a (1 ms) and b (2 ms); a-b is 2 ms; a and b
+    each have a leaf, la and lb."""
+    return Topology.of(
+        [NodeDescriptor(i, "edge", 4, 64) for i in ("a", "b", "d", "la", "lb")],
+        [
+            LinkDescriptor("a", "d", 1, 100), LinkDescriptor("b", "d", 2, 100),
+            LinkDescriptor("a", "b", 2, 100),
+            LinkDescriptor("a", "la", 1, 100), LinkDescriptor("b", "lb", 1, 100),
+        ],
+    )
+
+
+@pytest.mark.parametrize("fault", ["link a-d", "node a"])
+def test_a_dual_homed_node_made_a_leaf_by_a_fault_routes_through_its_other_hub(fault):
+    def faulted():
+        loaded = _dual_homed()
+        for a, b in [("d", "la"), ("lb", "d"), ("d", "lb")]:
+            route(loaded, a, b)  # answers cached on the loaded snapshot
+        if fault == "node a":
+            return loaded.with_node_state("a", up=False)
+        return loaded.with_link_state("a", "d", up=False)
+
+    loaded = _dual_homed()
+    assert route(loaded, "lb", "d") == ["lb", "b", "d"]
+    assert route(loaded, "la", "lb") == ["la", "a", "b", "lb"]
+    t = faulted()
+    assert route(t, "lb", "d") == ["lb", "b", "d"]
+    assert route(t, "d", "lb") == ["d", "b", "lb"]
+    if fault == "node a":
+        assert t.shortest("d", "la") is None
+    else:
+        assert route(t, "d", "la") == ["d", "b", "a", "la"]
+        assert route_latency(t, "la", "d") == (Fraction(5), 3)
+    _assert_every_pair_answers_like_the_reference(faulted)
 
 
 def _diamond() -> Topology:
@@ -517,7 +679,7 @@ def _diamond() -> Topology:
 
 def test_link_fault_snapshot_ignores_the_cached_tree_of_its_parent():
     t = _diamond()
-    assert route(t, "a", "b") == ["a", "m", "b"]  # caches a's tree on t
+    assert route(t, "a", "b") == ["a", "m", "b"]  # cached on t
     t2 = t.with_link_state("a", "m", up=False)
     assert route(t2, "a", "b") == ["a", "n", "b"]
     assert route_latency(t2, "a", "b") == (Fraction(4), 2)
@@ -538,7 +700,7 @@ def test_node_fault_snapshot_ignores_the_cached_tree_of_its_parent():
 
 def test_a_faulted_snapshot_never_answers_from_the_loaded_trees():
     loaded = _diamond()
-    assert route(loaded, "a", "b") == ["a", "m", "b"]  # caches a's tree
+    assert route(loaded, "a", "b") == ["a", "m", "b"]  # cached on loaded
     link_down = loaded.with_link_state("a", "m", up=False)
     node_down = loaded.with_node_state("m", up=False)
     both = link_down.with_node_state("m", up=False)
@@ -567,7 +729,7 @@ def _decimal_diamond(a_m_state: str = "up") -> Topology:
 def test_a_snapshot_back_in_the_loaded_state_answers_like_a_fresh_topology(a_m_state):
     loaded = _decimal_diamond(a_m_state)
     ids = sorted(loaded.nodes)
-    for a in ids:  # fill the loaded snapshot's trees first
+    for a in ids:  # fill the loaded snapshot's answers first
         for b in ids:
             route(loaded, a, b)
     back = (

@@ -395,8 +395,9 @@ def test_random_fault_schedules_run_as_pinned(name):
 
 
 # run_digest(random_faults(sc, seed)) for seeds 0-7 on helper scenarios with
-# a time window, a barrier and prefilters, taken when a node's funnel states
-# were kept apart from its jobs and dropped by a scan of the exec graph
+# a time window, a barrier and prefilters, taken with a node's funnel states
+# kept in its one record and routes read from per-source shortest-path trees,
+# once random_faults drew fault times only from publications a topic makes
 HELPER_FAULT_SCHEDULES = {
     "time-window": lambda: time_window_scenario(pubs=8, delta_ms=40),
     "barrier": lambda: barrier_scenario(count_a=10, count_b=7),
@@ -404,24 +405,24 @@ HELPER_FAULT_SCHEDULES = {
 }
 HELPER_FAULT_SCHEDULE_DIGESTS = {
     "time-window": (
+        "5ec9e86248512a1f926c36a9dd6dd9330d47359833044e1753395b97dca8e7b9",
+        "31ac5a43c4a00a3ee00da4b0703fc847b2bfbcb8b5b392a3f392bfe11003862e",
+        "a7d656604048075731c70830b9365d8a45475cf32af24a99c18cc8b1612adc91",
+        "652b0d83c86837d91452e1e962c45fa3f99498b7307ab9b844f7bd210d1eadca",
+        "17e69c08b26598b4371d41b12c5da2fe9ade3f27765aad4a30f48782265e6bb2",
+        "ae8ebe37056d4ee189bdd30462381fb9108d6a91e771d702a01ae83326667b0e",
         "35a28d10eee15c95367c8e097258b1b242e8065a82be8cf0a5d3c89d90e41ab1",
-        "17e69c08b26598b4371d41b12c5da2fe9ade3f27765aad4a30f48782265e6bb2",
-        "17e69c08b26598b4371d41b12c5da2fe9ade3f27765aad4a30f48782265e6bb2",
-        "17e69c08b26598b4371d41b12c5da2fe9ade3f27765aad4a30f48782265e6bb2",
-        "17e69c08b26598b4371d41b12c5da2fe9ade3f27765aad4a30f48782265e6bb2",
-        "17e69c08b26598b4371d41b12c5da2fe9ade3f27765aad4a30f48782265e6bb2",
-        "17e69c08b26598b4371d41b12c5da2fe9ade3f27765aad4a30f48782265e6bb2",
         "17e69c08b26598b4371d41b12c5da2fe9ade3f27765aad4a30f48782265e6bb2",
     ),
     "barrier": (
-        "64ab539949c5ed3ca727b39a35445d540944f7eeab53ab9e8118aa823e5f5187",
-        "b57c1a81db1cdb0a1c8ba71938ad7974956a798b051646ca2e2835d1c7bdbb30",
-        "b57c1a81db1cdb0a1c8ba71938ad7974956a798b051646ca2e2835d1c7bdbb30",
-        "b57c1a81db1cdb0a1c8ba71938ad7974956a798b051646ca2e2835d1c7bdbb30",
+        "90176c9789f8bdbe3cae277b578de01a0a7aec572632a6622d23034bd03bc256",
+        "d6bf705b42db6056850003ac9cd78c43dcf95e929c869ae74d39f1a02e0dde93",
+        "25723ea220e211c8e408d236ad797a7fea0bf2727fdee4b7e919bd21c11603ff",
+        "21d6bfa1029300b74e3ded26264fe33d4f0666ec07eac7d9f4b5fc595ca1171f",
         "865c9978e6a1803cbe79930bde67ef5afa69d0daf13ff070ef8c5aa8b1bf2c6f",
-        "3e3cfb5f152f15fe5c71c193522dbe1878a498d46e70942b4be7e3419175ff6e",
-        "e8e5e661fce9dde710abe3a3e98ce91c0f95171889ac9a23f5a1f1e77c6d184e",
-        "b57c1a81db1cdb0a1c8ba71938ad7974956a798b051646ca2e2835d1c7bdbb30",
+        "80bbb67cbdd0c7919768857fd74dd9b9c0f6558c1d8fd50199acf556b752c51d",
+        "752cd50978b40522b4ca3408c166ec69c33b27cf77cb91def148ee6a7674463a",
+        "8239cd7f73ffb16fb8bfa2380dcd404e17853b4e6539fd22bed1a5e7f7d2e69a",
     ),
     "prefilter": (
         "a71ff454839f3ae37c909c930d318328907cb7e45b1804fe48c701ca0a6fa29b",
