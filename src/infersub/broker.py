@@ -94,13 +94,17 @@ class PeerLink:
     bridge: LinkDescriptor
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BufferEntry:
     """One unacked publication held for retransmission.
 
     reentry_stage names where a replay re-enters the pipeline (None means a
     direct delivery to the subscriber); via_stage names the producing input
     for funnel offers.
+
+    This record and the two actions below are built once per event and never
+    assigned, hashed or compared by identity, so they are slotted and not
+    frozen: a frozen build writes each field through object.__setattr__.
     """
 
     sub_id: str
@@ -112,7 +116,7 @@ class BufferEntry:
     via_stage: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Delivery:
     """Send pub to the subscriber of sub_id."""
 
@@ -123,7 +127,7 @@ class Delivery:
     origin: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StageTask:
     """Run pub through the execution stage exec_id (transfer from origin)."""
 
@@ -699,6 +703,9 @@ class Broker:
         """
         affected: list[str] = []
         suspended: list[str] = []
+        # every replan of this failure shares one memo, so each pipeline
+        # shape is derived once per repair
+        memo = TransferMemo(t)
         for iid in sorted(self.instances):
             inst = self.instances[iid]
             if inst.status != "active":
@@ -715,7 +722,7 @@ class Broker:
             try:
                 pl = replan(
                     inst.placement, {failed}, inst.pipeline, t, w, o,
-                    inst.publishers, inst.subscriber,
+                    inst.publishers, inst.subscriber, memo,
                 )
             except (InstanceTerminatedError, NoFeasiblePlacementError) as exc:
                 inst.status = "suspended"

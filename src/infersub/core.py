@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -57,13 +57,16 @@ class Topic:
         for seg in self.segments:
             if not seg or any(c in seg for c in "/+#"):
                 raise ValueError(f"topic: bad segment {seg!r}")
+        # rendered once: a run shares one Topic per topic and renders it per
+        # stream key. Not a field, so eq, hash, order and repr ignore it
+        object.__setattr__(self, "_text", "/".join(self.segments))
 
     @classmethod
     def parse(cls, text: str) -> Topic:
         return cls(tuple(text.split("/")))
 
     def __str__(self) -> str:
-        return "/".join(self.segments)
+        return self._text
 
 
 @dataclass(frozen=True, order=True)
@@ -174,7 +177,7 @@ def inference_inputs(bound: TopicIndex, filter: TopicFilter) -> list[str]:
 # Publications
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Publication:
     """A sized, sequence-numbered message on a topic.
 
@@ -192,27 +195,53 @@ class Publication:
     tag: str = "raw"
     semantic_tag: str | None = None
 
-    def __post_init__(self) -> None:
-        # a derived publication passes its source's checked values on, so each
-        # check costs little when it holds: no as_ratio for a Fraction, and
-        # the sign from the numerator (a Fraction's denominator is positive)
-        ts = self.ts
+    def __init__(
+        self,
+        topic: Topic,
+        source: str,
+        seq: int,
+        ts: Ratio,
+        size_bytes: int,
+        payload: Iterable[float] = (1.0,),
+        tag: str = "raw",
+        semantic_tag: str | None = None,
+    ) -> None:
+        # the loop builds one per event: check, then store each field through
+        # its slot's own setter (_put_*), which the frozen __setattr__ does not
+        # block, rather than a lookup through object.__setattr__. Slots keep a
+        # publication smaller than an instance dict would. A derived
+        # publication passes its source's checked values on, so each check
+        # costs little when it holds: no as_ratio for a Fraction, and the sign
+        # from the numerator (a Fraction's denominator is positive)
         if type(ts) is not Fraction:
             ts = as_ratio(ts)
-            object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "payload", tuple(map(float, self.payload)))
-        if self.seq < 0:
+        payload = tuple(map(float, payload))
+        if seq < 0:
             raise ValueError("publication: seq must be >= 0")
         if ts.numerator < 0:
             raise ValueError("publication: ts must be >= 0")
-        if self.size_bytes < 1:
+        if size_bytes < 1:
             raise ValueError("publication: size_bytes must be >= 1")
-        if self.tag not in TAGS:
+        if tag not in TAGS:
             raise ValueError(f"publication: tag must be one of {TAGS}")
+        _put_topic(self, topic)
+        _put_source(self, source)
+        _put_seq(self, seq)
+        _put_ts(self, ts)
+        _put_size_bytes(self, size_bytes)
+        _put_payload(self, payload)
+        _put_tag(self, tag)
+        _put_semantic_tag(self, semantic_tag)
 
     def sort_key(self) -> tuple:
         """Canonical (topic, source, seq) ordering used before combining."""
         return (self.topic, self.source, self.seq)
+
+
+(
+    _put_topic, _put_source, _put_seq, _put_ts, _put_size_bytes, _put_payload,
+    _put_tag, _put_semantic_tag,
+) = (Publication.__dict__[f.name].__set__ for f in fields(Publication))
 
 
 # ---------------------------------------------------------------------------

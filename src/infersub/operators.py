@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -193,9 +193,7 @@ def _combine(state: FunnelState, items: list[Publication], now) -> tuple[FunnelS
         payload=payload,
         tag="derived",
     )
-    cleared = replace(
-        state, pending=(), window_open_ts=None, next_seq=state.next_seq + 1
-    )
+    cleared = FunnelState(state.stage, state.out_topic, (), None, state.next_seq + 1)
     return cleared, out
 
 
@@ -212,36 +210,35 @@ def funnel_offer(
     """
     if input_id is None:
         input_id = p.source
+    # each next state is built directly: replace would re-read every field
+    # through fields()
+    stage, out_topic = state.stage, state.out_topic
+    opened, next_seq = state.window_open_ts, state.next_seq
     policy = state.policy
     if isinstance(policy, Barrier):
         if input_id not in policy.inputs:
             raise UnexpectedInputError(
-                f"funnel {state.stage.stage_id}: input {input_id!r}"
+                f"funnel {stage.stage_id}: input {input_id!r}"
             )
         pending = tuple(
             (iid, q) for iid, q in state.pending if iid != input_id
         ) + ((input_id, p),)
         pending = tuple(sorted(pending, key=lambda pair: pair[0]))
+        nxt = FunnelState(stage, out_topic, pending, opened, next_seq)
         if {iid for iid, _ in pending} == set(policy.inputs):
-            return _combine(
-                replace(state, pending=pending), [q for _, q in pending], now
-            )
-        return replace(state, pending=pending), None
+            return _combine(nxt, [q for _, q in pending], now)
+        return nxt, None
     if isinstance(policy, CountWindow):
         pending = state.pending + ((input_id, p),)
+        nxt = FunnelState(stage, out_topic, pending, opened, next_seq)
         if len(pending) >= policy.n:
-            return _combine(
-                replace(state, pending=pending), [q for _, q in pending], now
-            )
-        return replace(state, pending=pending), None
+            return _combine(nxt, [q for _, q in pending], now)
+        return nxt, None
     # TimeWindow: first buffered publication opens the window.
-    opened = state.window_open_ts
     if opened is None:
         opened = as_ratio(now)
-    return (
-        replace(state, pending=state.pending + ((input_id, p),), window_open_ts=opened),
-        None,
-    )
+    pending = state.pending + ((input_id, p),)
+    return FunnelState(stage, out_topic, pending, opened, next_seq), None
 
 
 def funnel_tick(state: FunnelState, now) -> tuple[FunnelState, Publication | None]:

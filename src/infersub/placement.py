@@ -222,8 +222,10 @@ class TransferMemo:
     the placement's CostReport.
 
     compile_scenario makes one, hands it to every search of the compile and
-    drops it when it returns, so no snapshot, broker or instance keeps any of
-    it alive. A search given none, or one of another snapshot, makes its own.
+    drops it when it returns, and Broker.on_node_failure makes one per repair
+    for every replan of that failure, so no snapshot, broker or instance keeps
+    any of it alive. A search given none, or one of another snapshot, makes
+    its own.
     """
 
     def __init__(self, t: Topology) -> None:
@@ -959,9 +961,11 @@ def replan(
     o: Objective,
     publisher: Publishers,
     subscriber: str,
+    memo: TransferMemo | None = None,
 ) -> Placement:
-    """Re-place only the stages that sat on failed nodes; survivors stay."""
-    ev = _Evaluator(p, t, w, publisher, subscriber)
+    """Re-place only the stages that sat on failed nodes; survivors stay.
+    memo is shared as by place_upstream."""
+    ev = _Evaluator(p, t, w, publisher, subscriber, memo)
     assert ev.pubs is not None
     if subscriber in failed or any(pub in failed for pub in ev.pubs.values()):
         raise InstanceTerminatedError(p.pipeline_id)

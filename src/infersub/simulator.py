@@ -147,15 +147,20 @@ def _periodic_us(emitted: int, rate_per_s: Fraction) -> int:
     return -(-emitted * US_PER_S * rate_per_s.denominator // rate_per_s.numerator)
 
 
-def _latency_stats(lats_us: list[int]) -> tuple[float | None, float | None]:
-    """(mean, nearest-rank p95) of µs latencies in ms; Nones for no latency."""
-    if not lats_us:
+def _latency_stats(hist: dict[int, int]) -> tuple[float | None, float | None]:
+    """(mean, nearest-rank p95) in ms of µs latencies kept as {µs: count};
+    Nones for no latency."""
+    if not hist:
         return None, None
-    lats = sorted(lats_us)
-    rank = -((-95 * len(lats)) // 100)  # ceil
+    n = sum(hist.values())
+    rank = -((-95 * n) // 100)  # ceil
+    for us in sorted(hist):
+        rank -= hist[us]
+        if rank <= 0:
+            break
     return (
-        float(Fraction(sum(lats), US_PER_MS * len(lats))),
-        float(Fraction(lats[rank - 1], US_PER_MS)),
+        float(Fraction(sum(us * c for us, c in hist.items()), US_PER_MS * n)),
+        float(Fraction(us, US_PER_MS)),
     )
 
 
@@ -298,7 +303,7 @@ class _World:
         self.delivered: dict[str, int] = {}
         self.dups: dict[str, int] = {}
         self.filtered: dict[str, int] = {}
-        self.latencies: dict[str, list[int]] = {}  # µs
+        self.latencies: dict[str, dict[int, int]] = {}  # {µs: deliveries}
         self.applied: dict[str, list[int]] = {}
         self.seen: dict[tuple[str, tuple[str, str]], _Seqs] = {}
         self.link_bytes: dict[tuple[str, str], int] = {}
@@ -637,7 +642,9 @@ class _World:
             ts_us, off_clock = divmod(ts.numerator * US_PER_MS, ts.denominator)
             if off_clock:
                 raise ValueError(f"publication ts {ts} ms is not a whole µs")
-            self.latencies.setdefault(sub_id, []).append(self.now_us - ts_us)
+            hist = self.latencies.setdefault(sub_id, {})
+            lat_us = self.now_us - ts_us
+            hist[lat_us] = hist.get(lat_us, 0) + 1
             if pub.semantic_tag in ("model-update", "model-snapshot"):
                 versions = self.applied.setdefault(sub_id, [])
                 if not versions or pub.seq > versions[-1]:
@@ -761,7 +768,7 @@ class _World:
         owners = {s: b for b in self.brokers.values() for s in b.subs}
         for sub_id in sorted(owners):
             broker = owners[sub_id]
-            mean, p95 = _latency_stats(self.latencies.get(sub_id, []))
+            mean, p95 = _latency_stats(self.latencies.get(sub_id, {}))
             subs_out.append(SubscriptionMetrics(
                 sub_id=sub_id,
                 accepted=broker.accept_counts.get(sub_id, 0),

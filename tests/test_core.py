@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -53,6 +54,24 @@ def test_topic_parse_round_trip(segments):
 def test_topic_rejects_wildcards_and_empties(bad):
     with pytest.raises(ValueError):
         Topic.parse(bad)
+
+
+@given(st.lists(SEG, min_size=1, max_size=4))
+def test_topic_renders_its_string_once_and_keeps_its_dataclass_contract(segments):
+    topic = Topic(tuple(segments))
+    assert str(topic) == "/".join(segments)
+    assert repr(topic) == f"Topic(segments={tuple(segments)!r})"
+    assert [f.name for f in dataclasses.fields(Topic)] == ["segments"]
+    # eq, hash and order read the segments only, never the rendered text
+    twin = Topic(tuple(segments))
+    object.__setattr__(twin, "_text", "elsewhere")
+    assert twin == topic and hash(twin) == hash(topic)
+    assert not twin < topic and not topic < twin
+    longer = Topic(tuple(segments) + ("z",))
+    object.__setattr__(longer, "_text", "")
+    assert topic < longer and sorted([longer, twin]) == [twin, longer]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        topic.segments = ("x",)
 
 
 def test_filter_hash_only_last_segment():
@@ -165,14 +184,55 @@ def test_scaled_size_boundaries():
 
 def test_publication_validation():
     topic = Topic.parse("a/b")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^publication: seq must be >= 0$"):
         Publication(topic, "n", -1, Fraction(0), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^publication: ts must be >= 0$"):
         Publication(topic, "n", 0, Fraction(-1), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^publication: size_bytes must be >= 1$"):
         Publication(topic, "n", 0, Fraction(0), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError,
+        match=r"^publication: tag must be one of \('raw', 'derived'\)$",
+    ):
         Publication(topic, "n", 0, Fraction(0), 1, tag="cooked")
+    # the checks run in that order: each case breaks its rule and every later one
+    for args, message in [
+        ((-1, Fraction(-1), 0, "cooked"), "seq"),
+        ((0, Fraction(-1), 0, "cooked"), "ts"),
+        ((0, Fraction(0), 0, "cooked"), "size_bytes"),
+    ]:
+        seq, ts, size, tag = args
+        with pytest.raises(ValueError, match=f"^publication: {message} must be >= "):
+            Publication(topic, "n", seq, ts, size, tag=tag)
+
+
+def test_publication_keeps_its_dataclass_contract():
+    topic = Topic.parse("a/b")
+    by_position = Publication(topic, "n", 3, "1/4", 10, [1, 2], "derived", "x")
+    by_keyword = Publication(
+        semantic_tag="x", tag="derived", payload=(1.0, 2.0), size_bytes=10,
+        ts=Fraction(1, 4), seq=3, source="n", topic=topic,
+    )
+    assert by_position == by_keyword
+    assert hash(by_position) == hash(by_keyword)
+    assert repr(by_position) == repr(by_keyword) == (
+        "Publication(topic=Topic(segments=('a', 'b')), source='n', seq=3, "
+        "ts=Fraction(1, 4), size_bytes=10, payload=(1.0, 2.0), tag='derived', "
+        "semantic_tag='x')"
+    )
+    assert Publication.__match_args__ == tuple(
+        f.name for f in dataclasses.fields(Publication)
+    )
+    defaults = Publication(topic, "n", 0, 0, 1)
+    assert (defaults.payload, defaults.tag, defaults.semantic_tag) == ((1.0,), "raw", None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        by_position.seq = 4
+    # replace builds through __init__, so it checks and converts again
+    with pytest.raises(ValueError, match="size_bytes must be >= 1"):
+        dataclasses.replace(by_position, size_bytes=0)
+    moved = dataclasses.replace(by_position, ts=0.5, payload=[3])
+    assert (moved.ts, moved.payload) == (Fraction(1, 2), (3.0,))
+    assert type(moved.ts) is Fraction
 
 
 @pytest.mark.parametrize("ts", [Fraction(-1, 3), -0.001, -1, "-0.5"])

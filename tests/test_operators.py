@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -252,6 +253,64 @@ def test_emission_seq_continues_from_seeded_counter():
     assert out is not None and out.seq == 41
     state, out = funnel_offer(state, pub(seq=2), 1)
     assert out is not None and out.seq == 42
+
+
+POLICIES = st.one_of(
+    st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True).map(
+        lambda inputs: Barrier(tuple(sorted(inputs)))
+    ),
+    st.integers(1, 4).map(CountWindow),
+    st.integers(1, 5).map(TimeWindow),
+)
+
+
+@given(
+    POLICIES,
+    st.integers(1, 50),
+    st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 3), st.booleans()),
+             max_size=12),
+)
+def test_funnel_steps_build_the_state_replace_would(policy, next_seq, steps):
+    """Each funnel_offer and funnel_tick step returns the next state that
+    dataclasses.replace would build from the state before it."""
+    stage = StageSpec("join", Funnel("concat", policy), 0, 0, 1)
+    state = FunnelState(stage, Topic.parse("pipe/join"), next_seq=next_seq)
+    now = Fraction(0)
+    for i, (source, gap, tick) in enumerate(steps):
+        now += gap
+        if isinstance(policy, Barrier) and source not in policy.inputs:
+            source = policy.inputs[0]
+        emitted = dataclasses.replace(
+            state, pending=(), window_open_ts=None, next_seq=state.next_seq + 1
+        )
+        if tick and isinstance(policy, TimeWindow):
+            nxt, out = funnel_tick(state, now)
+            assert nxt == (state if out is None else emitted)
+            state = nxt
+            continue
+        p = pub(source=source, seq=i + 1, topic=f"feed/{source}")
+        nxt, out = funnel_offer(state, p, now)
+        if isinstance(policy, Barrier):
+            pending = tuple(sorted(
+                [(iid, q) for iid, q in state.pending if iid != source] + [(source, p)],
+                key=lambda pair: pair[0],
+            ))
+            full = len(pending) == len(policy.inputs)
+            want = dataclasses.replace(state, pending=pending)
+        elif isinstance(policy, CountWindow):
+            pending = state.pending + ((source, p),)
+            full = len(pending) >= policy.n
+            want = dataclasses.replace(state, pending=pending)
+        else:
+            opened = now if state.window_open_ts is None else state.window_open_ts
+            full = False
+            want = dataclasses.replace(
+                state, pending=state.pending + ((source, p),), window_open_ts=opened
+            )
+        assert (out is not None) == full
+        assert nxt == (emitted if full else want)
+        assert nxt.stage is stage
+        state = nxt
 
 
 def test_funnel_mean_combine():

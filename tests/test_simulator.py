@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -47,6 +48,7 @@ from helpers import (
     random_faults,
     run_digest,
     simulate_recording_legs,
+    star_scenario,
     time_window_scenario,
     trainer_scenario,
     two_publisher_scenario,
@@ -250,9 +252,10 @@ def test_link_traffic_and_leg_times_are_exact():
         assert [(a, b) for _, a, b in hops] == [("a1", "b"), ("b", "a2")]
         assert hops[1][0] - hops[0][0] == leg_us(("a1", "b"), size)
         want_latencies.append(leg_us(("a1", "b"), size) + leg_us(("a2", "b"), size))
-    # latencies are whole µs from publication to delivery
+    # latencies are whole µs from publication to delivery, kept as a
+    # {µs: deliveries} histogram
     assert all(type(us) is int for us in w.latencies["tap"])
-    assert sorted(w.latencies["tap"]) == sorted(want_latencies)
+    assert w.latencies["tap"] == Counter(want_latencies)
 
     data_kb = Fraction(count * sum(sizes.values()), 1024)
     want_kb = {("a1", "a2"): Fraction(0), ("a1", "b"): data_kb + artifact_kb,
@@ -664,11 +667,30 @@ def test_periodic_us_equals_the_fraction_formula(emitted, rate):
     assert _periodic_us(emitted, rate) == ref_periodic_us(emitted, rate)
 
 
-@given(st.lists(st.integers(0, 10**9), min_size=1, max_size=60))
+# small values repeat, so histogram counts above 1 are common
+@given(st.lists(st.integers(0, 10**9) | st.integers(0, 8), min_size=1, max_size=60))
 def test_latency_stats_equal_the_fraction_formula(lats_us):
     want = ref_latency_stats([Fraction(us, 1000) for us in lats_us])
-    assert _latency_stats(lats_us) == want
-    assert _latency_stats([]) == (None, None)
+    assert _latency_stats(Counter(lats_us)) == want
+    assert _latency_stats({}) == (None, None)
+
+
+def test_latency_memory_does_not_grow_with_run_length():
+    """A periodic stream delivers with the same few latencies however long
+    it runs, so each subscription keeps as many histogram entries at 200
+    publications as at 20, while every delivery is still counted."""
+    entries = {}
+    for count in (20, 200):
+        sc = star_scenario(3, count=count)
+        sc = dataclasses.replace(
+            sc, sim=dataclasses.replace(sc.sim, duration_ms=100 * count + 1000)
+        )
+        w = simulate(sc)
+        assert {sub: sum(h.values()) for sub, h in w.latencies.items()} == {
+            sub: count for sub in ("s01", "s02", "s03")
+        }
+        entries[count] = {sub: len(h) for sub, h in w.latencies.items()}
+    assert entries[200] == entries[20]
 
 
 @given(st.lists(st.integers(0, 40), max_size=80))
