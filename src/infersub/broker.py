@@ -202,6 +202,9 @@ class Broker:
         self.funnel_seqs: dict[str, int] = {}
         self.pending_updates: dict[tuple[str, int], dict[str, ModelUpdate]] = {}
         self.exec_graph = ExecutionGraph()
+        # entry exec id -> its buffer rows (see _buffer_rows); cleared
+        # wherever the graph or a cut changes
+        self._rows: dict[str, tuple[tuple, ...]] = {}
         # ids of the data subs, sorted; topic string -> those matching it
         self._data_ids: list[str] = []
         self._data_matches: dict[str, tuple[str, ...]] = {}
@@ -285,6 +288,7 @@ class Broker:
             self.instances[inst.instance_id] = inst
             if inst.status == "active":
                 merge_shared_prefix(self.exec_graph, added=[inst])
+                self._rows.clear()
         else:
             raise TypeError(f"unknown subscription kind {kind!r}")
         return sub.sub_id, actions
@@ -443,18 +447,26 @@ class Broker:
         origin = self.broker_node if mediated else p.source
         actions.extend(self._deliver(self._data_subs_matching(p.topic), p, origin))
 
-        # the graph holds active instances only
+        # the graph holds active instances only. copies holds p's buffered
+        # copies by the exec id of their cut's last stage: that id hashes the
+        # whole chain up to it, so instances sharing it share the copy, and p
+        # is mapped once per distinct cut
         copies: dict[str, Publication] = {}
         for ex in self.exec_graph.entries(stream[1], p.source):
-            entry_stage = ex.stage.stage_id
-            for iid in ex.instance_ids:
-                inst = self.instances[iid]
-                cut = inst.buffer_cuts.get(entry_stage, ())
-                buffered, reentry, via = self._apply_cut(
-                    inst, entry_stage, cut, p, copies
-                )
+            rows = self._rows.get(ex.exec_id)
+            if rows is None:
+                rows = self._rows[ex.exec_id] = self._buffer_rows(ex)
+            for sub_id, iid, copy_key, cut, reentry, via in rows:
+                buffered = p
+                if copy_key is not None:
+                    buffered = copies.get(copy_key)
+                    if buffered is None:
+                        buffered = p
+                        for stage in cut:
+                            buffered = apply_mapping(stage, buffered)
+                        copies[copy_key] = buffered
                 self._buffer(BufferEntry(
-                    inst.sub_id, stream, p.seq, buffered,
+                    sub_id, stream, p.seq, buffered,
                     instance_id=iid, reentry_stage=reentry, via_stage=via,
                 ))
             actions.append(StageTask(ex.exec_id, ex.node, p, p.source))
@@ -471,34 +483,31 @@ class Broker:
             self._data_matches[key] = got
         return got
 
-    def _apply_cut(
-        self,
-        inst: PipelineInstance,
-        entry_stage: str,
-        cut: tuple[str, ...],
-        p: Publication,
-        copies: dict[str, Publication],
-    ) -> tuple[Publication, str | None, str | None]:
-        """Publication as buffered, plus where its replay re-enters.
-
-        copies holds p's buffered copies by the exec id of their cut's last
-        stage: that id hashes the whole chain up to it, so instances sharing
-        it share the copy, and p is mapped once per distinct cut.
-        """
-        if not cut:
-            return p, entry_stage, None
-        last = cut[-1]
-        key = self.exec_graph.exec_for(inst.instance_id, last).exec_id
-        out = copies.get(key)
-        if out is None:
-            out = p
-            for sid in cut:
-                out = apply_mapping(inst.pipeline.stage(sid), out)
-            copies[key] = out
-        nxt = inst.pipeline.succs(last)
-        if not nxt:
-            return out, None, last  # whole pipeline sat on the publisher
-        return out, nxt[0], last
+    def _buffer_rows(self, ex: ExecStage) -> tuple[tuple, ...]:
+        """What on_publish buffers for each instance on entry exec ex, as
+        (sub id, instance id, copy key, cut stages, reentry stage, via
+        stage). The buffered copy is the publication mapped through the cut
+        stages, or the publication itself when the copy key is None; a
+        replay re-enters at the reentry stage (None: a direct delivery, the
+        whole pipeline sat on the publisher), offered via the via stage."""
+        entry_stage = ex.stage.stage_id
+        stages: dict[str, tuple[StageSpec, ...]] = {}  # one per copy key
+        rows = []
+        for iid in ex.instance_ids:
+            inst = self.instances[iid]
+            cut = inst.buffer_cuts.get(entry_stage, ())
+            if not cut:
+                rows.append((inst.sub_id, iid, None, (), entry_stage, None))
+                continue
+            last = cut[-1]
+            key = self.exec_graph.exec_for(iid, last).exec_id
+            if key not in stages:
+                stages[key] = tuple(map(inst.pipeline.stage, cut))
+            nxt = inst.pipeline.succs(last)
+            rows.append((
+                inst.sub_id, iid, key, stages[key], nxt[0] if nxt else None, last,
+            ))
+        return tuple(rows)
 
     def _buffer(self, entry: BufferEntry, count: bool = True) -> None:
         buf = self.buffers.setdefault(entry.sub_id, [])
@@ -618,6 +627,7 @@ class Broker:
         if inst.status == "pending":
             inst.status = "active"
             merge_shared_prefix(self.exec_graph, added=[inst])
+            self._rows.clear()
 
     # -- model updates -----------------------------------------------------
 
@@ -770,6 +780,7 @@ class Broker:
             for sid in self.instances[iid].pipeline.stage_ids()
         }
         merge_shared_prefix(graph, removed, [self.instances[i] for i in repaired])
+        self._rows.clear()
         # a repaired funnel gets a fresh exec id; its emission counter
         # must carry over so replayed streams stay dedupable
         for (iid, sid), old_id in old.items():

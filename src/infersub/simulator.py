@@ -9,6 +9,11 @@ arrival µs and fate are known when it is sent: `_World._send` pushes one
 event per transfer, at its arrival, and the run is the one that forwarding
 hop by hop gives.
 
+* Plans: a transfer's route and hop arrival offsets depend only on the
+  snapshot and the (origin, dest, size), so each is planned once per
+  snapshot. A transfer that arrives by the run's end and before the next
+  fault takes its whole plan at once: one count per (path, size), which the
+  report expands into link bytes. Only the others walk it hop by hop.
 * Fate: a transfer drops at the first node j it reaches where, after every
   fault up to that µs, j, the link to the next node or that node is down.
   Faults set states, never toggle them, so replaying the pending ones onto
@@ -51,9 +56,9 @@ from .core import (
     Topic,
     Topology,
     UPDATE_TOPIC_ROOT,
-    route,
 )
-from .errors import NoRouteError
+# route is unused here, but perfbench/spans.py patches simulator.route
+from .core import route  # noqa: F401
 from .metrics import (
     InstanceMetrics,
     LinkMetrics,
@@ -216,6 +221,15 @@ class _Node:
     missed: int = 0
 
 
+# How a transfer of one size crosses one snapshot: (path, arrivals, total),
+# the route's path shared with Topology.shortest, the µs after sending at
+# which it reaches each node after the first, and the last of them (0 for a
+# transfer that stays on its node). A plain tuple: in a run whose transfers
+# rarely repeat, every transfer builds one
+_Plan = tuple[tuple[str, ...], tuple[int, ...], int]
+_UNPLANNED = object()  # no plan made yet; None is the plan of no route
+
+
 @dataclass
 class _TopicState:
     topic: Topic  # parsed once; every publication on it shares it
@@ -306,14 +320,21 @@ class _World:
         self.latencies: dict[str, dict[int, int]] = {}  # {µs: deliveries}
         self.applied: dict[str, list[int]] = {}
         self.seen: dict[tuple[str, tuple[str, str]], _Seqs] = {}
-        self.link_bytes: dict[tuple[str, str], int] = {}
+        # transfers by (nodes they passed, size): report() expands these
+        # into bytes per link
+        self.path_sends: dict[tuple[tuple[str, ...], int], int] = {}
         self.leg_us: dict[tuple[tuple[str, str], int], int] = {}
+        # plans by (origin, dest, size) on the current snapshot; the loaded
+        # topology's are kept for the run, as a fault clearing returns to it
+        self._root_plans: dict[tuple[str, str, int], _Plan | None] = {}
+        self._plans = self._root_plans
         self.compute_us: dict[str, int] = {}
         self.busy_us: dict[str, int] = {n: 0 for n in sc.topology.nodes}
         self.exec_counts: dict[str, int] = {}
         self.exec_meta: dict[str, tuple[str, str]] = {}
         self.raw_crossings = 0
         self.lost_transfers = 0
+        self.lost_acks = 0
 
         # faults not yet handled, in handling order: (µs, up, index in
         # sc.faults, node id or link ends)
@@ -392,8 +413,9 @@ class _World:
                 )
             elif isinstance(act, ModelFetch):
                 ends = self.topo.link_between(*act.bridge).ends
-                dur = self._carry(ends, act.artifact_kb * 1024)
-                self._push(self.now_us + dur, PRIO_FETCH,
+                key = (ends, act.artifact_kb * 1024)
+                self.path_sends[key] = self.path_sends.get(key, 0) + 1
+                self._push(self.now_us + self._leg_us(*key), PRIO_FETCH,
                            self.brokers[domain].activate_instance, act.instance_id)
             else:  # pragma: no cover
                 raise AssertionError(f"unknown action {act!r}")
@@ -403,56 +425,92 @@ class _World:
     ) -> None:
         """Carry pub from origin to dest, and call arrive(*args, pub) there.
 
-        The legs are summed, counted and decided now; the heap gets one
-        event, at the arrival µs. A leg counts its bytes if it starts by the
-        run's end. The transfer is lost when there is no route, or at the
-        first node j it reaches by the end where, after every fault up to
-        that µs, j, the link to the next node or that node is down. The
-        arrival's key is that of a push from the event being handled, turned
-        into (t, 1) + key + (0,) at each hop skipped at µs t: every leg
-        lasts at least 1 µs, so such a hop ran among the hops pushed before
-        t, in key order (see the module docstring).
+        The transfer takes the plan of (origin, dest, size) on the current
+        snapshot, and the heap gets one event, at the arrival µs. A leg
+        counts its bytes if it starts by the run's end. The transfer is lost
+        when there is no route, or at the first node j it reaches by the end
+        where, after every fault up to that µs, j, the link to the next node
+        or that node is down; one that arrives by the end and before the
+        next fault needs no check. The arrival's key is that of a push from
+        the event being handled, turned into (t, 1) + key + (0,) at each hop
+        skipped at µs t: every leg lasts at least 1 µs, so such a hop ran
+        among the hops pushed before t, in key order (see the module
+        docstring).
         """
-        try:
-            path = route(self.topo, origin, dest)
-        except NoRouteError:
+        plan_key = (origin, dest, pub.size_bytes)
+        plan = self._plans.get(plan_key, _UNPLANNED)
+        if plan is _UNPLANNED:
+            plan = self._plans[plan_key] = self._plan(origin, dest, pub.size_bytes)
+        if plan is None:
             self.lost_transfers += 1
             return
-        t, prio, key = self.now_us, self._prio, self._key
+        path, arrivals, total = plan
+        now, prio, key = self.now_us, self._prio, self._key
         self._ev_seq += 1
-        if prio == PRIO_HOP and key[0] < t:
-            key = (t, 1) + key + (self._ev_seq,)
+        if prio == PRIO_HOP and key[0] < now:
+            key = (now, 1) + key + (self._ev_seq,)
         else:
-            key = (t, 0 if prio < PRIO_HOP else 2, self._ev_seq)
+            key = (now, 0 if prio < PRIO_HOP else 2, self._ev_seq)
+        t = now + total
         next_fault_us = self._next_fault_us
-        a = path[0]
-        for j, b in enumerate(path[1:]):
-            if j:  # the skipped hop at a
-                key = (t, 1) + key + (0,)
-                if t >= next_fault_us and self._cut((a, b), t):
-                    self.lost_transfers += 1
-                    return
-            t = self._leg(t, a, b, pub)
-            if t > self.end_us:
-                return
-            a = b
-        if self._cut((a,), t) if t >= next_fault_us else a in self.topo.down_nodes:
+        # a route is up on its snapshot, but a node can be down with a
+        # transfer staying on it
+        if (t < next_fault_us and t <= self.end_us
+                and (arrivals or dest not in self.topo.down_nodes)):
+            legs, lost = len(arrivals), False
+            for off in arrivals[:-1]:
+                key = (now + off, 1) + key
+            key += (0,) * (legs - 1)
+        else:
+            legs, t, lost = 0, now, False
+            for j, off in enumerate(arrivals):
+                if j:  # the skipped hop at path[j]
+                    key = (t, 1) + key + (0,)
+                    if t >= next_fault_us and self._cut(path[j:j + 2], t):
+                        lost = True
+                        break
+                legs += 1
+                t = now + off
+                if t > self.end_us:
+                    break
+            else:
+                lost = (self._cut((dest,), t) if t >= next_fault_us
+                        else dest in self.topo.down_nodes)
+        self._account(now, plan, legs, pub)
+        if lost:
             self.lost_transfers += 1
-            return
-        heapq.heappush(self.heap, (t, PRIO_HOP, key, arrive, (*args, pub)))
+        elif t <= self.end_us:
+            heapq.heappush(self.heap, (t, PRIO_HOP, key, arrive, (*args, pub)))
 
-    def _leg(self, t_us: int, a: str, b: str, pub: Publication) -> int:
-        """Count pub's bytes on link a-b, and a raw crossing, for the leg
-        that leaves a at t_us; the µs it reaches b."""
+    def _plan(self, origin: str, dest: str, nbytes: int) -> _Plan | None:
+        """The plan of nbytes from origin to dest on the current snapshot;
+        None when there is no route."""
+        got = self.topo.shortest(origin, dest)
+        if got is None:
+            return None
+        path = got[2]
+        leg_us = self.leg_us
+        t, arrivals = 0, []
+        for a, b in zip(path, path[1:]):
+            key = ((a, b) if a < b else (b, a), nbytes)
+            dur = leg_us.get(key)
+            t += dur if dur is not None else self._leg_us(*key)
+            arrivals.append(t)
+        return path, tuple(arrivals), t
+
+    def _account(self, t_us: int, plan: _Plan, legs: int, pub: Publication) -> None:
+        """Count pub's bytes, and raw crossings, on the first legs links of
+        plan's path, whose first leg leaves at t_us. A transfer that starts
+        every leg counts under the path itself: slicing a whole tuple
+        returns it."""
+        key = (plan[0][:legs + 1], pub.size_bytes)
+        self.path_sends[key] = self.path_sends.get(key, 0) + 1
         if pub.tag == "raw":
-            self.raw_crossings += 1
-        return t_us + self._carry((a, b) if a < b else (b, a), pub.size_bytes)
+            self.raw_crossings += legs
 
-    def _carry(self, ends: tuple[str, str], nbytes: int) -> int:
-        """Count nbytes on link ends; the µs they take to cross it, cached
-        per (ends, nbytes): only latency and bandwidth set it, never the
-        state."""
-        self.link_bytes[ends] = self.link_bytes.get(ends, 0) + nbytes
+    def _leg_us(self, ends: tuple[str, str], nbytes: int) -> int:
+        """The µs nbytes take to cross link ends, cached per (ends, nbytes):
+        only latency and bandwidth set it, never the state."""
         key = (ends, nbytes)
         dur = self.leg_us.get(key)
         if dur is None:
@@ -650,17 +708,20 @@ class _World:
                 if not versions or pub.seq > versions[-1]:
                     versions.append(pub.seq)
         # the ack takes the route of the current snapshot, and arrives if
-        # that route is still up when it is due, by the rule of _send
+        # that route is still up when it is due, by the rule of _send; it is
+        # lost when there is no route or it is cut by then
         topo = self.topo
         ack = topo.shortest(broker.subs[sub_id].subscriber, broker.broker_node)
         if ack is None:
+            self.lost_acks += 1
             return
         lat, _, path = ack
         # lat is the latency in 1 / _scale ms: ceil to whole µs in ints
         due_us = self.now_us - (-lat * US_PER_MS // topo._scale)
-        if due_us > self.end_us or (
-            due_us >= self._next_fault_us and self._cut(path, due_us)
-        ):
+        if due_us > self.end_us:
+            return
+        if due_us >= self._next_fault_us and self._cut(path, due_us):
+            self.lost_acks += 1
             return
         self._push(due_us, PRIO_ACK, broker.on_ack, sub_id, pub.seq, stream)
 
@@ -715,11 +776,11 @@ class _World:
         _, up, _, target = faults.popleft()
         self._next_fault_us = faults[0][0] if faults else math.inf
         if isinstance(target, tuple):
-            self.topo = self.topo.with_link_state(*target, up)
+            self._move_to(self.topo.with_link_state(*target, up))
             return
         if self.topo.is_node_up(target) == up:
             return
-        self.topo = self.topo.with_node_state(target, up)
+        self._move_to(self.topo.with_node_state(target, up))
         if up:
             for domain in sorted(self.brokers):
                 if self.brokers[domain].broker_node == target:
@@ -730,6 +791,13 @@ class _World:
         if q.running is not None:
             self.busy_us[target] += self.now_us - q.started_us
         self.nodes[target] = _Node(failed_us=self.now_us)
+
+    def _move_to(self, topo: Topology) -> None:
+        """Make topo the current snapshot, with the plans made on it: the
+        loaded topology's, or none yet. A snapshot a fault moves off is
+        never current again, as a fault derives a new one or the root."""
+        self.topo = topo
+        self._plans = self._root_plans if topo is self.sc.topology else {}
 
     def _on_heartbeat(self) -> None:
         misses = self.sc.sim.heartbeat_misses
@@ -781,12 +849,17 @@ class _World:
                 p95_latency_ms=p95,
                 applied_versions=tuple(self.applied.get(sub_id, [])),
             ))
+        link_bytes: dict[tuple[str, str], int] = {}
+        for (path, nbytes), n in self.path_sends.items():
+            for a, b in zip(path, path[1:]):
+                ends = (a, b) if a < b else (b, a)
+                link_bytes[ends] = link_bytes.get(ends, 0) + n * nbytes
         bridge_ends = {tuple(sorted(p.link)) for p in sc.peers}
         links_out = []
         for ends in sorted(sc.topology.links):
             links_out.append(LinkMetrics(
                 a=ends[0], b=ends[1],
-                kb=float(Fraction(self.link_bytes.get(ends, 0), 1024)),
+                kb=float(Fraction(link_bytes.get(ends, 0), 1024)),
                 bridge=ends in bridge_ends,
             ))
         nodes_out = []
@@ -829,7 +902,7 @@ class _World:
             dup_suppressed=sum(s.dup_suppressed for s in subs_out),
             dropped=sum(s.dropped for s in subs_out),
             filtered=sum(s.filtered for s in subs_out),
-            kb=float(Fraction(sum(self.link_bytes.values()), 1024)),
+            kb=float(Fraction(sum(link_bytes.values()), 1024)),
             executions=sum(self.exec_counts.values()),
             repairs=sum(i.repairs for i in instances_out),
             suspended=sum(i.suspended for i in instances_out),

@@ -42,23 +42,28 @@ def simulate_recording_legs(
     """Run sc to completion like simulate, and return the world with every
     hop that left a node, as (µs, from, to, publication) by µs.
 
-    Wraps _World._leg, which accounts each leg a transfer starts, for the
-    run. A transfer's legs are accounted when it is sent, so they are
-    sorted, stably, by the µs they start at. A hop dropped on a down link is
-    never accounted, so it is not recorded.
+    Wraps _World._account, which accounts the legs a transfer starts, once
+    per transfer: the µs it is sent, its plan and how many of the plan's
+    legs it starts. Each leg i leaves path[i] for path[i + 1] at that µs
+    plus the plan's arrival offset at path[i]. A transfer is accounted when
+    it is sent, so its legs are sorted, stably, by the µs they start at. A
+    hop dropped on a down link is never started, so it is not recorded.
     """
     legs: list[tuple[int, str, str, Publication]] = []
-    leg = _World._leg
+    account = _World._account
 
-    def recording(world: _World, t_us: int, a: str, b: str, pub: Publication) -> int:
-        legs.append((t_us, a, b, pub))
-        return leg(world, t_us, a, b, pub)
+    def recording(world: _World, t_us: int, plan, started: int, pub: Publication) -> None:
+        path, arrivals, _ = plan
+        offsets = (0,) + arrivals
+        for i in range(started):
+            legs.append((t_us + offsets[i], path[i], path[i + 1], pub))
+        account(world, t_us, plan, started, pub)
 
-    _World._leg = recording
+    _World._account = recording
     try:
         world = simulate(sc)
     finally:
-        _World._leg = leg
+        _World._account = account
     legs.sort(key=lambda rec: rec[0])
     return world, legs
 

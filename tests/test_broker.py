@@ -629,3 +629,73 @@ def test_buffered_copies_equal_each_instances_own_mapping_chain(monkeypatch):
         assert entry.pub == want
         copies[inst.sub_id] = entry.pub.size_bytes
     assert copies == {"a1": 256, "a2": 256, "a3": 256, "c": 257}
+
+
+@pytest.mark.parametrize("join", ["subscribe", "activate"])
+def test_an_instance_joining_a_shared_entry_is_buffered_from_the_next_publication(join):
+    """i2 runs on i1's entry exec from the moment it joins the exec graph:
+    at its subscribe for a local model, at its activate_instance for a
+    model fetched across the bridge. It is buffered for the publications
+    after that, never for those before."""
+    b = fresh()
+    t, w, o = far_topology(), workload(), Objective()
+    if join == "subscribe":
+        b.register_model(model())
+    else:
+        far = Broker("far", "fhub")
+        far.register_model(model())
+        b.link_peer(PeerLink("far", bridge()), far)
+
+    def add(sub_id):
+        _, actions = b.subscribe(inf_sub(sub_id, k=2), t, w, o)
+        return [a.instance_id for a in actions if isinstance(a, ModelFetch)]
+
+    for iid in add("i1"):
+        b.activate_instance(iid)
+    b.on_publish(raw_pub(seq=1), Fraction(1))
+    fetched = add("i2")
+    b.on_publish(raw_pub(seq=2), Fraction(2))
+    for iid in fetched:
+        b.activate_instance(iid)
+    b.on_publish(raw_pub(seq=3), Fraction(3))
+    (entry,) = b.exec_graph.entries("d/pub/x", "pub")
+    assert entry.instance_ids == ("d-i1", "d-i2")
+    assert [e.seq for e in b.buffers["i1"]] == [1, 2, 3]
+    assert [e.seq for e in b.buffers["i2"]] == ([2, 3] if join == "subscribe" else [3])
+
+
+def test_a_repair_that_moves_a_stage_onto_the_publisher_changes_the_buffered_copy():
+    """s1 runs on the publisher and s2 on hub, so the buffer holds the
+    output of s1 and a replay re-enters at s2. Once hub fails, the repair
+    moves s2 onto the publisher too, while the entry exec, s1's, stays:
+    the buffer then holds the output of s2, which nothing follows."""
+    t = Topology.of(
+        [
+            NodeDescriptor("pub", "device", 8, 16, domain_id="d"),
+            NodeDescriptor("hub", "edge", 16, 2048, domain_id="d"),
+            NodeDescriptor("alt", "edge", 1, 2048, domain_id="d"),
+            NodeDescriptor("mon", "edge", 8, 1024, domain_id="d"),
+        ],
+        [
+            LinkDescriptor("pub", "hub", 1, 20),
+            LinkDescriptor("hub", "mon", 1, 200),
+            LinkDescriptor("pub", "alt", 2, 20),
+            LinkDescriptor("alt", "mon", 2, 100),
+        ],
+    )
+    w, o = workload(), Objective()
+    b = fresh()
+    b.register_model(model())
+    b.subscribe(inf_sub(k=2), t, w, o)
+    inst = b.active_instances()[0]
+    assert inst.placement.assignment == {"m-v1-s1": "pub", "m-v1-s2": "hub"}
+    (entry,) = b.exec_graph.entries("d/pub/x", "pub")
+    b.on_publish(raw_pub(seq=1), Fraction(1))
+    b.on_node_failure("hub", t.with_node_state("hub", up=False), w, o)
+    assert inst.placement.assignment == {"m-v1-s1": "pub", "m-v1-s2": "pub"}
+    assert b.exec_graph.entries("d/pub/x", "pub") == [entry]
+    b.on_publish(raw_pub(seq=2), Fraction(2))
+    assert [
+        (e.seq, e.pub.size_bytes, e.reentry_stage, e.via_stage)
+        for e in b.buffers["infer"]
+    ] == [(1, 512, "m-v1-s2", "m-v1-s1"), (2, 256, None, "m-v1-s2")]

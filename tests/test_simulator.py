@@ -4,6 +4,7 @@ checking conservation laws and frozen metric values."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from infersub.broker import Broker
 from infersub.core import Publication, Topic
 from infersub.metrics import emit, report_from_json
 from infersub.placement import WorkloadSpec
-from infersub.scenario import FaultEvent, load_scenario
+from infersub.scenario import FaultEvent, load_scenario, loads_scenario
 from infersub.simulator import (
     _exp_gap_us,
     _latency_stats,
@@ -57,6 +58,7 @@ from oracles import ref_exp_gap_us, ref_latency_stats, ref_periodic_us
 
 SCENARIO_DIR = Path(infersub.__file__).parent / "scenarios"
 GOLDEN_DIR = Path(__file__).parent / "golden"
+PERFBENCH_DIR = Path(__file__).parent.parent / "perfbench"
 
 
 def bundled(name):
@@ -198,6 +200,82 @@ def test_a_hop_dropped_in_flight_is_not_recorded():
         (t1, a, b)
     ]
     assert w.lost_transfers == 1
+
+
+def _diamond_scenario(faults=()):
+    """p publishes ten times, every 100 ms, to a tap on s: over p-b-s
+    (2 ms) while p-b is up, else over p-c-s (4 ms)."""
+    return build_scenario(
+        nodes=[node(n, "edge", 8, 256, "d") for n in ("p", "b", "c", "s")],
+        links=[
+            link("p", "b", 1, 1000), link("b", "s", 1, 1000),
+            link("p", "c", 2, 1000), link("c", "s", 2, 1000),
+        ],
+        brokers={"d": "b"},
+        bindings={"d/p/x": "p"},
+        subscriptions=[
+            {"sub_id": "tap", "subscriber": "s", "kind": "data", "filter": "d/p/x"}
+        ],
+        workload={
+            "d/p/x": {"size_bytes": 512, "rate_per_s": 10, "periodic": True,
+                      "count": 10},
+        },
+        faults=list(faults),
+        sim={"duration_ms": 2000, "seed": 1},
+    )
+
+
+def test_a_link_fault_reroutes_and_its_restore_returns_to_the_loaded_route():
+    """p-b is down from 250 to 650 ms: the publications of 300-600 ms take
+    p-c-s, those before and after p-b-s, and the run ends on the loaded
+    topology's plans."""
+    w, legs = simulate_recording_legs(_diamond_scenario([
+        {"at_ms": 250, "kind": "link_down", "link": ["b", "p"]},
+        {"at_ms": 650, "kind": "link_up", "link": ["b", "p"]},
+    ]))
+    paths: dict[int, list[str]] = {}
+    for _, a, b, pub in legs:
+        paths.setdefault(pub.seq, [a]).append(b)
+    assert paths == {
+        seq: ["p", "c", "s"] if 4 <= seq <= 7 else ["p", "b", "s"]
+        for seq in range(1, 11)
+    }
+    assert w.lost_transfers == 0
+    assert w.topo is w.sc.topology and w._plans is w._root_plans
+
+
+@pytest.mark.parametrize("name", ["nwdaf", "oran", "arvr", "nlp", "federation"])
+def test_the_world_keeps_plans_of_the_loaded_topology_and_the_current_snapshot_only(
+    name, monkeypatch
+):
+    """Before each fault and at the end, the plans in use are the loaded
+    topology's own, when it is current, or else a separate set, each plan
+    on the current snapshot's route; the loaded topology's plans all follow
+    its own routes."""
+    checks = []
+
+    def check(world):
+        if world.topo is world.sc.topology:
+            assert world._plans is world._root_plans
+        else:
+            assert world._plans is not world._root_plans
+        for plans, topo in ((world._plans, world.topo),
+                            (world._root_plans, world.sc.topology)):
+            for (origin, dest, _), plan in plans.items():
+                got = topo.shortest(origin, dest)
+                assert (plan and plan[0]) == (got and got[2])
+        checks.append(len(world._plans))
+
+    on_fault = _World._on_fault
+
+    def checking(world):
+        check(world)
+        on_fault(world)
+
+    monkeypatch.setattr(_World, "_on_fault", checking)
+    for seed in range(4):
+        check(simulate(random_faults(bundled(name), seed)))
+    assert any(checks)
 
 
 def test_link_traffic_and_leg_times_are_exact():
@@ -819,7 +897,7 @@ def test_an_ack_is_pushed_only_if_its_route_is_still_up_when_it_is_due(monkeypat
 
     monkeypatch.setattr(_World, "_cut", recording_cut)
     monkeypatch.setattr(Broker, "on_ack", recording_on_ack)
-    simulate(sc)
+    w = simulate(sc)
     # seq 33's ack is due at 3202.001 ms over s-c, which fell at 3201.5; the
     # ack due at 3305.001 ms goes over s-x-c, 4 ms, and the other two over s-c
     assert replayed == [
@@ -827,6 +905,30 @@ def test_an_ack_is_pushed_only_if_its_route_is_still_up_when_it_is_due(monkeypat
     ]
     # no route while x-c was down (seqs 22-26)
     assert sorted(set(range(1, 41)) - set(acked)) == [22, 23, 24, 25, 26, 33]
+    assert w.lost_acks == 6
+
+
+def test_an_ack_cut_in_flight_is_counted_as_lost(monkeypatch):
+    """tap1's access link c-s1 is down from 0.5 ms before to 0.5 ms after
+    the µs the ack of its first delivery is due at the broker on c, 1 ms
+    after the delivery: that ack is lost and counted, and nothing else is."""
+    sc = two_publisher_scenario(extra_topic=False)
+    delivered: list[int] = []
+    deliver = _World._deliver_local
+
+    def recording(world, domain, sub_id, stream, pub):
+        delivered.append(world.now_us)
+        deliver(world, domain, sub_id, stream, pub)
+
+    monkeypatch.setattr(_World, "_deliver_local", recording)
+    assert simulate(sc).lost_acks == 0
+    due_us = delivered[0] + 1000
+    w = simulate(dataclasses.replace(sc, faults=(
+        FaultEvent(at_ms=Fraction(due_us - 500, 1000), kind="link_down", link=("c", "s1")),
+        FaultEvent(at_ms=Fraction(due_us + 500, 1000), kind="link_up", link=("c", "s1")),
+    )))
+    assert (w.lost_acks, w.lost_transfers) == (1, 0)
+    assert by_sub(w.report())["tap1"].delivered == 30
 
 
 # ---------------------------------------------------------------------------
@@ -903,3 +1005,25 @@ def test_reports_do_not_depend_on_the_hash_seed(case):
         outs.append(done.stdout)
     assert outs[0] == outs[1]
     assert outs[0].startswith(b"{")
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's workloads, generated as CI's hash-seed step does: sha256 of
+# the json report of each at seed 101, taken before transfers were planned
+# once per snapshot, and the acks each loses in flight.
+
+PERF_REPORT_DIGESTS = {
+    "star-steady": ("0f6440a6102084811caf4ef5c5d3e8a79740c5bc1477b95784f21fd64c8ff011", 0),
+    "star-wide": ("275e87ce0740e228ec50cc7847cb34934df29be5772d3859e9b99490cb3fb55d", 0),
+    "star-churn": ("da9b8365bb9527c0c06bcdaf8a1ac8d2c5e8b996de45d362d01844cf01f66a87", 5),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PERF_REPORT_DIGESTS))
+def test_perf_workload_reports_run_as_pinned(workload, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH_DIR))
+    import generate
+
+    w = simulate(loads_scenario(generate.generate(workload, 101).text()))
+    digest = hashlib.sha256(emit(w.report()).encode()).hexdigest()
+    assert (digest, w.lost_acks) == PERF_REPORT_DIGESTS[workload]
