@@ -82,7 +82,8 @@ class PipelineInstance:
     repairs: int = 0
     suspend_reason: str | None = None
 
-    # entry stage -> mapping stages applied before the buffered copy is taken
+    # entry stage -> the mapping stages a replay applies to its buffered
+    # publications (see _compute_cuts)
     buffer_cuts: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
@@ -98,13 +99,20 @@ class PeerLink:
 class BufferEntry:
     """One unacked publication held for retransmission.
 
+    pub is the publication as it was published. cut holds the mapping
+    stages its instance runs on the publisher node: a replay sends pub
+    mapped through them, so a privacy-split replay never moves raw data.
+    copy_key, the exec id of the cut's last stage, names that copy; entries
+    that share it share one mapped copy. The first replay writes the copy
+    into pub and empties cut (see Broker.on_node_failure).
+
     reentry_stage names where a replay re-enters the pipeline (None means a
     direct delivery to the subscriber); via_stage names the producing input
     for funnel offers.
 
     This record and the two actions below are built once per event and never
-    assigned, hashed or compared by identity, so they are slotted and not
-    frozen: a frozen build writes each field through object.__setattr__.
+    hashed or compared by identity, so they are slotted and not frozen: a
+    frozen build writes each field through object.__setattr__.
     """
 
     sub_id: str
@@ -114,6 +122,8 @@ class BufferEntry:
     instance_id: str | None = None
     reentry_stage: str | None = None
     via_stage: str | None = None
+    copy_key: str | None = None
+    cut: tuple[StageSpec, ...] = ()
 
 
 @dataclass(slots=True)
@@ -406,7 +416,8 @@ class Broker:
     def _compute_cuts(self, inst: PipelineInstance) -> dict[str, tuple[str, ...]]:
         """Mapping prefix kept on the publisher node, per entry stage.
 
-        The retransmit buffer stores the publication as it leaves the
+        The retransmit buffer holds each publication as it was published; a
+        replay sends it mapped through this prefix, as it leaves the
         publisher, so a privacy-split replay never moves raw data.
         """
         cuts: dict[str, tuple[str, ...]] = {}
@@ -447,27 +458,16 @@ class Broker:
         origin = self.broker_node if mediated else p.source
         actions.extend(self._deliver(self._data_subs_matching(p.topic), p, origin))
 
-        # the graph holds active instances only. copies holds p's buffered
-        # copies by the exec id of their cut's last stage: that id hashes the
-        # whole chain up to it, so instances sharing it share the copy, and p
-        # is mapped once per distinct cut
-        copies: dict[str, Publication] = {}
+        # the graph holds active instances only; each entry holds p as it
+        # was published, and a replay maps it through the entry's cut
+        seq = p.seq
         for ex in self.exec_graph.entries(stream[1], p.source):
             rows = self._rows.get(ex.exec_id)
             if rows is None:
                 rows = self._rows[ex.exec_id] = self._buffer_rows(ex)
-            for sub_id, iid, copy_key, cut, reentry, via in rows:
-                buffered = p
-                if copy_key is not None:
-                    buffered = copies.get(copy_key)
-                    if buffered is None:
-                        buffered = p
-                        for stage in cut:
-                            buffered = apply_mapping(stage, buffered)
-                        copies[copy_key] = buffered
+            for sub_id, iid, reentry, via, copy_key, cut in rows:
                 self._buffer(BufferEntry(
-                    sub_id, stream, p.seq, buffered,
-                    instance_id=iid, reentry_stage=reentry, via_stage=via,
+                    sub_id, stream, seq, p, iid, reentry, via, copy_key, cut,
                 ))
             actions.append(StageTask(ex.exec_id, ex.node, p, p.source))
         return actions
@@ -485,11 +485,13 @@ class Broker:
 
     def _buffer_rows(self, ex: ExecStage) -> tuple[tuple, ...]:
         """What on_publish buffers for each instance on entry exec ex, as
-        (sub id, instance id, copy key, cut stages, reentry stage, via
-        stage). The buffered copy is the publication mapped through the cut
-        stages, or the publication itself when the copy key is None; a
-        replay re-enters at the reentry stage (None: a direct delivery, the
-        whole pipeline sat on the publisher), offered via the via stage."""
+        (sub id, instance id, reentry stage, via stage, copy key, cut
+        stages), in BufferEntry's field order. A replay maps the publication
+        through the cut stages, when there are any, re-enters at the reentry
+        stage (None: a direct delivery, the whole pipeline sat on the
+        publisher) and is offered via the via stage. The copy key is the
+        exec id of the cut's last stage: that id hashes the whole chain up to
+        it, so instances sharing it share the copy."""
         entry_stage = ex.stage.stage_id
         stages: dict[str, tuple[StageSpec, ...]] = {}  # one per copy key
         rows = []
@@ -497,7 +499,7 @@ class Broker:
             inst = self.instances[iid]
             cut = inst.buffer_cuts.get(entry_stage, ())
             if not cut:
-                rows.append((inst.sub_id, iid, None, (), entry_stage, None))
+                rows.append((inst.sub_id, iid, entry_stage, None, None, ()))
                 continue
             last = cut[-1]
             key = self.exec_graph.exec_for(iid, last).exec_id
@@ -505,7 +507,7 @@ class Broker:
                 stages[key] = tuple(map(inst.pipeline.stage, cut))
             nxt = inst.pipeline.succs(last)
             rows.append((
-                inst.sub_id, iid, key, stages[key], nxt[0] if nxt else None, last,
+                inst.sub_id, iid, nxt[0] if nxt else None, last, key, stages[key],
             ))
         return tuple(rows)
 
@@ -710,6 +712,10 @@ class Broker:
         an instance with no stage on the failed node can still have lost an
         in-flight transfer routed through it, and the subscriber-side dedup
         absorbs any surplus. A suspended instance's entries are dropped.
+
+        An entry with a cut is replayed as its publication mapped through
+        the cut, once per (copy key, stream, seq); the copy replaces the
+        entry's publication, so a later failure replays the same object.
         """
         affected: list[str] = []
         suspended: list[str] = []
@@ -748,6 +754,7 @@ class Broker:
 
         replays: list[Action] = []
         dispatched: set[tuple[str, Stream, int]] = set()
+        copies: dict[tuple[str | None, Stream, int], Publication] = {}
         origin = self.broker_node
         for sub_id in sorted(self.buffers):
             subscriber = self.subs[sub_id].subscriber
@@ -757,6 +764,15 @@ class Broker:
                     if self.instances[e.instance_id].status != "active":
                         continue  # suspended: entry dropped, counted as lost
                 keep.append(e)
+                if e.cut:
+                    key = (e.copy_key, e.stream, e.seq)
+                    pub = copies.get(key)
+                    if pub is None:
+                        pub = e.pub
+                        for stage in e.cut:
+                            pub = apply_mapping(stage, pub)
+                        copies[key] = pub
+                    e.pub, e.cut = pub, ()
                 if e.reentry_stage is None:
                     replays.append(Delivery(sub_id, subscriber, e.pub, e.stream, origin))
                     continue

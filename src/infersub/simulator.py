@@ -599,8 +599,13 @@ class _World:
         applies to pub, a filter passes or settles it, and a funnel's pub is
         the emission it ran on. Nothing follows when repair removed ex
         mid-compute; replay covers the stream."""
-        self.exec_counts[ex.exec_id] = self.exec_counts.get(ex.exec_id, 0) + 1
-        self.exec_meta[ex.exec_id] = (ex.stage.stage_id, ex.node)
+        runs = self.exec_counts.get(ex.exec_id)
+        if runs is None:
+            # an exec id hashes its stage and node, so its first run names both
+            self.exec_counts[ex.exec_id] = 1
+            self.exec_meta[ex.exec_id] = (ex.stage.stage_id, ex.node)
+        else:
+            self.exec_counts[ex.exec_id] = runs + 1
         broker = self.brokers[domain]
         ex = broker.exec_graph.stages.get(ex.exec_id)
         if ex is None:

@@ -329,20 +329,29 @@ def test_consume_buffered_removes_exact_seq():
 
 
 def test_buffered_copy_is_taken_after_the_publisher_prefix():
-    """A privacy split keeps the chain on the publisher, so the retransmit
-    buffer must hold the derived output, never the raw input."""
+    """A privacy split keeps the chain on the publisher, so a replay from
+    the retransmit buffer must send the derived output, never the raw
+    input. The buffer holds the publication as published, with the cut a
+    replay maps it through."""
     b = fresh()
     b.register_model(model())
     b.subscribe(inf_sub(k=1, privacy_split=True), topo_line(), workload(), Objective())
     inst = b.active_instances()[0]
     assert inst.placement.node_of("m-v1-s1") == "pub"
     assert inst.buffer_cuts["m-v1-s1"] == ("m-v1-s1",)
-    b.on_publish(raw_pub(), Fraction(0))
+    pub = raw_pub()
+    b.on_publish(pub, Fraction(0))
     entry = b.buffers["infer"][0]
-    assert entry.pub.tag == "derived"
-    assert entry.pub.size_bytes == 256  # 1024 through two 1/2 layers
+    assert entry.pub is pub
+    assert [stage.stage_id for stage in entry.cut] == ["m-v1-s1"]
     assert entry.reentry_stage is None  # nothing left to run on replay
     assert entry.via_stage == "m-v1-s1"
+    t = topo_line().with_node_state("pub2", up=False)
+    (replay,) = b.on_node_failure("pub2", t, workload(), Objective()).replays
+    assert isinstance(replay, Delivery)
+    assert replay.pub.tag == "derived"
+    assert replay.pub.size_bytes == 256  # 1024 through two 1/2 layers
+    assert entry.pub is replay.pub and entry.cut == ()
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +599,10 @@ def test_buffered_copies_equal_each_instances_own_mapping_chain(monkeypatch):
     (one shared cut), one to another subscriber (the same cut exec) and one
     at k=2, whose cut starts with a stage of the same id as the k=1 cut but
     ends elsewhere, with another size (ceil(ceil(1024/3) * 3/4) = 257, not
-    256). Each buffered copy is what mapping the publication through the
-    instance's own cut gives, and each distinct cut exec maps it once."""
+    256). Publishing maps nothing. Each replayed copy is what mapping the
+    publication through the instance's own cut gives, each distinct cut
+    exec maps it once, and instances on one cut exec replay one object,
+    which a later failure replays again without mapping."""
     import infersub.broker as broker_module
 
     b = fresh()
@@ -619,16 +630,28 @@ def test_buffered_copies_equal_each_instances_own_mapping_chain(monkeypatch):
     monkeypatch.setattr(broker_module, "apply_mapping", counting)
     pub = raw_pub()
     b.on_publish(pub, Fraction(0))
+    assert mapped == []
+    down = t.with_node_state("pub2", up=False)
+    replays = {a.sub_id: a for a in b.on_node_failure("pub2", down, w, o).replays}
     assert len(mapped) == sum(len(cut) for cut in cuts.values())
     copies = {}
     for inst in b.active_instances():
         want = pub
         for sid in inst.buffer_cuts["m-v1-s1"]:
             want = apply_mapping(inst.pipeline.stage(sid), want)
+        replay = replays[inst.sub_id]
+        assert isinstance(replay, Delivery)
+        assert replay.pub == want
         (entry,) = b.buffers[inst.sub_id]
-        assert entry.pub == want
-        copies[inst.sub_id] = entry.pub.size_bytes
+        assert entry.pub is replay.pub
+        copies[inst.sub_id] = replay.pub.size_bytes
     assert copies == {"a1": 256, "a2": 256, "a3": 256, "c": 257}
+    assert replays["a1"].pub is replays["a2"].pub is replays["a3"].pub
+
+    n = len(mapped)
+    again = b.on_node_failure("pub2", down, w, o).replays
+    assert len(mapped) == n
+    assert all(a.pub is replays[a.sub_id].pub for a in again)
 
 
 @pytest.mark.parametrize("join", ["subscribe", "activate"])
@@ -665,10 +688,11 @@ def test_an_instance_joining_a_shared_entry_is_buffered_from_the_next_publicatio
 
 
 def test_a_repair_that_moves_a_stage_onto_the_publisher_changes_the_buffered_copy():
-    """s1 runs on the publisher and s2 on hub, so the buffer holds the
-    output of s1 and a replay re-enters at s2. Once hub fails, the repair
-    moves s2 onto the publisher too, while the entry exec, s1's, stays:
-    the buffer then holds the output of s2, which nothing follows."""
+    """s1 runs on the publisher and s2 on hub, so a replay sends the output
+    of s1 and re-enters at s2. Once hub fails, the repair moves s2 onto the
+    publisher too, while the entry exec, s1's, stays: a publication after
+    that replays as the output of s2, which nothing follows. The entry of
+    before keeps its own cut, reentry and via stages."""
     t = Topology.of(
         [
             NodeDescriptor("pub", "device", 8, 16, domain_id="d"),
@@ -691,10 +715,22 @@ def test_a_repair_that_moves_a_stage_onto_the_publisher_changes_the_buffered_cop
     assert inst.placement.assignment == {"m-v1-s1": "pub", "m-v1-s2": "hub"}
     (entry,) = b.exec_graph.entries("d/pub/x", "pub")
     b.on_publish(raw_pub(seq=1), Fraction(1))
-    b.on_node_failure("hub", t.with_node_state("hub", up=False), w, o)
+    plan = b.on_node_failure("hub", t.with_node_state("hub", up=False), w, o)
     assert inst.placement.assignment == {"m-v1-s1": "pub", "m-v1-s2": "pub"}
     assert b.exec_graph.entries("d/pub/x", "pub") == [entry]
+    s2 = b.exec_graph.exec_for(inst.instance_id, "m-v1-s2")
+    assert [
+        (type(a), a.pub.seq, a.pub.size_bytes, a.exec_id, a.via_stage)
+        for a in plan.replays
+    ] == [(StageTask, 1, 512, s2.exec_id, "m-v1-s1")]
     b.on_publish(raw_pub(seq=2), Fraction(2))
+    plan = b.on_node_failure("alt", t.with_node_state("alt", up=False), w, o)
+    assert plan.affected == ()
+    first, second = plan.replays
+    assert (type(first), first.pub.seq, first.pub.size_bytes, first.exec_id,
+            first.via_stage) == (StageTask, 1, 512, s2.exec_id, "m-v1-s1")
+    assert (type(second), second.pub.seq, second.pub.size_bytes,
+            second.pub.tag) == (Delivery, 2, 256, "derived")
     assert [
         (e.seq, e.pub.size_bytes, e.reentry_stage, e.via_stage)
         for e in b.buffers["infer"]

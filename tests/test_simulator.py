@@ -3,8 +3,11 @@ checking conservation laws and frozen metric values."""
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import functools
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -526,6 +529,129 @@ def test_random_fault_schedules_on_funnels_and_prefilters_run_as_pinned(name):
     sc = HELPER_FAULT_SCHEDULES[name]()
     got = tuple(run_digest(random_faults(sc, seed)) for seed in range(8))
     assert got == HELPER_FAULT_SCHEDULE_DIGESTS[name]
+
+
+def test_no_raw_publication_crosses_a_link_under_random_faults_on_nlp(monkeypatch):
+    """c06 under replay: nlp's privacy split keeps each mapping prefix on
+    its publisher, so the broker buffers raw publications and maps each
+    one through its cut when a replay reads it. Under random_faults seeds
+    0-7 no raw-tagged leg crosses a link, and some schedule replays an
+    entry through a non-empty cut."""
+    import infersub.broker as broker_module
+
+    replayed = []  # only a replay maps in the broker
+
+    def counting(stage, pub):
+        replayed.append(stage.stage_id)
+        return infersub.apply_mapping(stage, pub)
+
+    monkeypatch.setattr(broker_module, "apply_mapping", counting)
+    for seed in range(8):
+        w, legs = simulate_recording_legs(random_faults(bundled("nlp"), seed))
+        assert w.report().totals.raw_link_crossings == 0, seed
+        assert legs, seed
+        for _, frm, to, pub in legs:
+            assert not (pub.tag == "raw" and frm != to), (seed, frm, to)
+    assert replayed
+
+
+# ---------------------------------------------------------------------------
+# No-op ups: a link_up or node_up on a target that is up at that µs changes
+# nothing. Each one moves the next fault earlier, so the transfers it spans
+# leave the whole-plan path for the one that checks faults, and a link_up
+# on a faulted snapshot moves to a fresh one, which plans anew.
+
+NOOP_UP_SCENARIOS = ("arvr", "federation", "nlp", "nwdaf", "oran", "star-churn")
+
+
+def _load_noop_up_scenario(name):
+    if name != "star-churn":
+        return bundled(name)
+    generate = sys.modules.get("generate")
+    if generate is None:
+        spec = importlib.util.spec_from_file_location(
+            "generate", PERFBENCH_DIR / "generate.py"
+        )
+        generate = sys.modules["generate"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generate)
+    return loads_scenario(generate.generate(name, 101).text())
+
+
+def _outcome(sc):
+    """What a no-op fault must not change: report bytes, lost transfers and
+    lost acks."""
+    w = simulate(sc)
+    return emit(w.report()), w.lost_transfers, w.lost_acks
+
+
+@functools.lru_cache(maxsize=None)
+def _random_fault_run(name, seed):
+    """random_faults(seed) on scenario name, its run's outcome, and the µs
+    at which its faults apply with the set of down targets after each."""
+    sc = random_faults(_load_noop_up_scenario(name), seed)
+    return sc, _outcome(sc), _down_timeline(sc)
+
+
+def _down_timeline(sc):
+    """The nodes and links (sorted ends) of sc that are down once every
+    fault of each µs has applied, as ([µs], [down]), with -1 for the loaded
+    state. Faults apply in the simulator's order: by µs, a down before an
+    up, then in file order."""
+    down = set(sc.topology.down_nodes)
+    down.update(ends for ends, l in sc.topology.links.items() if l.state != "up")
+    times, downs = [-1], [frozenset(down)]
+    for at, up, _, target in sorted(
+        (simulator._ceil_us(f.at_ms), f.kind.endswith("_up"), i,
+         f.node if f.link is None else tuple(sorted(f.link)))
+        for i, f in enumerate(sc.faults)
+    ):
+        if up:
+            down.discard(target)
+        else:
+            down.add(target)
+        if times[-1] != at:
+            times.append(at)
+            downs.append(None)
+        downs[-1] = frozenset(down)
+    return times, downs
+
+
+def _up_event(t_us, target):
+    kind = "link" if isinstance(target, tuple) else "node"
+    return FaultEvent(at_ms=Fraction(t_us, 1000), kind=f"{kind}_up", **{kind: target})
+
+
+@given(st.data())
+def test_ups_on_targets_that_are_up_change_nothing(data):
+    """Ups appended after a random_faults schedule come after each of its
+    faults of the same µs, so a target is up for them when it is up once
+    all of those applied. Some fall on a µs of the schedule's own faults,
+    and a train of them, one every few ms on one target, spans seconds."""
+    name = data.draw(st.sampled_from(NOOP_UP_SCENARIOS), label="scenario")
+    seed = data.draw(st.integers(0, 7), label="random_faults seed")
+    sc, want, (times, downs) = _random_fault_run(name, seed)
+
+    def down_at(t_us):
+        return downs[bisect.bisect_right(times, t_us) - 1]
+
+    end_us = sc.sim.duration_ms * 1000
+    targets = sorted(sc.topology.nodes) + sorted(sc.topology.links)
+    ups = []
+    for t_us in data.draw(st.lists(
+        st.sampled_from(times[1:]) | st.integers(0, end_us), max_size=6,
+    ), label="µs"):
+        down = down_at(t_us)
+        up = [target for target in targets if target not in down]
+        ups.append(_up_event(t_us, data.draw(st.sampled_from(up), label="target")))
+    target, first_us, period_ms, n = data.draw(st.tuples(
+        st.sampled_from(targets), st.integers(0, end_us), st.integers(7, 50),
+        st.integers(1, 300),
+    ), label="train: target, first µs, period ms, ups")
+    last_us = min(end_us, first_us + (n - 1) * period_ms * 1000)
+    for t_us in range(first_us, last_us + 1, period_ms * 1000):
+        if target not in down_at(t_us):
+            ups.append(_up_event(t_us, target))
+    assert _outcome(dataclasses.replace(sc, faults=sc.faults + tuple(ups))) == want
 
 
 def test_a_time_window_lost_in_a_blip_emits_nothing_and_the_next_one_is_delivered():
