@@ -212,8 +212,8 @@ class Broker:
         self.funnel_seqs: dict[str, int] = {}
         self.pending_updates: dict[tuple[str, int], dict[str, ModelUpdate]] = {}
         self.exec_graph = ExecutionGraph()
-        # entry exec id -> its buffer rows (see _buffer_rows); cleared
-        # wherever the graph or a cut changes
+        # entry exec id -> its buffer rows (see _buffer_rows); dropped for
+        # the entry execs of each instance a change adds, removes or repairs
         self._rows: dict[str, tuple[tuple, ...]] = {}
         # ids of the data subs, sorted; topic string -> those matching it
         self._data_ids: list[str] = []
@@ -298,7 +298,7 @@ class Broker:
             self.instances[inst.instance_id] = inst
             if inst.status == "active":
                 merge_shared_prefix(self.exec_graph, added=[inst])
-                self._rows.clear()
+                self._drop_rows([inst.instance_id])
         else:
             raise TypeError(f"unknown subscription kind {kind!r}")
         return sub.sub_id, actions
@@ -629,7 +629,7 @@ class Broker:
         if inst.status == "pending":
             inst.status = "active"
             merge_shared_prefix(self.exec_graph, added=[inst])
-            self._rows.clear()
+            self._drop_rows([instance_id])
 
     # -- model updates -----------------------------------------------------
 
@@ -795,8 +795,9 @@ class Broker:
             for iid in repaired
             for sid in self.instances[iid].pipeline.stage_ids()
         }
+        self._drop_rows(removed)
         merge_shared_prefix(graph, removed, [self.instances[i] for i in repaired])
-        self._rows.clear()
+        self._drop_rows(repaired)
         # a repaired funnel gets a fresh exec id; its emission counter
         # must carry over so replayed streams stay dedupable
         for (iid, sid), old_id in old.items():
@@ -804,6 +805,18 @@ class Broker:
             new_id = graph.exec_for(iid, sid).exec_id
             if seed is not None and new_id != old_id:
                 self.funnel_seqs[new_id] = max(self.funnel_seqs.get(new_id, 1), seed)
+
+    def _drop_rows(self, iids: Iterable[str]) -> None:
+        """Forget the buffer rows of the entry execs that run iids in the
+        graph now. A row reads only its own instance, and an entry exec's
+        rows only the instances it runs, so no other exec's rows change
+        when these instances join or leave the graph or change their cuts."""
+        graph = self.exec_graph
+        for iid in iids:
+            for sid in self.instances[iid].pipeline.entry_ids():
+                ex = graph.exec_for(iid, sid)
+                if ex is not None:
+                    self._rows.pop(ex.exec_id, None)
 
     def active_instances(self) -> list[PipelineInstance]:
         return [

@@ -219,7 +219,10 @@ class TransferMemo:
     one _Shape per pipeline shape and workload, the integer objective
     weights per (unit, objective) and, for each placement a search returns,
     the (ticks, bytes) it scored that placement at, which report turns into
-    the placement's CostReport.
+    the placement's CostReport. Per twin key (see place_upstream) it keeps
+    the leaf subscriber an upstream search placed for and that placement,
+    which serves every other leaf of the key's hub and class; a served
+    placement gets the searched one's score.
 
     compile_scenario makes one, hands it to every search of the compile and
     drops it when it returns, and Broker.on_node_failure makes one per repair
@@ -244,6 +247,8 @@ class TransferMemo:
         self._weights: dict[tuple[int, int], tuple[Objective, int, int]] = {}
         # placement -> (ticks, bytes, unit)
         self._scores: dict[Placement, tuple[int, int, int]] = {}
+        # twin key -> (the leaf searched, its placement); see place_upstream
+        self._twins: dict[tuple, tuple[str, Placement]] = {}
 
     def shape(self, p: PipelineSpec, w: WorkloadSpec) -> _Shape:
         """The _Shape of p under w on t, shared by every pipeline built from
@@ -659,6 +664,25 @@ class _Evaluator:
         ticks, moved = self.walk(assigned)
         return _report(ticks, moved, self.shape.unit, o, violations)
 
+    def twin_key(self, o: Objective) -> tuple | None:
+        """The key under which place_upstream's memo keeps this search's
+        placement for the subscriber's twin class; None when the subscriber
+        has none. See place_upstream."""
+        s, t, pubs = self.subscriber, self.t, self.pubs
+        assert s is not None and pubs is not None
+        edges = t._up_adjacency().get(s, ())
+        if len(edges) != 1 or s in t.down_nodes or s in pubs.values():
+            return None
+        if any(st.pin.node_id == s for st in self.p.stages):
+            return None
+        hub, link, w = edges[0]
+        node = t.nodes[s]
+        return (
+            self.shape, tuple(pubs.items()), self.weights(o), hub, w,
+            link.bandwidth_kb_per_ms, node.tier, node.cpu_capacity, node.mem_mb,
+            node.has_accelerator, node.domain_id,
+        )
+
     def placed(self, assigned: dict[str, str], ticks: int, moved: int) -> Placement:
         """Placement(assigned), which a search returns having scored it at
         (ticks, bytes) by walk; the memo keeps the score for
@@ -934,10 +958,48 @@ def place_upstream(
     subscriber: str,
     memo: TransferMemo | None = None,
 ) -> Placement:
-    """Balanced-upstream heuristic over the publisher->subscriber route."""
+    """Balanced-upstream heuristic over the publisher->subscriber route.
+
+    One search serves every subscriber of a twin class. A subscriber s has
+    one when it is up, is a leaf (one up neighbour, its hub h), publishes to
+    no entry and is named by no node pin. Its class is h, the h-s link's
+    latency (in the snapshot's _scale ints) and bandwidth, and s's tier,
+    cpu, memory, accelerator flag and domain. The memo keeps the placement
+    of the first search per (shape, publishers by entry, integer objective
+    weights, class); a later subscriber of that key gets it with the searched
+    leaf replaced by its own id, at the same score. Failures are not kept,
+    so each raises from its own search.
+
+    The search of a twin s' is the search of s with s renamed:
+    - Topology.shortest answers every route to or from a leaf as its hub's
+      plus the one link. So the route candidates are route(pub, h) plus the
+      subscriber, and every distance to it, every transfer term to or from
+      it and so every down rank of the search are h's, shifted by the link,
+      whose latency and bandwidth the class holds.
+    - The subscriber is the one candidate at distance (0, 0, 0), so it ranks
+      last in ranked, whatever its id, and every other node keeps its place.
+    - Budgets, compute terms and admits read only the subscriber's own
+      figures, which the class holds, and a subscriber pin resolves to it.
+    - The searched leaf is no publisher, node pin or route node of the
+      other: each holds a stage only as the subscriber.
+    """
     ev = _Evaluator(p, t, w, publisher, subscriber, memo)
+    twins = ev.memo._twins
+    key = ev.twin_key(o)
+    got = None if key is None else twins.get(key)
+    if got is not None:
+        leaf, first = got
+        pl = Placement({
+            sid: subscriber if node == leaf else node
+            for sid, node in first.assignment.items()
+        })
+        ev.memo._scores[pl] = ev.memo._scores[first]
+        return pl
     movable = [s.stage_id for s in p.stages if s.stage_id not in ev.pins]
-    return _upstream_with_fixed(ev, o, ev.pins, movable)
+    pl = _upstream_with_fixed(ev, o, ev.pins, movable)
+    if key is not None:
+        twins[key] = subscriber, pl
+    return pl
 
 
 def place_baseline_subscriber(

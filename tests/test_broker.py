@@ -735,3 +735,69 @@ def test_a_repair_that_moves_a_stage_onto_the_publisher_changes_the_buffered_cop
         (e.seq, e.pub.size_bytes, e.reentry_stage, e.via_stage)
         for e in b.buffers["infer"]
     ] == [(1, 512, "m-v1-s2", "m-v1-s1"), (2, 256, None, "m-v1-s2")]
+
+
+def test_a_change_drops_only_the_buffer_rows_of_the_entry_execs_it_touches():
+    """a sits on hub, b and d share one entry exec on pub and c publishes
+    from pub2. hub fails: a is repaired onto alt, and b's, c's and d's entry
+    execs keep their rows objects. mon3 fails: d is suspended and leaves
+    the exec it shares with b, whose rows go, so the next publication is
+    buffered for b and not for d. Every rows tuple kept is what a fresh
+    _buffer_rows builds."""
+    nodes = [
+        NodeDescriptor(n, "edge", cpu, mem, domain_id="d")
+        for n, cpu, mem in [
+            ("pub", 8, 512), ("pub2", 8, 512), ("hub", 16, 2048),
+            ("alt", 16, 2048), ("mon", 8, 1024), ("mon2", 8, 1024),
+            ("mon3", 8, 1024),
+        ]
+    ]
+    t = Topology.of(nodes, [
+        LinkDescriptor(a, b, lat, bw) for a, b, lat, bw in [
+            ("pub", "hub", 1, 200), ("hub", "mon", 1, 200), ("pub", "alt", 5, 100),
+            ("alt", "mon", 5, 100), ("pub", "mon2", 1, 200), ("pub", "mon3", 1, 200),
+            ("pub2", "mon2", 1, 200),
+        ]
+    ])
+    w, o = workload(), Objective()
+    b = fresh({"d/pub/x": "pub", "d/pub2/x": "pub2"})
+    b.register_model(model(layers=4))
+    subs = [("a", "d/pub/x", "mon"), ("b", "d/pub/x", "mon2"),
+            ("c", "d/pub2/x", "mon2"), ("d", "d/pub/x", "mon3")]
+    for sub_id, flt, subscriber in subs:
+        b.subscribe(inf_sub(sub_id, flt, subscriber, k=2), t, w, o)
+    a, _, c, d = (b.instances[f"d-i{i}"] for i in range(1, 5))
+
+    def entry(inst):
+        return b.exec_graph.exec_for(inst.instance_id, "m-v1-s1").exec_id
+
+    def publish(seq):
+        b.on_publish(raw_pub(seq=seq), Fraction(seq))
+        b.on_publish(raw_pub("d/pub2/x", "pub2", seq), Fraction(seq))
+
+    def check_rows():
+        for ex in b.exec_graph.stages.values():
+            if not ex.pred_ids:
+                assert b._rows.get(ex.exec_id) in (None, b._buffer_rows(ex))
+
+    publish(1)
+    assert set(a.placement.assignment.values()) == {"hub"}
+    shared = b._rows[entry(d)]
+    assert [row[1] for row in shared] == ["d-i2", "d-i4"]
+    kept = {iid: b._rows[entry(b.instances[iid])] for iid in ("d-i2", "d-i3")}
+
+    plan = b.on_node_failure("hub", t.with_node_state("hub", up=False), w, o)
+    assert plan.affected == ("d-i1",)
+    assert set(a.placement.assignment.values()) == {"alt"}
+    for iid, rows in kept.items():
+        assert b._rows[entry(b.instances[iid])] is rows
+    check_rows()
+
+    plan = b.on_node_failure("mon3", t.with_node_state("mon3", up=False), w, o)
+    assert plan.suspended == ("d-i4",)
+    assert b._rows[entry(c)] is kept["d-i3"]
+    check_rows()
+    publish(2)
+    check_rows()
+    assert [e.seq for e in b.buffers["b"]] == [1, 2]
+    assert b.buffers["d"] == []

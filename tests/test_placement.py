@@ -31,6 +31,7 @@ from infersub.errors import (
     NoFeasiblePlacementError,
     SearchSpaceTooLargeError,
 )
+from infersub import placement
 from infersub.placement import (
     ORACLE_BOUND,
     Objective,
@@ -932,3 +933,203 @@ def test_moving_a_join_rescores_every_route_that_touches_it():
         assert failure(replan, start, {"h"}, p, t, w, o, pubs, "s") == failure(
             ref_replan, start, {"h"}, p, t, w, o, pubs, "s"
         )
+
+
+# ---------------------------------------------------------------------------
+# One upstream search per twin class: interchangeable leaves of one hub
+
+# the hub h, the route nodes e and t between it and the publisher side m,
+# and the leaf p of m; the leaves of h sort below (a), between (g, k, n)
+# and above (z) them
+TWIN_CORE = ("e", "h", "m", "t")
+TWIN_LEAVES = ("a1", "a2", "g1", "g2", "k1", "k2", "n1", "z1", "z2")
+
+
+def twin_class(t: Topology, s: str, pubs: dict[str, str], p: PipelineSpec):
+    """Everything a twin of s must share with it, as place_upstream's
+    docstring states the rule; None when s has no twin class."""
+    ups = t.up_neighbors(s)
+    if not t.is_node_up(s) or len(ups) != 1 or s in pubs.values():
+        return None
+    if any(stage.pin.node_id == s for stage in p.stages):
+        return None
+    hub, link = ups[0]
+    n = t.node(s)
+    return (hub, link.latency_ms, link.bandwidth_kb_per_ms, n.tier, n.cpu_capacity,
+            n.mem_mb, n.has_accelerator, n.domain_id)
+
+
+def twin_star_case(rng: random.Random):
+    """Publishers m, p or the leaf g1 of h, a chain (behind a barrier join of
+    two relays now and then) with every pin kind, and the leaves of h drawn
+    from two figure sets, so most have a twin, or from their own. A leaf or
+    its link is down now and then, which makes it no twin of anything.
+    Returns (p, t, w, o, publishers by entry)."""
+
+    def figures():
+        return (rng.choice([Fraction(1), Fraction(2), Fraction(1, 3)]),
+                Fraction(rng.choice([20, 100, 400])), rng.choice(["device", "edge"]),
+                Fraction(rng.choice([1, 4, 8])), Fraction(rng.choice([24, 64, 4096])),
+                rng.random() < 0.5)
+
+    sets = [figures(), figures()]
+    nodes = [NodeDescriptor(n, "edge", Fraction(8), Fraction(4096), True)
+             for n in (*TWIN_CORE, "p")]
+    links = [LinkDescriptor("m", "e", 1, 100), LinkDescriptor("e", "h", 1, 100),
+             LinkDescriptor("m", "t", rng.choice([1, 2]), 50),
+             LinkDescriptor("t", "h", 1, 50), LinkDescriptor("p", "m", 1, 200)]
+    for leaf in TWIN_LEAVES:
+        roll = rng.random()
+        lat, bw, tier, cpu, mem, acc = sets[0] if roll < 0.45 else (
+            sets[1] if roll < 0.9 else figures()
+        )
+        nodes.append(NodeDescriptor(leaf, tier, cpu, mem, acc))
+        links.append(LinkDescriptor("h", leaf, lat, bw))
+    t = Topology.of(nodes, links)
+    if rng.random() < 0.2:
+        t = t.with_node_state(rng.choice(TWIN_LEAVES), up=False)
+    if rng.random() < 0.2:
+        t = t.with_link_state("h", rng.choice(TWIN_LEAVES), up=False)
+
+    def stage(sid: str, kind=Mapping("identity"), pin: Pin | None = None) -> StageSpec:
+        roll = rng.random()
+        if pin is None:
+            pin = (Pin.at_publisher() if roll < 0.1
+                   else Pin.at_subscriber() if roll < 0.3
+                   else Pin.at_node(rng.choice([*TWIN_CORE, "g2"])) if roll < 0.35
+                   else Pin.unpinned())
+        return StageSpec(
+            sid, kind, Fraction(rng.randint(0, 20), rng.choice([1, 3])),
+            Fraction(rng.randint(0, 40)), Fraction(rng.randint(2, 12), 8),
+            rng.random() < 0.1, pin,
+        )
+
+    chain = [stage(f"s{i}") for i in range(1, rng.randint(1, 3) + 1)]
+    edges = [(a.stage_id, b.stage_id) for a, b in zip(chain, chain[1:])]
+    publishers = ["m", "p", "g1"]
+    if rng.random() < 0.3:
+        relays = [stage(r, pin=Pin.at_publisher()) for r in ("in0", "in1")]
+        join = stage("join", Funnel("concat", Barrier(("in0", "in1"))), Pin.unpinned())
+        front = [*relays, join]
+        edges += [("in0", "join"), ("in1", "join"), ("join", "s1")]
+        pubs = {"in0": rng.choice(publishers), "in1": rng.choice(publishers)}
+    else:
+        front = []
+        pubs = {"s1": rng.choice(publishers)}
+    p = PipelineSpec(
+        "twins", tuple(front + chain), tuple(sorted(edges)),
+        {sid: TopicFilter.parse(f"d/{sid}/x") for sid in pubs}, chain[-1].stage_id,
+    )
+    w = WorkloadSpec({
+        f"d/{sid}/x": WorkloadEntry(rng.randint(1, 8192), Fraction(rng.randint(1, 100)))
+        for sid in pubs
+    })
+    o = Objective(Fraction(rng.randint(1, 10), 10), Fraction(rng.randint(0, 10), 10))
+    return p, t, w, o, pubs
+
+
+def counted_searches(monkeypatch) -> list[None]:
+    """A list that grows by one per upstream search (_upstream_with_fixed)."""
+    calls: list[None] = []
+    search = placement._upstream_with_fixed
+
+    def counting(*args):
+        calls.append(None)
+        return search(*args)
+
+    monkeypatch.setattr(placement, "_upstream_with_fixed", counting)
+    return calls
+
+
+def place_and_check(memo, searches, served, q, t, w, o, pubs, s, search: bool):
+    """place_upstream of q for subscriber s equals the reference, searches
+    exactly when search says so, and its score in the memo is a fresh
+    cost's; served collects the twin keys of the placements that returned."""
+    before = len(searches)
+    try:
+        pl = place_upstream(q, t, w, o, pubs, s, memo)
+    except NoFeasiblePlacementError as exc:
+        got = type(exc), str(exc)
+    else:
+        got = pl.assignment
+        assert memo.report(pl, o) == cost(pl, q, t, w, o, pubs, s)
+        cls = twin_class(t, s, pubs, q)
+        if cls is not None:
+            served.add((q.stages, cls))
+    assert got == failure(ref_place_upstream, q, t, w, o, pubs, s), s
+    assert len(searches) - before == search, s
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_twin_leaves_share_one_search_and_each_gets_the_reference_placement(
+    seed, monkeypatch
+):
+    """Every leaf of h, twice over and in a seeded order, under two
+    pipelines of the same stages as two subscriptions of one model are,
+    with one memo: each call equals the reference, and a call searches
+    unless a placement for its twin class was already returned."""
+    rng = random.Random(seed)
+    p, t, w, o, pubs = twin_star_case(rng)
+    calls = [(q, s) for q in (p, replace(p, pipeline_id="again"))
+             for s in TWIN_LEAVES * 2]
+    rng.shuffle(calls)
+    memo, served = TransferMemo(t), set()
+    searches = counted_searches(monkeypatch)
+    for q, s in calls:
+        cls = twin_class(t, s, pubs, q)
+        search = cls is None or (q.stages, cls) not in served
+        place_and_check(memo, searches, served, q, t, w, o, pubs, s, search)
+
+
+def test_a_subscriber_that_differs_from_a_twin_in_one_way_gets_its_own_search(
+    monkeypatch,
+):
+    """b0 and b1 are twins on hub h; every other subscriber is b0 but for one
+    thing: a class field, its hub, publishing, a node pin on it or a second
+    up link. Each is placed after b0 and must search for itself. A stage
+    pinned at the subscriber computes there from what crosses its link, so
+    the score reads the link and the cpu."""
+    base = NodeDescriptor("b0", "device", Fraction(4), Fraction(4096), True, "d0")
+    variants = {
+        "b1": {}, "latency": {}, "bandwidth": {}, "tier": {"tier": "edge"},
+        "cpu": {"cpu_capacity": Fraction(2)}, "memory": {"mem_mb": Fraction(2048)},
+        "accelerator": {"has_accelerator": False}, "domain": {"domain_id": "d1"},
+        "hub": {}, "publisher": {}, "pinned": {}, "two-links": {},
+    }
+    nodes = [NodeDescriptor(n, "edge", Fraction(8), Fraction(4096), True)
+             for n in ("h", "h2", "m")] + [base]
+    links = [LinkDescriptor("m", "h", 1, 100), LinkDescriptor("m", "h2", 1, 100),
+             LinkDescriptor("h", "b0", 2, 50)]
+    for name, fields in variants.items():
+        nodes.append(replace(base, node_id=name, **fields))
+        lat, bw = {"latency": (3, 50), "bandwidth": (2, 40)}.get(name, (2, 50))
+        links.append(LinkDescriptor("h2" if name == "hub" else "h", name, lat, bw))
+    links.append(LinkDescriptor("two-links", "m", 9, 10))
+    t = Topology.of(nodes, links)
+    w = WorkloadSpec({f"d/{sid}/x": WorkloadEntry(4096, Fraction(10))
+                      for sid in ("in0", "in1")})
+    o = Objective()
+
+    def pipeline(pin_at: str | None):
+        relays = tuple(StageSpec(r, Mapping("identity"), 0, 0, 1, pin=Pin.at_publisher())
+                       for r in ("in0", "in1"))
+        pin = Pin.at_node(pin_at) if pin_at else Pin.unpinned()
+        return PipelineSpec(
+            "twins", (*relays,
+                      StageSpec("join", Funnel("concat", Barrier(("in0", "in1"))),
+                                0, 0, 1, pin=pin),
+                      shrinker("s1", cost=2),
+                      StageSpec("s2", Mapping("identity"), Fraction(5), Fraction(8),
+                                1, pin=Pin.at_subscriber())),
+            (("in0", "join"), ("in1", "join"), ("join", "s1"), ("s1", "s2")),
+            {sid: TopicFilter.parse(f"d/{sid}/x") for sid in ("in0", "in1")}, "s2",
+        )
+
+    p = pipeline(None)
+    searches = counted_searches(monkeypatch)
+    for name in variants:
+        memo, served = TransferMemo(t), set()
+        pubs = {"in0": "m", "in1": "publisher" if name == "publisher" else "m"}
+        q = pipeline("pinned") if name == "pinned" else p
+        place_and_check(memo, searches, served, q, t, w, o, pubs, "b0", True)
+        place_and_check(memo, searches, served, q, t, w, o, pubs, name, name != "b1")

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import infersub
-from infersub import simulator
+from infersub import cli, simulator
 from infersub.broker import Broker
 from infersub.core import Publication, Topic
 from infersub.metrics import emit, report_from_json
@@ -654,6 +654,29 @@ def test_ups_on_targets_that_are_up_change_nothing(data):
     assert _outcome(dataclasses.replace(sc, faults=sc.faults + tuple(ups))) == want
 
 
+@given(st.data())
+def test_downs_repeated_on_targets_still_down_change_nothing(data):
+    """Each down of a random_faults schedule is repeated 1 µs or 7 ms after
+    it where its target is still down then, so a fault sets a state and
+    never fails its target again. A down applies before an up of the same
+    µs, so the target is down for the repeat when it is down once every
+    fault before that µs applied."""
+    name = data.draw(st.sampled_from(NOOP_UP_SCENARIOS), label="scenario")
+    seed = data.draw(st.integers(0, 7), label="random_faults seed")
+    sc, want, (times, downs) = _random_fault_run(name, seed)
+    repeats = []
+    for fault in sc.faults:
+        if fault.kind.endswith("_up"):
+            continue
+        at_us = simulator._ceil_us(fault.at_ms) + data.draw(
+            st.sampled_from([1, 7000]), label="delay µs"
+        )
+        target = fault.node if fault.link is None else tuple(sorted(fault.link))
+        if target in downs[bisect.bisect_right(times, at_us - 1) - 1]:
+            repeats.append(dataclasses.replace(fault, at_ms=Fraction(at_us, 1000)))
+    assert _outcome(dataclasses.replace(sc, faults=sc.faults + tuple(repeats))) == want
+
+
 def test_a_time_window_lost_in_a_blip_emits_nothing_and_the_next_one_is_delivered():
     """The time window runs on the publisher p and emits 40 ms after it
     opens. p is down from 110 to 120 ms, after the publication of 100 ms
@@ -1153,3 +1176,32 @@ def test_perf_workload_reports_run_as_pinned(workload, monkeypatch):
     w = simulate(loads_scenario(generate.generate(workload, 101).text()))
     digest = hashlib.sha256(emit(w.report()).encode()).hexdigest()
     assert (digest, w.lost_acks) == PERF_REPORT_DIGESTS[workload]
+
+
+# sha256 of `infersub place --algorithm upstream` on star-steady, star-wide
+# and CI's 1024-subscription star at seed 101, taken before an upstream
+# search served the twin leaves of a hub
+PLACE_DIGESTS = {
+    "star-steady": "d61d88a8a12ab6772549ac70ea8e78ec17f4c2568f3e2c0d48c62efc5775b8f1",
+    "star-wide": "fc2b8e1f9b2a91902fde23e11a945f1f2602f1ccc603af24508c8dc993d0a874",
+    "star-1024": "94fb41d08947c61d42a54b38207faa24fb25e3f0f02d9af63046e6c50dd7a086",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PLACE_DIGESTS))
+def test_perf_workload_placements_print_as_pinned(workload, monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH_DIR))
+    import generate
+
+    if workload == "star-1024":
+        gen = generate._monitor_star(
+            "star-1024", 101, edges=8, devices=8, monitors=16, count=1,
+            rate_per_s=20, mem=16,
+        )
+    else:
+        gen = generate.generate(workload, 101)
+    scenario = tmp_path / f"{workload}.json"
+    scenario.write_text(gen.text())
+    assert cli.main(["place", "--scenario", str(scenario), "--algorithm", "upstream"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PLACE_DIGESTS[workload]
